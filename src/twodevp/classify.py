@@ -11,14 +11,15 @@ The borderline cases (curvature or cluster eigenvalues within tolerance of
 zero) are conservatively classified singular.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import curves
-from .errors import NoIsotropicVector, NotAnEigenvalue
-from .kernels import hermitian_eig
+from .curves import default_tol_mult
+from .errors import NoIsotropicVector, NotAnEigenvalue, NotIndefinite
+from .kernels import diagonalize_form, hermitian_eig, isotropic_weights
 from .model import Triplet, jacobian
 
 
@@ -61,10 +62,6 @@ class EigvecSet:
         return self.t * self.v[:, 0] + self.s * self.v[:, 1]
 
 
-def default_tol_mult(pair, mu):
-    return max(1e-8, 1e-12 * (pair.norm_a + abs(mu) * pair.norm_c))
-
-
 def default_tol_sing(pair):
     return 1e-8 * (1.0 + pair.norm_c)
 
@@ -91,23 +88,17 @@ def multiplicity(pair, mu, lam, tol_mult=None):
     return int(np.count_nonzero(sel)), v[:, sel]
 
 
-def _diagonalize_cluster_c(pair, basis):
-    """Rotate a cluster basis so basis^H C basis is diagonal, c1 >= c2 >= ..."""
-    m = basis.conj().T @ pair.c @ basis
-    e, s = hermitian_eig(m, order="descending")
-    return basis @ s, e
+def _classify(pair, mu, lam, tol_mult, tol_sing):
+    """Classify (mu, lam) from one eigendecomposition of A - mu*C.
 
-
-def classify(pair, mu, lam, tol_mult=None, tol_sing=None):
-    """Classify the candidate 2D-eigenvalue (mu, lam)."""
+    Returns (classification without sigma_min_j, an isotropic unit vector
+    or None, the EigvecSet or None when the point is singular).
+    """
     if tol_sing is None:
         tol_sing = default_tol_sing(pair)
     k, basis = multiplicity(pair, mu, lam, tol_mult)
     if k == 0:
         raise NotAnEigenvalue("no eigenvalue of A - mu*C near lambda=%r at mu=%r" % (lam, mu))
-
-    ldp = float("nan")
-    c_eigs = np.array([])
     if k == 1:
         x = fix_phase(basis[:, 0])
         iso = np.real(np.vdot(x, pair.c @ x))
@@ -116,59 +107,37 @@ def classify(pair, mu, lam, tol_mult=None, tol_sing=None):
                 "x^H C x = %.3e: the simple eigenvector is not isotropic" % iso
             )
         ldp = curves.lambda_double_prime(pair, mu, lam, x)
-        kind = Kind.NONSINGULAR_SIMPLE if abs(ldp) > tol_sing else Kind.SINGULAR
-        rep = x
-    elif k == 2:
-        v, c_eigs = _diagonalize_cluster_c(pair, basis)
-        if c_eigs[0] > tol_sing and c_eigs[1] < -tol_sing:
-            kind = Kind.NONSINGULAR_MULTIPLE
-        else:
-            kind = Kind.SINGULAR
-        rep = _cluster_representative(v, c_eigs)
-    else:
-        v, c_eigs = _diagonalize_cluster_c(pair, basis)
-        kind = Kind.SINGULAR
-        rep = _cluster_representative(v, c_eigs)
+        simple = abs(ldp) > tol_sing
+        kind = Kind.NONSINGULAR_SIMPLE if simple else Kind.SINGULAR
+        cls = Classification(kind, k, ldp, np.array([]), float("nan"))
+        return cls, x, EigvecSet(kind=kind, x=x) if simple else None
 
-    if rep is not None:
-        j = jacobian(pair, Triplet(mu, lam, rep))
-        sigma_min_j = float(np.linalg.svd(j, compute_uv=False)[-1])
-    else:
-        sigma_min_j = float("nan")
-    return Classification(
-        kind=kind,
-        multiplicity=k,
-        lambda_double_prime=ldp,
-        cluster_c_eigs=c_eigs,
-        sigma_min_j=sigma_min_j,
-    )
+    v, c_eigs = diagonalize_form(pair.c, basis)
+    c1, c2 = float(c_eigs[0]), float(c_eigs[-1])
+    cls = Classification(Kind.SINGULAR, k, float("nan"), c_eigs, float("nan"))
+    try:
+        t, s = isotropic_weights(c1, c2)
+    except NotIndefinite:
+        return cls, None, None
+    rep = t * v[:, 0] + s * v[:, -1]
+    if k > 2 or not (c1 > tol_sing and c2 < -tol_sing):
+        return cls, rep, None
+    vec_set = EigvecSet(kind=Kind.NONSINGULAR_MULTIPLE, v=v, t=float(t), s=float(s), c1=c1, c2=c2)
+    return replace(cls, kind=vec_set.kind), rep, vec_set
 
 
-def _cluster_representative(v, c_eigs):
-    """An isotropic unit vector in the cluster span, if one exists."""
-    c1, c2 = c_eigs[0], c_eigs[-1]
-    if not (c1 > 0 > c2):
-        return None
-    t = np.sqrt(-c2 / (c1 - c2))
-    s = np.sqrt(c1 / (c1 - c2))
-    return t * v[:, 0] + s * v[:, -1]
+def classify(pair, mu, lam, tol_mult=None, tol_sing=None):
+    """Classify the candidate 2D-eigenvalue (mu, lam)."""
+    cls, rep, _ = _classify(pair, mu, lam, tol_mult, tol_sing)
+    if rep is None:
+        return cls
+    j = jacobian(pair, Triplet(mu, lam, rep))
+    return replace(cls, sigma_min_j=float(np.linalg.svd(j, compute_uv=False)[-1]))
 
 
 def eigvec_set(pair, mu, lam, tol_mult=None, tol_sing=None):
     """The structured set of 2D-eigenvectors at a nonsingular (mu, lam)."""
-    cls = classify(pair, mu, lam, tol_mult, tol_sing)
-    k, basis = multiplicity(pair, mu, lam, tol_mult)
-    if cls.kind is Kind.NONSINGULAR_SIMPLE:
-        return EigvecSet(kind=cls.kind, x=fix_phase(basis[:, 0]))
-    if cls.kind is Kind.NONSINGULAR_MULTIPLE:
-        v, c_eigs = _diagonalize_cluster_c(pair, basis)
-        c1, c2 = float(c_eigs[0]), float(c_eigs[1])
-        return EigvecSet(
-            kind=cls.kind,
-            v=v,
-            t=float(np.sqrt(-c2 / (c1 - c2))),
-            s=float(np.sqrt(c1 / (c1 - c2))),
-            c1=c1,
-            c2=c2,
-        )
-    raise NoIsotropicVector("eigvec_set is defined only for nonsingular classifications")
+    vec_set = _classify(pair, mu, lam, tol_mult, tol_sing)[2]
+    if vec_set is None:
+        raise NoIsotropicVector("eigvec_set is defined only for nonsingular classifications")
+    return vec_set

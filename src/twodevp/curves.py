@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuationAmbiguous, NotNormalized, NotSimple
-from .kernels import hermitian_eig, pinv_apply
+from .kernels import hermitian_eig, pinv_apply_eig
 
 OVERLAP_FLOOR = 0.9
 AMBIGUITY_TOL = 1e-8
@@ -152,21 +152,23 @@ def lambda_prime(pair, x):
     return -float(q.real)
 
 
-def _check_simple(pair, mu, lam, tol_mult=None):
-    if tol_mult is None:
-        tol_mult = max(1e-8, 1e-12 * (pair.norm_a + abs(mu) * pair.norm_c))
-    w, _ = hermitian_eig(pair.a - mu * pair.c)
-    k = int(np.count_nonzero(np.abs(w - lam) <= tol_mult))
-    if k != 1:
-        raise NotSimple("eigenvalue %r has multiplicity %d at mu=%r" % (lam, k, mu))
+def default_tol_mult(pair, mu):
+    """Distance within which two eigenvalues of A - mu*C count as one."""
+    return max(1e-8, 1e-12 * (pair.norm_a + abs(mu) * pair.norm_c))
 
 
 def eigvec_derivative(pair, mu, lam, x, rank_tol=1e-8):
-    """Derivative of the analytic eigenvector branch at a simple eigenpair."""
+    """Derivative of the analytic eigenvector branch at a simple eigenpair.
+
+    Raises NotSimple unless exactly one eigenvalue of A - mu*C - lam*I
+    lies within default_tol_mult of zero.
+    """
     x = np.asarray(x, dtype=complex).reshape(-1)
-    _check_simple(pair, mu, lam)
-    xp = pinv_apply(pair.shifted(mu, lam), pair.c @ x, rank_tol=rank_tol)
-    return xp
+    w, v = hermitian_eig(pair.shifted(mu, lam))
+    k = int(np.count_nonzero(np.abs(w) <= default_tol_mult(pair, mu)))
+    if k != 1:
+        raise NotSimple("eigenvalue %r has multiplicity %d at mu=%r" % (lam, k, mu))
+    return pinv_apply_eig(w, v, pair.c @ x, rank_tol)
 
 
 def lambda_double_prime(pair, mu, lam, x):

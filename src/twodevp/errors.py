@@ -53,10 +53,6 @@ class BracketInvalid(TwoDevpError):
     pass
 
 
-class NotIndefiniteOnCluster(TwoDevpError):
-    pass
-
-
 class RankCollapse(TwoDevpError):
     pass
 

@@ -14,8 +14,9 @@ from .angles import dist_to_set
 from .classify import Kind, eigvec_set
 from .curves import eigvec_derivative
 from .errors import NotIndefinite, RankCollapse, TooShort
-from .kernels import hermitian_eig, orthonormalize
+from .kernels import diagonalize_form, hermitian_eig, orthonormalize
 from .model import HermitianPair, Triplet
+from .refpairs import haar_unitary
 
 NOISE_FLOOR = 1e-13
 ROUNDING_UNITS = 10.0
@@ -226,17 +227,14 @@ def ritz_approx_study(target, eps_list, trials, seed):
             rng = _trial_rng(seed, i * trials + trial)
             g = rng.standard_normal((pair.n, 2)) + 1j * rng.standard_normal((pair.n, 2))
             g /= np.linalg.norm(g, 2)
-            v = orthonormalize(ideal + eps * g)
-            ce, s = hermitian_eig(v.conj().T @ pair.c @ v, order="descending")
-            if not (ce[0] > 0 > ce[1]):
+            v, ce = diagonalize_form(pair.c, orthonormalize(ideal + eps * g))
+            # no Jacobian here, so no singular values to record
+            basis = rqi.ProjectionBasis(v, float(ce[0]), float(ce[1]), (np.nan, np.nan), False)
+            try:
+                cands = rqi.solve_2x2(*rqi.form_rq(pair, basis))
+            except NotIndefinite:
                 failed += 1
                 continue
-            v = v @ s
-            ak = v.conj().T @ pair.a @ v
-            cands = rqi.solve_2x2(
-                float(np.real(ak[0, 0])), complex(ak[0, 1]), float(np.real(ak[1, 1])),
-                float(ce[0]), float(ce[1]),
-            )
             best = None
             for c in cands:
                 x = v @ c.z
@@ -304,16 +302,10 @@ def random_pair(n, signature, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = 0.5 * (g + g.conj().T)
-    q = _haar_unitary(rng, n)
+    q = haar_unitary(rng, n)
     d = np.diag([1.0] * pos + [-1.0] * neg)
     c = q.conj().T @ d @ q
     return HermitianPair(a, c)
-
-
-def _haar_unitary(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_pair_with_crossing(n, signature, mu_star, lam_star, seed):

@@ -8,7 +8,7 @@ on top of LAPACK via numpy.linalg.
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, RankDeficient
+from .errors import NoConvergence, NotHermitian, NotIndefinite, RankDeficient
 
 
 def as_matrix(m):
@@ -42,12 +42,13 @@ def check_hermitian(m):
 
 
 def hermitian_eig(m, order="descending"):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of an exactly Hermitian matrix.
 
     Returns (values, vectors) with values sorted per `order` and vectors
-    as the matching columns.
+    as the matching columns.  The input is not validated: callers pass
+    pencils of a `HermitianPair`, whose A and C are exactly Hermitian, or
+    forms symmetrized by `diagonalize_form`.
     """
-    m = check_hermitian(m)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -60,17 +61,27 @@ def hermitian_eig(m, order="descending"):
     return w, v
 
 
-def thin_svd(m):
-    """Thin SVD with singular values in descending order.
+def diagonalize_form(c, basis):
+    """Rotate an orthonormal basis so basis^H C basis is diagonal.
 
-    Returns (u, s, v) such that m ~= u @ diag(s) @ v.conj().T.
+    Returns (rotated basis, diagonal entries in descending order).  The
+    projected form is symmetrized before its eigendecomposition.
     """
-    m = as_matrix(m)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc))
-    return u, s, vh.conj().T
+    m = basis.conj().T @ c @ basis
+    e, s = hermitian_eig(0.5 * (m + m.conj().T), order="descending")
+    return basis @ s, e
+
+
+def isotropic_weights(c1, c2):
+    """Weights (t, s) with t^2 + s^2 = 1 and c1 t^2 + c2 s^2 = 0.
+
+    t v1 + s v2 is then an isotropic unit vector for orthonormal v1, v2
+    with v1^H C v1 = c1, v2^H C v2 = c2 and v1^H C v2 = 0.
+    Requires c1 > 0 > c2.
+    """
+    if not (c1 > 0 > c2):
+        raise NotIndefinite("projected C has entries (%r, %r), not indefinite" % (c1, c2))
+    return np.sqrt(-c2 / (c1 - c2)), np.sqrt(c1 / (c1 - c2))
 
 
 def orthonormalize(m):
@@ -99,6 +110,14 @@ def pinv_apply(m, b, rank_tol=None):
     if rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
     w, v = hermitian_eig(m)
+    return pinv_apply_eig(w, v, b, rank_tol)
+
+
+def pinv_apply_eig(w, v, b, rank_tol):
+    """Apply the pseudoinverse of v @ diag(w) @ v^H to b.
+
+    Eigencomponents with |w| <= rank_tol * max|w| are treated as null.
+    """
     cutoff = rank_tol * np.max(np.abs(w), initial=0.0)
     coeff = v.conj().T @ b
     inv = np.zeros_like(w)

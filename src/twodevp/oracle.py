@@ -14,9 +14,9 @@ from enum import Enum
 import numpy as np
 
 from .classify import fix_phase
-from .curves import eig_at, trace_curves
-from .errors import BracketInvalid, NotIndefiniteOnCluster
-from .kernels import hermitian_eig
+from .curves import default_tol_mult, eig_at, trace_curves
+from .errors import BracketInvalid, NotIndefinite
+from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet
 
 SUSPECT_SLOPE_TOL = 1e-8
@@ -58,7 +58,8 @@ def scan(pair, mu_lo, mu_hi, n_grid):
     """Bracket every slope sign change and opposite-slope curve crossing.
 
     Returns (hits, suspects): refined OracleHit records plus unrefined
-    suspect grid points where a slope merely comes close to zero.
+    suspects, grid points where a slope merely comes close to zero and
+    crossing brackets whose refinement failed.
     """
     if n_grid < 8:
         raise ValueError("need n_grid >= 8")
@@ -90,7 +91,7 @@ def scan(pair, mu_lo, mu_hi, n_grid):
                 bracket = (grid.points[j].mu, grid.points[j + 1].mu)
                 try:
                     hits.append(refine_crossing(pair, grid, i, j2, bracket))
-                except NotIndefiniteOnCluster:
+                except (BracketInvalid, NotIndefinite):
                     suspects.append((0.5 * (bracket[0] + bracket[1]), (i, j2)))
     return hits, suspects
 
@@ -133,7 +134,12 @@ def refine_critical(pair, grid, curve_index, bracket):
 
 
 def refine_crossing(pair, grid, i, j, bracket):
-    """Bisect a gap sign change and build the isotropic cluster vector."""
+    """Bisect a gap sign change and build the isotropic cluster vector.
+
+    Raises BracketInvalid when the gap does not change sign over the
+    bracket or does not close to default_tol_mult, and NotIndefinite when
+    the cluster form of C is not indefinite.
+    """
     lo, hi = bracket
     left = _grid_point_at(grid, lo)
     vec_i = left.vectors[:, i].copy()
@@ -159,21 +165,15 @@ def refine_crossing(pair, grid, i, j, bracket):
     mu = 0.5 * (lo + hi)
     li, vi = _track(pair, mu, vec_i)
     lj, vj = _track(pair, mu, vec_j)
+    if abs(li - lj) > default_tol_mult(pair, mu):
+        raise BracketInvalid("curve gap %.3e did not close over %r" % (abs(li - lj), bracket))
     lam = 0.5 * (li + lj)
     # orthonormal cluster basis (the two eigenvectors are orthogonal up to
     # the residual gap at the refined mu)
-    basis = np.stack([vi, vj], axis=1)
-    q, _ = np.linalg.qr(basis)
-    m = q.conj().T @ pair.c @ q
-    ce, s = hermitian_eig(m, order="descending")
-    if not (ce[0] > 0 > ce[1]):
-        raise NotIndefiniteOnCluster(
-            "cluster form of C has eigenvalues (%r, %r)" % (ce[0], ce[1])
-        )
-    v = q @ s
-    t = np.sqrt(-ce[1] / (ce[0] - ce[1]))
-    sw = np.sqrt(ce[0] / (ce[0] - ce[1]))
-    x = t * v[:, 0] + sw * v[:, 1]
+    q, _ = np.linalg.qr(np.stack([vi, vj], axis=1))
+    v, ce = diagonalize_form(pair.c, q)
+    t, s = isotropic_weights(ce[0], ce[1])
+    x = t * v[:, 0] + s * v[:, 1]
     return OracleHit(
         triplet=Triplet(mu, lam, fix_phase(x)),
         kind=HitKind.CROSSING,

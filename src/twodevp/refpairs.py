@@ -42,8 +42,8 @@ def multiple_target_2x2():
     return Triplet(1.0, 0.0, np.array([1.0, 1.0]) / SQ2)
 
 
-def _fixed_unitary(n, seed):
-    rng = np.random.default_rng(seed)
+def haar_unitary(rng, n):
+    """Haar-distributed n x n unitary drawn from the generator rng."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -65,7 +65,7 @@ def simple_pair_desk(n=8, seed=20260826):
         c_diag += [1.0, -1.0]
     a[2:, 2:] = np.diag(pad)
     c = np.diag(c_diag)
-    q = _fixed_unitary(n, seed)
+    q = haar_unitary(np.random.default_rng(seed), n)
     x = np.zeros(n, dtype=complex)
     x[0] = x[1] = 1.0 / SQ2
     return HermitianPair(q.conj().T @ a @ q, q.conj().T @ c @ q), Triplet(0.0, 1.0, q.conj().T @ x)

@@ -7,8 +7,9 @@ One step from the iterate (mu_k, lam_k, x_k):
   2. orthonormalize the first n rows into V and rotate V so V^H C V is
      diagonal with c1 >= c2;
   3. solve the projected 2 x 2 problem (V^H A V, V^H C V) in closed form,
-     which yields two candidate triplets when the off-diagonal entry of
-     V^H A V is nonzero and one otherwise;
+     which yields two candidate triplets when the off-diagonal entry a12
+     of V^H A V exceeds TAU_MULT * (|a11| + |a22| + |a12| + 1) in modulus
+     and one otherwise;
   4. pick the candidate closest to (mu_k, lam_k) in |d mu| + |d lam| and
      lift its 2-vector through V.
 """
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotIndefinite, RankCollapse
-from .kernels import orthonormalize, hermitian_eig
+from .kernels import diagonalize_form, isotropic_weights, orthonormalize
 from .model import Triplet, jacobian_hat, residual
 
 TAU_MULT = 1e-10
@@ -96,11 +97,7 @@ def projection_basis(pair, t):
     sv = np.linalg.svd(vt, compute_uv=False)
     if sv[-1] <= 1e-10:
         raise RankCollapse("leading rows of the nullspace basis have rank < 2")
-    v = orthonormalize(vt)
-    # rotate so V^H C V is diagonal with c1 >= c2
-    cv = v.conj().T @ pair.c @ v
-    ce, s2 = hermitian_eig(cv, order="descending")
-    v = v @ s2
+    v, ce = diagonalize_form(pair.c, orthonormalize(vt))
     sigma_n = float(s[pair.n - 1])
     scale = float(s[0]) if s.size else 0.0
     return ProjectionBasis(
@@ -127,10 +124,7 @@ def solve_2x2(a11, a12, a22, c1, c2, tau_mult=TAU_MULT):
     Returns two candidates when |a12| is above the branch threshold, one
     otherwise.  Requires c1 > 0 > c2.
     """
-    if not (c1 > 0 > c2):
-        raise NotIndefinite("projected C has entries (%r, %r), not indefinite" % (c1, c2))
-    t = np.sqrt(-c2 / (c1 - c2))
-    s = np.sqrt(c1 / (c1 - c2))
+    t, s = isotropic_weights(c1, c2)
     if abs(a12) > tau_mult * (abs(a11) + abs(a22) + abs(a12) + 1.0):
         out = []
         for sign in (+1.0, -1.0):

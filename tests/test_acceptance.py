@@ -8,6 +8,7 @@ run is identical.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -81,12 +82,27 @@ def test_quadratic_convergence_statistics():
     assert time.monotonic() - start < 5.0
 
 
+def _random_simple_target():
+    """The first nonsingular simple hit of scan on random_pair(12, (6, 6), 100).
+
+    Unlike the desk pair, this pair has no block structure, so x'_* is not
+    in span{x_*, C x_*}.
+    """
+    pair = harness.random_pair(12, (6, 6), 100)
+    hits, _ = td.scan(pair, -3.0, 3.0, 96)
+    h = next(h for h in hits
+             if td.classify(pair, h.triplet.mu, h.triplet.lam).kind is Kind.NONSINGULAR_SIMPLE)
+    return harness.Target.at(pair, h.triplet, "simple")
+
+
 def test_one_step_error_scaling_simple():
     start = time.monotonic()
     pair, trip = refpairs.simple_pair_desk()
-    tgt = harness.Target.at(pair, trip, "simple")
-    study = harness.scaling_study(tgt, [1e-2, 3e-3, 1e-3, 3e-4], 50, 1234)
-    bad = window_violations(study.fitted_slopes, SIMPLE_WINDOWS, "simple")
+    targets = [("desk", harness.Target.at(pair, trip, "simple")), ("random", _random_simple_target())]
+    bad = []
+    for tag, tgt in targets:
+        study = harness.scaling_study(tgt, [1e-2, 3e-3, 1e-3, 3e-4], 50, 1234)
+        bad += window_violations(study.fitted_slopes, SIMPLE_WINDOWS, "simple " + tag)
     assert time.monotonic() - start < 10.0
     assert not bad, "; ".join(bad)
 
@@ -153,12 +169,7 @@ def test_projection_subspace_misses_eigenvector_branch():
     # The desk pair is block diagonal, so x'_* already lies in
     # span{x_*, C x_*}; the random pair checks the generic case.
     pair, trip = refpairs.simple_pair_desk()
-    targets = [("desk", harness.Target.at(pair, trip, "simple"))]
-    pair = harness.random_pair(12, (6, 6), 100)
-    hits, _ = td.scan(pair, -3.0, 3.0, 96)
-    h = next(h for h in hits
-             if td.classify(pair, h.triplet.mu, h.triplet.lam).kind is Kind.NONSINGULAR_SIMPLE)
-    targets.append(("random", harness.Target.at(pair, h.triplet, "simple")))
+    targets = [("desk", harness.Target.at(pair, trip, "simple")), ("random", _random_simple_target())]
     for tag, tgt in targets:
         slope_x, slope_xp = _branch_miss_slopes(tgt, [1e-2, 1e-3, 1e-4], 50, 7)
         assert 1.6 <= slope_x <= 2.4, "%s: x(mu_k) miss slope %.3f" % (tag, slope_x)
@@ -331,10 +342,14 @@ def test_cli_reports_are_deterministic(tmp_path):
         "--target-mu", "0", "--target-lambda", "1",
         "--eps", "1e-3", "--trials", "50", "--seed", "77",
     ]
+    # the child imports the same twodevp as this process, installed or not
+    src = os.path.dirname(os.path.dirname(td.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     outs = []
     for rerun in range(2):
         out = tmp_path / ("report%d.json" % rerun)
-        subprocess.run(args + ["--out", str(out)], check=True)
+        subprocess.run(args + ["--out", str(out)], check=True, env=env)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert json.loads(outs[0])  # valid JSON

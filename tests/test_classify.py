@@ -134,3 +134,30 @@ def test_fix_phase_makes_largest_entry_real_positive():
     i = int(np.argmax(np.abs(y)))
     assert y[i].imag == pytest.approx(0.0, abs=1e-15)
     assert y[i].real > 0
+
+
+def _count_linalg(monkeypatch):
+    """Record the shape of every numpy.linalg.eigh and svd call."""
+    calls = []
+    for name in ("eigh", "svd"):
+        orig = getattr(np.linalg, name)
+
+        def counted(m, *args, _orig=orig, _name=name, **kwargs):
+            calls.append((_name, np.shape(m)))
+            return _orig(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_eigvec_set_takes_one_decomposition_per_point(monkeypatch):
+    # simple: at most one eigh of A - mu*C and one of A - mu*C - lam*I for lam''
+    pair, trip = refpairs.simple_pair_desk()
+    calls = _count_linalg(monkeypatch)
+    eigvec_set(pair, trip.mu, trip.lam)
+    assert set(calls) == {("eigh", (pair.n, pair.n))} and len(calls) <= 2
+    # multiple: one eigh of A - mu*C, one of the 2 x 2 cluster form of C
+    pair, trip = refpairs.multiple_pair_desk()
+    del calls[:]
+    eigvec_set(pair, trip.mu, trip.lam)
+    assert calls == [("eigh", (pair.n, pair.n)), ("eigh", (2, 2))]

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from twodevp.errors import NotHermitian, RankDeficient
+from twodevp.errors import RankDeficient
 from twodevp.kernels import (
     check_hermitian,
     hermitian_eig,
     orthonormalize,
     pinv_apply,
     spectral_norm,
-    thin_svd,
 )
 
 
@@ -45,35 +44,11 @@ def test_hermitian_eig_ascending_order():
     assert np.all(np.diff(w) >= 0)
 
 
-def test_hermitian_eig_rejects_asymmetric():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_check_hermitian_symmetrizes_noise():
     m = random_hermitian(5, 2)
     noisy = m + 1e-14 * np.triu(np.ones((5, 5)))
     out = check_hermitian(noisy)
     assert np.array_equal(out, out.conj().T)
-
-
-def test_thin_svd_diagonal():
-    _, s, _ = thin_svd(np.diag([3.0, 2.0]))
-    assert np.allclose(s, [3.0, 2.0])
-
-
-def test_thin_svd_zero():
-    _, s, _ = thin_svd(np.zeros((2, 3)))
-    assert np.allclose(s, 0.0)
-
-
-def test_thin_svd_squares_are_gram_eigenvalues():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    u, s, v = thin_svd(m)
-    w, _ = hermitian_eig(m @ m.conj().T)
-    assert np.allclose(np.sort(s**2), np.sort(w))
-    assert np.linalg.norm(m - u @ np.diag(s) @ v.conj().T, 2) < 1e-12 * s[0]
 
 
 def test_orthonormalize_keeps_orthonormal_span():

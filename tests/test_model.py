@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twodevp import refpairs
-from twodevp.errors import DimensionMismatch, NotIndefinite, ParseError
+from twodevp.errors import DimensionMismatch, NotHermitian, NotIndefinite, ParseError
 from twodevp.model import (
     HermitianPair,
     Triplet,
@@ -21,6 +21,14 @@ SQ2 = np.sqrt(2.0)
 def test_pair_requires_indefinite_c():
     with pytest.raises(NotIndefinite):
         HermitianPair(np.eye(2), np.eye(2))
+
+
+def test_pair_rejects_asymmetric():
+    asym = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NotHermitian):
+        HermitianPair(asym, np.diag([1.0, -1.0]))
+    with pytest.raises(NotHermitian):
+        HermitianPair(np.eye(2), asym)
 
 
 def test_pair_requires_matching_shapes():

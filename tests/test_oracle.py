@@ -5,7 +5,8 @@ from twodevp import refpairs
 from twodevp.classify import classify
 from twodevp.errors import BracketInvalid
 from twodevp.model import HermitianPair, residual
-from twodevp.oracle import HitKind, refine_critical, scan
+from twodevp.harness import random_pair_with_crossing
+from twodevp.oracle import HitKind, refine_critical, refine_crossing, scan
 from twodevp.curves import trace_curves
 
 SQ2 = np.sqrt(2.0)
@@ -95,6 +96,25 @@ def test_refine_critical_rejects_bad_bracket():
     bracket = (grid.points[0].mu, grid.points[1].mu)
     with pytest.raises(BracketInvalid):
         refine_critical(pair, grid, 0, bracket)
+
+
+def test_refine_crossing_rejects_gap_that_does_not_close():
+    # Two gap sign changes in one grid cell of scan(pair, -3, 3, 96): curves
+    # 30 and 31 meet at the planted crossing, while curves 30 and 32 stop
+    # about 5e-5 apart, which is no 2D-eigenvalue.
+    pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 10)
+    grid = trace_curves(pair, -3.0, 3.0, 96)
+    mus = grid.mus
+    j = int(np.searchsorted(mus, 0.4)) - 1
+    bracket = (mus[j], mus[j + 1])
+    hit = refine_crossing(pair, grid, 30, 31, bracket)
+    assert abs(hit.triplet.mu - 0.4) < 1e-10 and abs(hit.triplet.lam + 0.3) < 1e-10
+    with pytest.raises(BracketInvalid):
+        refine_crossing(pair, grid, 30, 32, bracket)
+    # scan over that one cell files the open gap as a suspect
+    hits, suspects = scan(pair, bracket[0], bracket[1], 8)
+    assert [h.curves for h in hits if h.kind is HitKind.CROSSING] == [(30, 31)]
+    assert [c for _, c in suspects if isinstance(c, tuple)] == [(30, 32)]
 
 
 def test_scan_requires_reasonable_grid():
