@@ -19,7 +19,7 @@ import numpy as np
 from . import curves
 from .curves import default_tol_mult
 from .errors import NoIsotropicVector, NotAnEigenvalue, NotIndefinite
-from .kernels import diagonalize_form, hermitian_eig, isotropic_weights
+from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet, jacobian
 
 
@@ -75,33 +75,30 @@ def fix_phase(x):
     return x * (z.conj() / abs(z))
 
 
-def multiplicity(pair, mu, lam, tol_mult=None):
-    """Count eigenvalues of A - mu*C within tol_mult of lam.
+def multiplicity(pair, mu, lam):
+    """Count eigenvalues of A - mu*C within default_tol_mult of lam.
 
     Returns (k, eigbasis) where eigbasis is an n x k orthonormal basis of
     the cluster eigenspace (k may be 0).
     """
-    if tol_mult is None:
-        tol_mult = default_tol_mult(pair, mu)
-    w, v = hermitian_eig(pair.a - mu * pair.c)
-    sel = np.abs(w - lam) <= tol_mult
-    return int(np.count_nonzero(sel)), v[:, sel]
+    point = curves.eig_at(pair, mu)
+    sel = np.abs(point.values - lam) <= default_tol_mult(pair, mu)
+    return int(np.count_nonzero(sel)), point.vectors[:, sel]
 
 
-def _classify(pair, mu, lam, tol_mult, tol_sing):
+def _classify(pair, mu, lam):
     """Classify (mu, lam) from one eigendecomposition of A - mu*C.
 
     Returns (classification without sigma_min_j, an isotropic unit vector
     or None, the EigvecSet or None when the point is singular).
     """
-    if tol_sing is None:
-        tol_sing = default_tol_sing(pair)
-    k, basis = multiplicity(pair, mu, lam, tol_mult)
+    tol_sing = default_tol_sing(pair)
+    k, basis = multiplicity(pair, mu, lam)
     if k == 0:
         raise NotAnEigenvalue("no eigenvalue of A - mu*C near lambda=%r at mu=%r" % (lam, mu))
     if k == 1:
         x = fix_phase(basis[:, 0])
-        iso = np.real(np.vdot(x, pair.c @ x))
+        iso = -curves.slopes(pair, x[:, None])[0]
         if abs(iso) > tol_sing:
             raise NoIsotropicVector(
                 "x^H C x = %.3e: the simple eigenvector is not isotropic" % iso
@@ -126,18 +123,18 @@ def _classify(pair, mu, lam, tol_mult, tol_sing):
     return replace(cls, kind=vec_set.kind), rep, vec_set
 
 
-def classify(pair, mu, lam, tol_mult=None, tol_sing=None):
+def classify(pair, mu, lam):
     """Classify the candidate 2D-eigenvalue (mu, lam)."""
-    cls, rep, _ = _classify(pair, mu, lam, tol_mult, tol_sing)
+    cls, rep, _ = _classify(pair, mu, lam)
     if rep is None:
         return cls
     j = jacobian(pair, Triplet(mu, lam, rep))
     return replace(cls, sigma_min_j=float(np.linalg.svd(j, compute_uv=False)[-1]))
 
 
-def eigvec_set(pair, mu, lam, tol_mult=None, tol_sing=None):
+def eigvec_set(pair, mu, lam):
     """The structured set of 2D-eigenvectors at a nonsingular (mu, lam)."""
-    vec_set = _classify(pair, mu, lam, tol_mult, tol_sing)[2]
+    vec_set = _classify(pair, mu, lam)[2]
     if vec_set is None:
         raise NoIsotropicVector("eigvec_set is defined only for nonsingular classifications")
     return vec_set

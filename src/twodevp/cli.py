@@ -6,6 +6,8 @@ All JSON output is deterministic for fixed inputs and seeds.
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -15,8 +17,7 @@ from . import curves as curves_mod
 from . import harness, oracle, rqi
 from .classify import Kind, classify as run_classify, eigvec_set
 from .errors import TwoDevpError
-from .kernels import hermitian_eig
-from .model import Triplet, load_pair, load_triplet, residual, save_pair
+from .model import Triplet, complex_to_json, load_pair, load_triplet, residual, save_pair
 
 
 def _emit(doc, path):
@@ -29,8 +30,8 @@ def _emit(doc, path):
 
 
 def _auto_x0(pair, mu0, lam0):
-    w, v = hermitian_eig(pair.a - mu0 * pair.c)
-    return v[:, int(np.argmin(np.abs(w - lam0)))]
+    point = curves_mod.eig_at(pair, mu0)
+    return point.vectors[:, int(np.argmin(np.abs(point.values - lam0)))]
 
 
 def cmd_solve(args):
@@ -74,12 +75,9 @@ def cmd_solve(args):
 
 
 def _emit_csv(records, path):
-    import csv as _csv
-    import io
-
     buf = io.StringIO()
     if records:
-        writer = _csv.DictWriter(buf, fieldnames=list(records[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
         writer.writeheader()
         writer.writerows(records)
     text = buf.getvalue()
@@ -108,7 +106,16 @@ def cmd_curves(args):
     pair = load_pair(args.pair)
     grid = curves_mod.trace_curves(pair, args.mu_lo, args.mu_hi, args.grid)
     if args.format == "csv":
-        curves_mod.export_grid_csv(grid, args.out, with_vectors=args.vectors)
+        rows = []
+        for p in grid.points:
+            for i, value in enumerate(p.values):
+                row = {"mu": p.mu, "curve_index": i, "lambda": float(value)}
+                if args.vectors:
+                    x = p.vectors[:, i]
+                    row.update(("x%d_re" % k, float(z.real)) for k, z in enumerate(x))
+                    row.update(("x%d_im" % k, float(z.imag)) for k, z in enumerate(x))
+                rows.append(row)
+        _emit_csv(rows, args.out)
     else:
         doc = {
             "matched": grid.matched,
@@ -131,7 +138,7 @@ def cmd_oracle(args):
                 "curves": list(h.curves),
                 "mu": h.triplet.mu,
                 "lambda": h.triplet.lam,
-                "x": [[float(z.real), float(z.imag)] for z in h.triplet.x],
+                "x": complex_to_json(h.triplet.x),
                 "bracket": list(h.bracket),
                 "refined_to": h.refined_to,
                 "residual": residual(pair, h.triplet).norm,

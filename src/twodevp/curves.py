@@ -11,7 +11,6 @@ the closed-form first and second derivatives of a branch:
     lam''(mu) = -2 Re(x^H C x'(mu))
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .kernels import hermitian_eig, pinv_apply_eig
 OVERLAP_FLOOR = 0.9
 AMBIGUITY_TOL = 1e-8
 STEP_FLOOR_FACTOR = 2.0 ** -20
+PINV_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def eig_at(pair, mu):
     mu = float(mu)
     if not np.isfinite(mu):
         raise ValueError("mu must be finite")
-    w, v = hermitian_eig(pair.a - mu * pair.c, order="descending")
+    w, v = hermitian_eig(pair.a - mu * pair.c)
     return CurvePoint(mu=mu, values=w, vectors=v)
 
 
@@ -142,14 +142,17 @@ def trace_curves(pair, mu_lo, mu_hi, n_grid):
     )
 
 
+def slopes(pair, vectors):
+    """Slopes -x^H C x of the eigencurves through the columns x of `vectors`."""
+    return -np.real(np.einsum("ij,ij->j", vectors.conj(), pair.c @ vectors))
+
+
 def lambda_prime(pair, x):
-    """Slope of the eigencurve through the eigenvector x: -x^H C x."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
+    """Slope of the eigencurve through the unit eigenvector x: -x^H C x."""
+    x = np.asarray(x, dtype=complex).reshape(-1, 1)
     if abs(np.linalg.norm(x) - 1.0) > 1e-8:
         raise NotNormalized("eigenvector norm %.6f is not 1" % np.linalg.norm(x))
-    q = np.vdot(x, pair.c @ x)
-    assert abs(q.imag) <= 1e-12 * (1.0 + pair.norm_c)
-    return -float(q.real)
+    return float(slopes(pair, x)[0])
 
 
 def default_tol_mult(pair, mu):
@@ -157,7 +160,7 @@ def default_tol_mult(pair, mu):
     return max(1e-8, 1e-12 * (pair.norm_a + abs(mu) * pair.norm_c))
 
 
-def eigvec_derivative(pair, mu, lam, x, rank_tol=1e-8):
+def eigvec_derivative(pair, mu, lam, x):
     """Derivative of the analytic eigenvector branch at a simple eigenpair.
 
     Raises NotSimple unless exactly one eigenvalue of A - mu*C - lam*I
@@ -168,7 +171,7 @@ def eigvec_derivative(pair, mu, lam, x, rank_tol=1e-8):
     k = int(np.count_nonzero(np.abs(w) <= default_tol_mult(pair, mu)))
     if k != 1:
         raise NotSimple("eigenvalue %r has multiplicity %d at mu=%r" % (lam, k, mu))
-    return pinv_apply_eig(w, v, pair.c @ x, rank_tol)
+    return pinv_apply_eig(w, v, pair.c @ x, PINV_RANK_TOL)
 
 
 def lambda_double_prime(pair, mu, lam, x):
@@ -178,21 +181,3 @@ def lambda_double_prime(pair, mu, lam, x):
     q = np.vdot(x, pair.c @ xp)
     assert abs(q.imag) <= 1e-10 * (1.0 + pair.norm_c) * (1.0 + np.linalg.norm(xp))
     return -2.0 * float(q.real)
-
-
-def export_grid_csv(grid, path, with_vectors=False):
-    """Write the grid as rows of (mu, curve_index, lambda[, vector parts])."""
-    n = grid.points[0].values.shape[0] if grid.points else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["mu", "curve_index", "lambda"]
-        if with_vectors:
-            header += ["x%d_re" % i for i in range(n)] + ["x%d_im" % i for i in range(n)]
-        writer.writerow(header)
-        for p in grid.points:
-            for i in range(n):
-                row = [repr(p.mu), i, repr(float(p.values[i]))]
-                if with_vectors:
-                    row += [repr(float(z.real)) for z in p.vectors[:, i]]
-                    row += [repr(float(z.imag)) for z in p.vectors[:, i]]
-                writer.writerow(row)

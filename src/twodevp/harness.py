@@ -12,9 +12,9 @@ import numpy as np
 from . import rqi
 from .angles import dist_to_set
 from .classify import Kind, eigvec_set
-from .curves import eigvec_derivative
+from .curves import eig_at, eigvec_derivative
 from .errors import NotIndefinite, RankCollapse, TooShort
-from .kernels import diagonalize_form, hermitian_eig, orthonormalize
+from .kernels import diagonalize_form, orthonormalize
 from .model import HermitianPair, Triplet
 from .refpairs import haar_unitary
 
@@ -316,8 +316,8 @@ def random_pair_with_crossing(n, signature, mu_star, lam_star, seed):
     (opposite curve slopes at the crossing).
     """
     base = random_pair(n, signature, seed)
-    h0 = base.a - mu_star * base.c
-    w, v = hermitian_eig(h0)
+    point = eig_at(base, mu_star)
+    w, v = point.values, point.vectors
     for i in range(n):
         for j in range(i + 1, n):
             vv = v[:, [i, j]]

@@ -41,10 +41,10 @@ def check_hermitian(m):
     return 0.5 * (m + m.conj().T)
 
 
-def hermitian_eig(m, order="descending"):
+def hermitian_eig(m):
     """Eigendecomposition of an exactly Hermitian matrix.
 
-    Returns (values, vectors) with values sorted per `order` and vectors
+    Returns (values, vectors) with values in descending order and vectors
     as the matching columns.  The input is not validated: callers pass
     pencils of a `HermitianPair`, whose A and C are exactly Hermitian, or
     forms symmetrized by `diagonalize_form`.
@@ -53,12 +53,7 @@ def hermitian_eig(m, order="descending"):
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc))
-    if order == "descending":
-        w = w[::-1]
-        v = v[:, ::-1]
-    elif order != "ascending":
-        raise ValueError("order must be 'ascending' or 'descending'")
-    return w, v
+    return w[::-1], v[:, ::-1]
 
 
 def diagonalize_form(c, basis):
@@ -68,7 +63,7 @@ def diagonalize_form(c, basis):
     projected form is symmetrized before its eigendecomposition.
     """
     m = basis.conj().T @ c @ basis
-    e, s = hermitian_eig(0.5 * (m + m.conj().T), order="descending")
+    e, s = hermitian_eig(0.5 * (m + m.conj().T))
     return basis @ s, e
 
 

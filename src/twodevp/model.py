@@ -126,38 +126,52 @@ def jacobian_hat(pair, t):
     return jacobian(pair, t)[: pair.n, :]
 
 
-def _complex_to_pairs(m):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+def complex_to_json(arr):
+    """A complex array as nested lists of [re, im] pairs."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def _pairs_to_complex(rows, what):
+def complex_from_json(rows, what, ndim):
+    """Inverse of complex_to_json for an ndim-dimensional array."""
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError):
         raise ParseError("field %r is not an array of [re, im] pairs" % what)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ParseError("field %r must be a matrix of [re, im] pairs" % what)
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ParseError("field %r must be a %d-d array of [re, im] pairs" % (what, ndim))
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
-def save_pair(pair, path):
-    doc = {"n": pair.n, "a": _complex_to_pairs(pair.a), "c": _complex_to_pairs(pair.c)}
+def _write_json(doc, path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
-def load_pair(path):
+def _read_json(path, fields):
+    """The JSON object in `path`; ParseError unless it holds every field."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError("invalid JSON in %s: %s" % (path, exc))
-    for key in ("n", "a", "c"):
+    if not isinstance(doc, dict):
+        raise ParseError("%s does not hold a JSON object" % path)
+    for key in fields:
         if key not in doc:
             raise ParseError("missing field %r in %s" % (key, path))
-    a = _pairs_to_complex(doc["a"], "a")
-    c = _pairs_to_complex(doc["c"], "c")
+    return doc
+
+
+def save_pair(pair, path):
+    _write_json({"n": pair.n, "a": complex_to_json(pair.a), "c": complex_to_json(pair.c)}, path)
+
+
+def load_pair(path):
+    doc = _read_json(path, ("n", "a", "c"))
+    a = complex_from_json(doc["a"], "a", 2)
+    c = complex_from_json(doc["c"], "c", 2)
     n = doc["n"]
     if a.shape != (n, n) or c.shape != (n, n):
         raise ParseError("matrix shapes %s, %s do not match n=%s" % (a.shape, c.shape, n))
@@ -165,29 +179,9 @@ def load_pair(path):
 
 
 def save_triplet(t, path):
-    doc = {
-        "mu": t.mu,
-        "lambda": t.lam,
-        "x": [[float(z.real), float(z.imag)] for z in t.x],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_json({"mu": t.mu, "lambda": t.lam, "x": complex_to_json(t.x)}, path)
 
 
 def load_triplet(path):
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("invalid JSON in %s: %s" % (path, exc))
-    for key in ("mu", "lambda", "x"):
-        if key not in doc:
-            raise ParseError("missing field %r in %s" % (key, path))
-    try:
-        arr = np.asarray(doc["x"], dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError("field 'x' is not an array of [re, im] pairs")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ParseError("field 'x' must be a list of [re, im] pairs")
-    return Triplet(doc["mu"], doc["lambda"], arr[:, 0] + 1j * arr[:, 1])
+    doc = _read_json(path, ("mu", "lambda", "x"))
+    return Triplet(doc["mu"], doc["lambda"], complex_from_json(doc["x"], "x", 1))

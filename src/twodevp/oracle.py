@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .classify import fix_phase
-from .curves import default_tol_mult, eig_at, trace_curves
+from .curves import default_tol_mult, eig_at, slopes, trace_curves
 from .errors import BracketInvalid, NotIndefinite
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet
@@ -36,22 +36,14 @@ class OracleHit:
     refined_to: float
 
 
-def _slopes(pair, point):
-    """-x^H C x for every column eigenvector of a grid point."""
-    cx = pair.c @ point.vectors
-    return -np.real(np.einsum("ij,ij->j", point.vectors.conj(), cx))
-
-
-def _track(pair, mu, ref_vec):
-    """Eigen-data at mu for the curve whose eigenvector best matches ref_vec."""
+def _track(pair, mu, refs):
+    """Values and phase-aligned vectors at mu of the curves whose
+    eigenvectors best match the columns of refs, from one eig_at."""
     point = eig_at(pair, mu)
-    overlaps = np.abs(ref_vec.conj() @ point.vectors)
-    i = int(np.argmax(overlaps))
-    vec = point.vectors[:, i]
-    ov = np.vdot(ref_vec, vec)
-    if abs(ov) > 0:
-        vec = vec * (ov.conj() / abs(ov))
-    return float(point.values[i]), vec
+    overlaps = refs.conj().T @ point.vectors
+    cols = np.argmax(np.abs(overlaps), axis=1)
+    ov = overlaps[np.arange(cols.size), cols]  # nonzero: the vectors span C^n
+    return point.values[cols], point.vectors[:, cols] * (ov.conj() / np.abs(ov))
 
 
 def scan(pair, mu_lo, mu_hi, n_grid):
@@ -65,12 +57,12 @@ def scan(pair, mu_lo, mu_hi, n_grid):
         raise ValueError("need n_grid >= 8")
     grid = trace_curves(pair, mu_lo, mu_hi, n_grid)
     n = pair.n
-    slopes = np.array([_slopes(pair, p) for p in grid.points])  # (m, n)
+    grid_slopes = np.array([slopes(pair, p.vectors) for p in grid.points])  # (m, n)
     hits = []
     suspects = []
     for i in range(n):
         for j in range(len(grid.points) - 1):
-            s0, s1 = slopes[j, i], slopes[j + 1, i]
+            s0, s1 = grid_slopes[j, i], grid_slopes[j + 1, i]
             if s0 == 0.0 or s0 * s1 < 0.0:
                 bracket = (grid.points[j].mu, grid.points[j + 1].mu)
                 hits.append(refine_critical(pair, grid, i, bracket))
@@ -84,8 +76,8 @@ def scan(pair, mu_lo, mu_hi, n_grid):
                 crosses = g0 == 0.0 or g0 * g1 < 0.0
                 if not crosses:
                     continue
-                mid_s_i = 0.5 * (slopes[j, i] + slopes[j + 1, i])
-                mid_s_j = 0.5 * (slopes[j, j2] + slopes[j + 1, j2])
+                mid_s_i = 0.5 * (grid_slopes[j, i] + grid_slopes[j + 1, i])
+                mid_s_j = 0.5 * (grid_slopes[j, j2] + grid_slopes[j + 1, j2])
                 if mid_s_i * mid_s_j >= 0.0:
                     continue
                 bracket = (grid.points[j].mu, grid.points[j + 1].mu)
@@ -103,33 +95,48 @@ def _grid_point_at(grid, mu):
     raise BracketInvalid("bracket endpoint %r is not a grid point" % mu)
 
 
-def refine_critical(pair, grid, curve_index, bracket):
-    """Bisect a slope sign change on one matched curve down to ~1e-13."""
+def _bisect(pair, grid, cols, bracket):
+    """Bisect the sign change of the tracked curves' scalar over a bracket.
+
+    The scalar is the slope of one curve (one column) or the gap
+    lam_i - lam_j of two.  Both bracket ends are grid points, whose
+    matched columns give the scalar there; the curves are tracked from the
+    left end.  Bisection stops once the bracket is below 1e-13 * (1 + |lo|).
+    Returns (mu, values, vectors, final width).
+    """
+    what = "slope" if len(cols) == 1 else "curve gap"
+
+    def scalar(values, vectors):
+        return float(slopes(pair, vectors)[0] if len(cols) == 1 else values[0] - values[1])
+
     lo, hi = bracket
-    left = _grid_point_at(grid, lo)
-    vec = left.vectors[:, curve_index].copy()
-    s_lo = -float(np.real(np.vdot(vec, pair.c @ vec)))
-    lam_hi, vec_hi = _track(pair, hi, vec)
-    s_hi = -float(np.real(np.vdot(vec_hi, pair.c @ vec_hi)))
-    if s_lo * s_hi > 0.0:
-        raise BracketInvalid("slope does not change sign over %r" % (bracket,))
-    lam = float(left.values[curve_index])
+    left, right = _grid_point_at(grid, lo), _grid_point_at(grid, hi)
+    vecs = left.vectors[:, cols]
+    f_lo = scalar(left.values[cols], vecs)
+    if f_lo * scalar(right.values[cols], right.vectors[:, cols]) > 0.0:
+        raise BracketInvalid("%s does not change sign over %r" % (what, bracket))
     while hi - lo > 1e-13 * (1.0 + abs(lo)):
         mid = 0.5 * (lo + hi)
-        lam, vec_mid = _track(pair, mid, vec)
-        s_mid = -float(np.real(np.vdot(vec_mid, pair.c @ vec_mid)))
-        if s_lo * s_mid <= 0.0:
+        vals, vecs_mid = _track(pair, mid, vecs)
+        f_mid = scalar(vals, vecs_mid)
+        if f_lo * f_mid <= 0.0:
             hi = mid
         else:
-            lo, vec, s_lo = mid, vec_mid, s_mid
+            lo, vecs, f_lo = mid, vecs_mid, f_mid
     mu = 0.5 * (lo + hi)
-    lam, vec = _track(pair, mu, vec)
+    vals, vecs = _track(pair, mu, vecs)
+    return mu, vals, vecs, hi - lo
+
+
+def refine_critical(pair, grid, curve_index, bracket):
+    """Bisect a slope sign change on one matched curve down to ~1e-13."""
+    mu, vals, vecs, width = _bisect(pair, grid, [curve_index], bracket)
     return OracleHit(
-        triplet=Triplet(mu, lam, fix_phase(vec)),
+        triplet=Triplet(mu, float(vals[0]), fix_phase(vecs[:, 0])),
         kind=HitKind.CRITICAL_POINT,
         curves=(curve_index,),
         bracket=bracket,
-        refined_to=hi - lo,
+        refined_to=width,
     )
 
 
@@ -140,37 +147,14 @@ def refine_crossing(pair, grid, i, j, bracket):
     bracket or does not close to default_tol_mult, and NotIndefinite when
     the cluster form of C is not indefinite.
     """
-    lo, hi = bracket
-    left = _grid_point_at(grid, lo)
-    vec_i = left.vectors[:, i].copy()
-    vec_j = left.vectors[:, j].copy()
-
-    def gap(mu, ri, rj):
-        li, vi = _track(pair, mu, ri)
-        lj, vj = _track(pair, mu, rj)
-        return li - lj, vi, vj
-
-    g_lo, _, _ = gap(lo, vec_i, vec_j)
-    g_hi, _, _ = gap(hi, vec_i, vec_j)
-    if g_lo * g_hi > 0.0:
-        raise BracketInvalid("curve gap does not change sign over %r" % (bracket,))
-    scale = 1.0 + abs(lo)
-    while hi - lo > 1e-13 * scale:
-        mid = 0.5 * (lo + hi)
-        g_mid, vi, vj = gap(mid, vec_i, vec_j)
-        if g_lo * g_mid <= 0.0:
-            hi = mid
-        else:
-            lo, g_lo, vec_i, vec_j = mid, g_mid, vi, vj
-    mu = 0.5 * (lo + hi)
-    li, vi = _track(pair, mu, vec_i)
-    lj, vj = _track(pair, mu, vec_j)
-    if abs(li - lj) > default_tol_mult(pair, mu):
-        raise BracketInvalid("curve gap %.3e did not close over %r" % (abs(li - lj), bracket))
-    lam = 0.5 * (li + lj)
+    mu, vals, vecs, width = _bisect(pair, grid, [i, j], bracket)
+    gap = abs(vals[0] - vals[1])
+    if gap > default_tol_mult(pair, mu):
+        raise BracketInvalid("curve gap %.3e did not close over %r" % (gap, bracket))
+    lam = 0.5 * float(vals[0] + vals[1])
     # orthonormal cluster basis (the two eigenvectors are orthogonal up to
     # the residual gap at the refined mu)
-    q, _ = np.linalg.qr(np.stack([vi, vj], axis=1))
+    q, _ = np.linalg.qr(vecs)
     v, ce = diagonalize_form(pair.c, q)
     t, s = isotropic_weights(ce[0], ce[1])
     x = t * v[:, 0] + s * v[:, 1]
@@ -179,5 +163,5 @@ def refine_crossing(pair, grid, i, j, bracket):
         kind=HitKind.CROSSING,
         curves=(i, j),
         bracket=bracket,
-        refined_to=hi - lo,
+        refined_to=width,
     )

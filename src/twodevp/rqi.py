@@ -118,14 +118,14 @@ def form_rq(pair, basis):
     return a11, a12, a22, basis.c1, basis.c2
 
 
-def solve_2x2(a11, a12, a22, c1, c2, tau_mult=TAU_MULT):
+def solve_2x2(a11, a12, a22, c1, c2):
     """Closed-form solution of the projected 2 x 2 problem.
 
     Returns two candidates when |a12| is above the branch threshold, one
     otherwise.  Requires c1 > 0 > c2.
     """
     t, s = isotropic_weights(c1, c2)
-    if abs(a12) > tau_mult * (abs(a11) + abs(a22) + abs(a12) + 1.0):
+    if abs(a12) > TAU_MULT * (abs(a11) + abs(a22) + abs(a12) + 1.0):
         out = []
         for sign in (+1.0, -1.0):
             alpha = sign * a12.conjugate() / abs(a12)
@@ -148,11 +148,11 @@ def select_ritz(t_prev, candidates, basis):
     return Triplet(best.nu, best.theta, x), best
 
 
-def step(pair, t, tau_mult=TAU_MULT):
+def step(pair, t):
     """One iteration of the 2DRQI.  Returns (next triplet, diagnostics)."""
     basis = projection_basis(pair, t)
     a11, a12, a22, c1, c2 = form_rq(pair, basis)
-    candidates = solve_2x2(a11, a12, a22, c1, c2, tau_mult)
+    candidates = solve_2x2(a11, a12, a22, c1, c2)
     t_next, chosen = select_ritz(t, candidates, basis)
     diag = StepDiagnostics(
         sigma_n_jhat=basis.sigma_diag[1],

@@ -4,6 +4,7 @@ import numpy as np
 
 from twodevp import refpairs
 from twodevp.cli import main
+from twodevp.curves import trace_curves
 from twodevp.model import load_pair, save_pair, save_triplet
 
 
@@ -85,6 +86,21 @@ def test_curves_subcommand_json_and_csv(tmp_path):
     )
     assert rc == 0
     assert cout.read_text().splitlines()[0] == "mu,curve_index,lambda"
+
+
+def test_curves_subcommand_csv_to_stdout(tmp_path, capsys):
+    # --format csv without --out writes the grid rows to stdout
+    pair = refpairs.simple_pair_2x2()
+    ppath = tmp_path / "p.json"
+    save_pair(pair, ppath)
+    capsys.readouterr()
+    rc = main(["curves", "--pair", str(ppath), "--mu-lo", "-0.5", "--mu-hi", "0.5", "--grid", "5",
+               "--format", "csv"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "mu,curve_index,lambda"
+    grid = trace_curves(pair, -0.5, 0.5, 5)
+    assert len(lines) == 1 + 2 * len(grid.points)
 
 
 def test_oracle_subcommand(tmp_path):

@@ -5,7 +5,6 @@ from twodevp import refpairs
 from twodevp.curves import (
     eig_at,
     eigvec_derivative,
-    export_grid_csv,
     lambda_double_prime,
     lambda_prime,
     trace_curves,
@@ -174,15 +173,6 @@ def test_lambda_double_prime_second_difference():
     fd = (np.sqrt(1 + h**2) - 2.0 + np.sqrt(1 + h**2)) / h**2
     val = lambda_double_prime(pair, 0.0, 1.0, np.array([1.0, 1.0]) / SQ2)
     assert abs(val - fd) < 1e-4
-
-
-def test_grid_csv_export(tmp_path):
-    grid = trace_curves(refpairs.simple_pair_2x2(), -0.5, 0.5, 5)
-    path = tmp_path / "grid.csv"
-    export_grid_csv(grid, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "mu,curve_index,lambda"
-    assert len(lines) == 1 + 2 * len(grid.points)
 
 
 def test_adaptive_refinement_near_close_curves():

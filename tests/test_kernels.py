@@ -39,11 +39,6 @@ def test_hermitian_eig_reconstruction():
     assert np.all(np.diff(w) <= 0)
 
 
-def test_hermitian_eig_ascending_order():
-    w, _ = hermitian_eig(random_hermitian(6, 1), order="ascending")
-    assert np.all(np.diff(w) >= 0)
-
-
 def test_check_hermitian_symmetrizes_noise():
     m = random_hermitian(5, 2)
     noisy = m + 1e-14 * np.triu(np.ones((5, 5)))

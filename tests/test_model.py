@@ -150,9 +150,12 @@ def test_load_pair_rejects_definite_c(tmp_path):
 
 def test_load_pair_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"n": 2, "a": "nope"}')
-    with pytest.raises(ParseError):
-        load_pair(path)
+    for text in ('{"n": 2, "a": "nope"}', "5"):
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_pair(path)
+        with pytest.raises(ParseError):
+            load_triplet(path)
 
 
 def test_triplet_roundtrip(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twodevp import refpairs
+from twodevp import oracle, refpairs
 from twodevp.classify import classify
 from twodevp.errors import BracketInvalid
 from twodevp.model import HermitianPair, residual
@@ -115,6 +115,28 @@ def test_refine_crossing_rejects_gap_that_does_not_close():
     hits, suspects = scan(pair, bracket[0], bracket[1], 8)
     assert [h.curves for h in hits if h.kind is HitKind.CROSSING] == [(30, 31)]
     assert [c for _, c in suspects if isinstance(c, tuple)] == [(30, 32)]
+
+
+def test_refine_crossing_takes_one_decomposition_per_midpoint(monkeypatch):
+    # one eig_at per bisection midpoint and one at the refined mu; both
+    # bracket ends are grid points already in hand
+    pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
+    grid = trace_curves(pair, -3.0, 3.0, 96)
+    mus = grid.mus
+    j = int(np.searchsorted(mus, 0.4)) - 1
+    bracket = (mus[j], mus[j + 1])
+    calls = []
+    eig_at = oracle.eig_at
+
+    def counting(pair, mu):
+        calls.append(mu)
+        return eig_at(pair, mu)
+
+    monkeypatch.setattr(oracle, "eig_at", counting)
+    hit = refine_crossing(pair, grid, 31, 32, bracket)
+    assert abs(hit.triplet.mu - 0.4) < 1e-10 and abs(hit.triplet.lam + 0.3) < 1e-10
+    midpoints = round(np.log2((bracket[1] - bracket[0]) / hit.refined_to))
+    assert len(calls) <= midpoints + 1
 
 
 def test_scan_requires_reasonable_grid():
