@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from . import curves
-from .curves import default_tol_mult
 from .errors import NoIsotropicVector, NotAnEigenvalue, NotIndefinite
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet, jacobian
@@ -82,8 +81,8 @@ def multiplicity(pair, mu, lam):
     the cluster eigenspace (k may be 0).
     """
     point = curves.eig_at(pair, mu)
-    sel = np.abs(point.values - lam) <= default_tol_mult(pair, mu)
-    return int(np.count_nonzero(sel)), point.vectors[:, sel]
+    basis = point.vectors[:, curves.cluster(pair, point, lam)]
+    return basis.shape[1], basis
 
 
 def _classify(pair, mu, lam):
@@ -93,7 +92,9 @@ def _classify(pair, mu, lam):
     or None, the EigvecSet or None when the point is singular).
     """
     tol_sing = default_tol_sing(pair)
-    k, basis = multiplicity(pair, mu, lam)
+    point = curves.eig_at(pair, mu)
+    basis = point.vectors[:, curves.cluster(pair, point, lam)]
+    k = basis.shape[1]
     if k == 0:
         raise NotAnEigenvalue("no eigenvalue of A - mu*C near lambda=%r at mu=%r" % (lam, mu))
     if k == 1:
@@ -103,7 +104,7 @@ def _classify(pair, mu, lam):
             raise NoIsotropicVector(
                 "x^H C x = %.3e: the simple eigenvector is not isotropic" % iso
             )
-        ldp = curves.lambda_double_prime(pair, mu, lam, x)
+        ldp = curves.branch_derivatives(pair, point, lam, x)[1]
         simple = abs(ldp) > tol_sing
         kind = Kind.NONSINGULAR_SIMPLE if simple else Kind.SINGULAR
         cls = Classification(kind, k, ldp, np.array([]), float("nan"))

@@ -222,9 +222,7 @@ def build_parser():
     ps.add_argument("--pair", required=True)
     ps.add_argument("--mu0", type=float, required=True)
     ps.add_argument("--lambda0", type=float, required=True)
-    g = ps.add_mutually_exclusive_group()
-    g.add_argument("--x0", help="triplet file providing the starting vector")
-    g.add_argument("--x0-auto", action="store_true", help="start from the nearest eigenvector (default)")
+    ps.add_argument("--x0", help="triplet file providing the starting vector (default: the nearest eigenvector)")
     ps.add_argument("--tol-abs", type=float, default=None)
     ps.add_argument("--max-iter", type=int, default=None)
     ps.add_argument("--reference", help="triplet file with the known solution")

@@ -3,12 +3,16 @@
 `eig_at` gives the sorted eigenvalues at one mu.  `trace_curves` samples a
 grid and matches curve indices across grid points by eigenvector overlap,
 refining the grid adaptively near crossings, so that each matched curve is
-a discrete sample of one analytic branch.  The derivative helpers implement
-the closed-form first and second derivatives of a branch:
+a discrete sample of one analytic branch.  The derivative helpers give the
+first and second derivatives of the branch through (lam, x) as sums over the
+eigenpairs (w_j, v_j) of A - mu*C outside the cluster of lam, d_j = v_j^H C x:
 
     lam'(mu)  = -x^H C x
-    x'(mu)    = pinv(A - mu*C - lam*I) C x
-    lam''(mu) = -2 Re(x^H C x'(mu))
+    x'(mu)    = sum_j v_j d_j / (w_j - lam)
+    lam''(mu) = -2 sum_j |d_j|^2 / (w_j - lam)
+
+One tolerance, default_tol_mult, decides both that the branch is simple and
+which components the sums leave out.
 """
 
 from dataclasses import dataclass
@@ -16,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuationAmbiguous, NotNormalized, NotSimple
-from .kernels import hermitian_eig, pinv_apply_eig
+from .kernels import hermitian_eig
 
 OVERLAP_FLOOR = 0.9
 AMBIGUITY_TOL = 1e-8
 STEP_FLOOR_FACTOR = 2.0 ** -20
-PINV_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -160,24 +163,32 @@ def default_tol_mult(pair, mu):
     return max(1e-8, 1e-12 * (pair.norm_a + abs(mu) * pair.norm_c))
 
 
-def eigvec_derivative(pair, mu, lam, x):
-    """Derivative of the analytic eigenvector branch at a simple eigenpair.
+def cluster(pair, point, lam):
+    """Mask of the eigenvalues of `point` within default_tol_mult of lam."""
+    return np.abs(point.values - lam) <= default_tol_mult(pair, point.mu)
 
-    Raises NotSimple unless exactly one eigenvalue of A - mu*C - lam*I
-    lies within default_tol_mult of zero.
+
+def branch_derivatives(pair, point, lam, x):
+    """x'(mu) and lam''(mu) of the simple branch through (lam, x) at point.mu.
+
+    `point` is eig_at(pair, mu).  Raises NotSimple unless the cluster of
+    lam has exactly one member.
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    w, v = hermitian_eig(pair.shifted(mu, lam))
-    k = int(np.count_nonzero(np.abs(w) <= default_tol_mult(pair, mu)))
+    inside = cluster(pair, point, lam)
+    k = int(np.count_nonzero(inside))
     if k != 1:
-        raise NotSimple("eigenvalue %r has multiplicity %d at mu=%r" % (lam, k, mu))
-    return pinv_apply_eig(w, v, pair.c @ x, PINV_RANK_TOL)
+        raise NotSimple("eigenvalue %r has multiplicity %d at mu=%r" % (lam, k, point.mu))
+    v = point.vectors[:, ~inside]
+    gaps = point.values[~inside] - lam
+    d = v.conj().T @ (pair.c @ np.asarray(x, dtype=complex).reshape(-1))
+    return v @ (d / gaps), -2.0 * float(np.sum(np.abs(d) ** 2 / gaps))
+
+
+def eigvec_derivative(pair, mu, lam, x):
+    """Derivative of the analytic eigenvector branch at a simple eigenpair."""
+    return branch_derivatives(pair, eig_at(pair, mu), lam, x)[0]
 
 
 def lambda_double_prime(pair, mu, lam, x):
-    """Curvature of the eigencurve at a simple eigenpair: -2 Re(x^H C x')."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    xp = eigvec_derivative(pair, mu, lam, x)
-    q = np.vdot(x, pair.c @ xp)
-    assert abs(q.imag) <= 1e-10 * (1.0 + pair.norm_c) * (1.0 + np.linalg.norm(xp))
-    return -2.0 * float(q.real)
+    """Curvature of the eigencurve at a simple eigenpair."""
+    return branch_derivatives(pair, eig_at(pair, mu), lam, x)[1]

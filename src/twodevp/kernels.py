@@ -1,9 +1,8 @@
 """Dense complex linear-algebra kernels used by every other module.
 
 All matrices are numpy arrays of dtype complex128.  The functions here add
-input validation and the conventions the rest of the package relies on
-(descending eigenvalue order, spectral truncation of the pseudoinverse)
-on top of LAPACK via numpy.linalg.
+input validation and the convention the rest of the package relies on
+(descending eigenvalue order) on top of LAPACK via numpy.linalg.
 """
 
 import numpy as np
@@ -105,20 +104,8 @@ def pinv_apply(m, b, rank_tol=None):
     if rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
     w, v = hermitian_eig(m)
-    return pinv_apply_eig(w, v, b, rank_tol)
-
-
-def pinv_apply_eig(w, v, b, rank_tol):
-    """Apply the pseudoinverse of v @ diag(w) @ v^H to b.
-
-    Eigencomponents with |w| <= rank_tol * max|w| are treated as null.
-    """
-    cutoff = rank_tol * np.max(np.abs(w), initial=0.0)
-    coeff = v.conj().T @ b
-    inv = np.zeros_like(w)
-    keep = np.abs(w) > cutoff
-    inv[keep] = 1.0 / w[keep]
-    return v @ (inv * coeff)
+    keep = np.abs(w) > rank_tol * np.max(np.abs(w), initial=0.0)
+    return v[:, keep] @ ((v[:, keep].conj().T @ b) / w[keep])
 
 
 def spectral_norm(m):

@@ -37,6 +37,7 @@ class Status(Enum):
     MAX_ITERATIONS = "MaxIterations"
     INDEFINITENESS_LOST = "IndefinitenessLost"
     JACOBIAN_NEAR_SINGULAR = "JacobianNearSingular"
+    NON_FINITE = "NonFinite"
 
 
 @dataclass(frozen=True)
@@ -181,29 +182,28 @@ def solve(pair, t0, tol_abs=None, tol_rel=None, max_iter=None, reference=None):
 
     Failures that the local theory anticipates (projected C losing
     indefiniteness, nullspace rank collapse) terminate the run with the
-    matching status instead of raising.
+    matching status instead of raising.  A start whose mu, lam or x is not
+    finite is recorded as iterate 0 and ends the run with NON_FINITE.
     """
-    opts = dict(DEFAULT_OPTS)
-    if tol_abs is not None:
-        opts["tol_abs"] = tol_abs
-    if tol_rel is not None:
-        opts["tol_rel"] = tol_rel
-    if max_iter is not None:
-        opts["max_iter"] = max_iter
+    tol_abs = DEFAULT_OPTS["tol_abs"] if tol_abs is None else tol_abs
+    tol_rel = DEFAULT_OPTS["tol_rel"] if tol_rel is None else tol_rel
+    max_iter = DEFAULT_OPTS["max_iter"] if max_iter is None else max_iter
+    if not np.all(np.isfinite(np.r_[t0.mu, t0.lam, t0.x])):
+        return RqiTrace([IterateRecord(k=0, triplet=t0, res_norm=float("nan"))], Status.NON_FINITE)
 
     trace = RqiTrace()
     t = t0
-    for k in range(opts["max_iter"] + 1):
+    for k in range(max_iter + 1):
         res = residual(pair, t)
         em, el, ex = _errors_vs_reference(t, reference)
         trace.iterates.append(
             IterateRecord(k=k, triplet=t, res_norm=res.norm, err_mu=em, err_lambda=el, err_x=ex)
         )
-        tol = opts["tol_abs"] + opts["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
+        tol = tol_abs + tol_rel * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
         if res.norm <= tol:
             trace.status = Status.CONVERGED
             return trace
-        if k == opts["max_iter"]:
+        if k == max_iter:
             trace.status = Status.MAX_ITERATIONS
             return trace
         try:

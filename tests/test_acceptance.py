@@ -19,7 +19,7 @@ import pytest
 import twodevp as td
 from twodevp import harness, refpairs
 from twodevp.classify import Kind
-from twodevp.curves import eig_at, eigvec_derivative
+from twodevp.curves import branch_derivatives, eig_at
 from twodevp.harness import MULTIPLE_WINDOWS, RITZ_WINDOWS, SIMPLE_WINDOWS
 from twodevp.kernels import orthonormalize
 from twodevp.model import HermitianPair, Triplet, save_pair
@@ -151,7 +151,7 @@ def _branch_miss_slopes(tgt, eps_list, trials, seed):
             point = eig_at(pair, t0.mu)
             j = int(np.argmin(np.abs(point.values - trip.lam)))
             x = point.vectors[:, j]
-            xp = eigvec_derivative(pair, t0.mu, float(point.values[j]), x)
+            xp, _ = branch_derivatives(pair, point, float(point.values[j]), x)
             for y, out in ((x, mx), (xp, mxp)):
                 out.append(np.linalg.norm(y - v @ (v.conj().T @ y)) / np.linalg.norm(y))
         med_x.append(np.median(mx))

@@ -3,7 +3,7 @@ import pytest
 
 from twodevp import refpairs
 from twodevp.classify import Kind, classify, eigvec_set, fix_phase, multiplicity
-from twodevp.curves import lambda_prime
+from twodevp.curves import eig_at, lambda_double_prime, lambda_prime
 from twodevp.errors import NoIsotropicVector, NotAnEigenvalue
 from twodevp.model import HermitianPair
 
@@ -151,13 +151,27 @@ def _count_linalg(monkeypatch):
 
 
 def test_eigvec_set_takes_one_decomposition_per_point(monkeypatch):
-    # simple: at most one eigh of A - mu*C and one of A - mu*C - lam*I for lam''
+    # simple: one eigh of A - mu*C, which also gives lam''
     pair, trip = refpairs.simple_pair_desk()
     calls = _count_linalg(monkeypatch)
     eigvec_set(pair, trip.mu, trip.lam)
-    assert set(calls) == {("eigh", (pair.n, pair.n))} and len(calls) <= 2
+    assert calls == [("eigh", (pair.n, pair.n))]
     # multiple: one eigh of A - mu*C, one of the 2 x 2 cluster form of C
     pair, trip = refpairs.multiple_pair_desk()
     del calls[:]
     eigvec_set(pair, trip.mu, trip.lam)
     assert calls == [("eigh", (pair.n, pair.n)), ("eigh", (2, 2))]
+
+
+def test_close_neighbour_outside_cluster_keeps_curvature():
+    # At mu = 1 the eigenvalues +-delta are 2*delta apart: outside
+    # default_tol_mult, so the branch is simple, and its curvature 1/delta
+    # comes from exactly that close neighbour.
+    delta = 1e-7
+    a = np.array([[1.0, delta, 0.0], [delta, -1.0, 0.0], [0.0, 0.0, 100.0]])
+    pair = HermitianPair(a, np.diag([1.0, -1.0, 1.0]))
+    point = eig_at(pair, 1.0)
+    lam, x = float(point.values[1]), point.vectors[:, 1]
+    assert classify(pair, 1.0, lam).kind is Kind.NONSINGULAR_SIMPLE
+    assert abs(lambda_double_prime(pair, 1.0, lam, x) * delta - 1.0) <= 1e-6
+    assert eigvec_set(pair, 1.0, lam).kind is Kind.NONSINGULAR_SIMPLE

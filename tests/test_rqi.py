@@ -194,6 +194,20 @@ def test_solve_max_iter_zero():
     assert len(trace.iterates) == 1
 
 
+def test_solve_non_finite_start_is_a_status():
+    pair, trip = refpairs.simple_pair_desk()
+    x_inf = np.array(trip.x)
+    x_inf[0] = np.inf
+    for t0 in (
+        Triplet(np.nan, trip.lam, trip.x),
+        Triplet(trip.mu, np.nan, trip.x),
+        Triplet(trip.mu, trip.lam, x_inf),
+    ):
+        trace = solve(pair, t0)
+        assert trace.status is Status.NON_FINITE
+        assert len(trace.iterates) == 1 and trace.final is t0
+
+
 def test_solve_records_reference_errors():
     pair, trip = refpairs.simple_pair_desk()
     rng = np.random.default_rng(9)
