@@ -3,7 +3,7 @@
 import numpy as np
 
 from .classify import Kind
-from .errors import NotOrthonormal
+from .errors import TwoDevpError
 
 
 def _check_orthonormal(m, name):
@@ -12,7 +12,7 @@ def _check_orthonormal(m, name):
         m = m.reshape(-1, 1)
     dev = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1]), 2)
     if dev > 1e-10:
-        raise NotOrthonormal("%s deviates from orthonormality by %.3e" % (name, dev))
+        raise TwoDevpError("%s deviates from orthonormality by %.3e" % (name, dev))
     return m
 
 

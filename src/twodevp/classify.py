@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import curves
-from .errors import NoIsotropicVector, NotAnEigenvalue, NotIndefinite
+from .errors import NotIndefinite, TwoDevpError
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet, jacobian
 
@@ -51,8 +51,6 @@ class EigvecSet:
     v: np.ndarray = None       # n x 2 orthonormal, multiple case
     t: float = None
     s: float = None
-    c1: float = None
-    c2: float = None
 
     def representative(self):
         """One concrete unit 2D-eigenvector from the set."""
@@ -96,12 +94,12 @@ def _classify(pair, mu, lam):
     basis = point.vectors[:, curves.cluster(pair, point, lam)]
     k = basis.shape[1]
     if k == 0:
-        raise NotAnEigenvalue("no eigenvalue of A - mu*C near lambda=%r at mu=%r" % (lam, mu))
+        raise TwoDevpError("no eigenvalue of A - mu*C near lambda=%r at mu=%r" % (lam, mu))
     if k == 1:
         x = fix_phase(basis[:, 0])
         iso = -curves.slopes(pair, x[:, None])[0]
         if abs(iso) > tol_sing:
-            raise NoIsotropicVector(
+            raise TwoDevpError(
                 "x^H C x = %.3e: the simple eigenvector is not isotropic" % iso
             )
         ldp = curves.branch_derivatives(pair, point, lam, x)[1]
@@ -120,7 +118,7 @@ def _classify(pair, mu, lam):
     rep = t * v[:, 0] + s * v[:, -1]
     if k > 2 or not (c1 > tol_sing and c2 < -tol_sing):
         return cls, rep, None
-    vec_set = EigvecSet(kind=Kind.NONSINGULAR_MULTIPLE, v=v, t=float(t), s=float(s), c1=c1, c2=c2)
+    vec_set = EigvecSet(kind=Kind.NONSINGULAR_MULTIPLE, v=v, t=float(t), s=float(s))
     return replace(cls, kind=vec_set.kind), rep, vec_set
 
 
@@ -137,5 +135,5 @@ def eigvec_set(pair, mu, lam):
     """The structured set of 2D-eigenvectors at a nonsingular (mu, lam)."""
     vec_set = _classify(pair, mu, lam)[2]
     if vec_set is None:
-        raise NoIsotropicVector("eigvec_set is defined only for nonsingular classifications")
+        raise TwoDevpError("eigvec_set is defined only for nonsingular classifications")
     return vec_set

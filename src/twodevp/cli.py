@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: solve, classify, curves, oracle, study {scaling|ritz|conditioning},
-gen-pair.  Exit codes: 0 pass, 1 study verdict failure, 2 input error.
-All JSON output is deterministic for fixed inputs and seeds.
+gen-pair.  Exit codes: 0 pass, 1 study verdict failure or solve not
+converged, 2 input error.  All JSON output is deterministic for fixed
+inputs and seeds, and strict: a non-finite number is written as null.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,8 +22,19 @@ from .errors import TwoDevpError
 from .model import Triplet, complex_to_json, load_pair, load_triplet, residual, save_pair
 
 
+def _finite(doc):
+    """doc with every non-finite float replaced by None."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {k: _finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(v) for v in doc]
+    return doc
+
+
 def _emit(doc, path):
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -71,7 +84,7 @@ def cmd_solve(args):
         _emit_csv(records, args.out)
     else:
         _emit(doc, args.out)
-    return 0
+    return 0 if trace.status is rqi.Status.CONVERGED else 1
 
 
 def _emit_csv(records, path):
@@ -94,9 +107,9 @@ def cmd_classify(args):
     doc = {
         "kind": c.kind.value,
         "multiplicity": c.multiplicity,
-        "lambda_double_prime": None if np.isnan(c.lambda_double_prime) else c.lambda_double_prime,
+        "lambda_double_prime": c.lambda_double_prime,
         "cluster_c_eigs": [float(e) for e in c.cluster_c_eigs],
-        "sigma_min_j": None if np.isnan(c.sigma_min_j) else c.sigma_min_j,
+        "sigma_min_j": c.sigma_min_j,
     }
     _emit(doc, args.out)
     return 0
@@ -118,7 +131,6 @@ def cmd_curves(args):
         _emit_csv(rows, args.out)
     else:
         doc = {
-            "matched": grid.matched,
             "min_overlap": grid.min_overlap,
             "points": [
                 {"mu": p.mu, "values": [float(v) for v in p.values]} for p in grid.points
@@ -152,9 +164,8 @@ def cmd_oracle(args):
 
 
 def _target_from_args(args, pair):
-    c = run_classify(pair, args.target_mu, args.target_lambda)
-    regime = "simple" if c.kind is Kind.NONSINGULAR_SIMPLE else "multiple"
     s = eigvec_set(pair, args.target_mu, args.target_lambda)
+    regime = "simple" if s.kind is Kind.NONSINGULAR_SIMPLE else "multiple"
     t = Triplet(args.target_mu, args.target_lambda, s.representative())
     return harness.Target(pair=pair, triplet=t, regime=regime, vec_set=s)
 

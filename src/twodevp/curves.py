@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContinuationAmbiguous, NotNormalized, NotSimple
+from .errors import ContinuationAmbiguous, TwoDevpError
 from .kernels import hermitian_eig
 
 OVERLAP_FLOOR = 0.9
@@ -43,7 +43,6 @@ class CurvePoint:
 @dataclass(frozen=True)
 class EigencurveGrid:
     points: list
-    matched: bool
     min_overlap: float
 
     @property
@@ -138,11 +137,7 @@ def trace_curves(pair, mu_lo, mu_hi, n_grid):
     overlaps = []
     for mu in mus[1:]:
         _refine(pair, points[-1], eig_at(pair, mu), step_floor, points, overlaps)
-    return EigencurveGrid(
-        points=points,
-        matched=True,
-        min_overlap=float(min(overlaps)) if overlaps else 1.0,
-    )
+    return EigencurveGrid(points=points, min_overlap=float(min(overlaps)) if overlaps else 1.0)
 
 
 def slopes(pair, vectors):
@@ -154,7 +149,7 @@ def lambda_prime(pair, x):
     """Slope of the eigencurve through the unit eigenvector x: -x^H C x."""
     x = np.asarray(x, dtype=complex).reshape(-1, 1)
     if abs(np.linalg.norm(x) - 1.0) > 1e-8:
-        raise NotNormalized("eigenvector norm %.6f is not 1" % np.linalg.norm(x))
+        raise TwoDevpError("eigenvector norm %.6f is not 1" % np.linalg.norm(x))
     return float(slopes(pair, x)[0])
 
 
@@ -171,13 +166,13 @@ def cluster(pair, point, lam):
 def branch_derivatives(pair, point, lam, x):
     """x'(mu) and lam''(mu) of the simple branch through (lam, x) at point.mu.
 
-    `point` is eig_at(pair, mu).  Raises NotSimple unless the cluster of
-    lam has exactly one member.
+    `point` is eig_at(pair, mu).  Raises TwoDevpError unless the cluster
+    of lam has exactly one member.
     """
     inside = cluster(pair, point, lam)
     k = int(np.count_nonzero(inside))
     if k != 1:
-        raise NotSimple("eigenvalue %r has multiplicity %d at mu=%r" % (lam, k, point.mu))
+        raise TwoDevpError("eigenvalue %r has multiplicity %d at mu=%r" % (lam, k, point.mu))
     v = point.vectors[:, ~inside]
     gaps = point.values[~inside] - lam
     d = v.conj().T @ (pair.c @ np.asarray(x, dtype=complex).reshape(-1))

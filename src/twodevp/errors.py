@@ -1,65 +1,28 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Everything the package raises on bad input or an undefined quantity is a
+TwoDevpError.  A subclass exists only where a caller handles it by name:
+NotIndefinite (rqi.solve, oracle.scan, classify._classify and harness),
+RankCollapse (rqi.solve and harness), BracketInvalid (oracle.scan) and
+ContinuationAmbiguous (curves._try_match).
+"""
 
 
 class TwoDevpError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotHermitian(TwoDevpError):
-    pass
-
-
-class NoConvergence(TwoDevpError):
-    pass
-
-
-class RankDeficient(TwoDevpError):
-    pass
-
-
-class DimensionMismatch(TwoDevpError):
-    pass
-
-
-class ParseError(TwoDevpError):
-    pass
-
-
 class NotIndefinite(TwoDevpError):
-    pass
-
-
-class NotNormalized(TwoDevpError):
-    pass
-
-
-class NotSimple(TwoDevpError):
-    pass
-
-
-class NotAnEigenvalue(TwoDevpError):
-    pass
-
-
-class NoIsotropicVector(TwoDevpError):
-    pass
-
-
-class ContinuationAmbiguous(TwoDevpError):
-    pass
-
-
-class BracketInvalid(TwoDevpError):
-    pass
+    """A form of C that must be indefinite is not."""
 
 
 class RankCollapse(TwoDevpError):
-    pass
+    """A basis lost rank."""
 
 
-class NotOrthonormal(TwoDevpError):
-    pass
+class BracketInvalid(TwoDevpError):
+    """A scan bracket holds no sign change of a gap that closes."""
 
 
-class TooShort(TwoDevpError):
-    pass
+class ContinuationAmbiguous(TwoDevpError):
+    """Two eigencurve matches cannot be told apart."""

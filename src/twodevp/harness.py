@@ -13,7 +13,7 @@ from . import rqi
 from .angles import dist_to_set
 from .classify import Kind, eigvec_set
 from .curves import eig_at, eigvec_derivative
-from .errors import NotIndefinite, RankCollapse, TooShort
+from .errors import NotIndefinite, RankCollapse, TwoDevpError
 from .kernels import diagonalize_form, orthonormalize
 from .model import HermitianPair, Triplet
 from .refpairs import haar_unitary
@@ -49,7 +49,6 @@ class Target:
 @dataclass
 class OrderEstimate:
     orders: list
-    usable_range: list
 
 
 @dataclass
@@ -106,15 +105,14 @@ def convergence_order(errors, noise_floor=NOISE_FLOOR):
     """
     errors = np.asarray(errors, dtype=float)
     if errors.size < 3:
-        raise TooShort("need at least 3 error values, got %d" % errors.size)
-    orders, usable = [], []
+        raise TwoDevpError("need at least 3 error values, got %d" % errors.size)
+    orders = []
     for k in range(1, errors.size - 1):
         e0, e1, e2 = errors[k - 1], errors[k], errors[k + 1]
         if min(e0, e1, e2) <= noise_floor or not (e0 > e1 > e2):
             continue
         orders.append(float(np.log(e2 / e1) / np.log(e1 / e0)))
-        usable.append(k)
-    return OrderEstimate(orders=orders, usable_range=usable)
+    return OrderEstimate(orders=orders)
 
 
 def _trial_rng(seed, trial):
@@ -166,10 +164,32 @@ def fit_slope(eps, med, scale=1.0):
     return float(np.polyfit(np.log(used), np.log(med[keep]), 1)[0]), used.tolist()
 
 
-def _fitted(eps_list, series):
-    """Fit every {name: (medians, target value)} series; (slopes, eps used)."""
-    fits = {k: fit_slope(eps_list, med, scale) for k, (med, scale) in series.items()}
-    return {k: f[0] for k, f in fits.items()}, {k: f[1] for k, f in fits.items()}
+def _study(eps_list, trials, one_trial, names, targets):
+    """Median per-eps errors of `trials` trials and their fit_slope slopes.
+
+    one_trial(eps, trial index) returns the three errors of one trial, or
+    None for a trial excluded by a failed step.  names label the three
+    error series and targets are the values they are errors of.
+    """
+    meds = ([], [], [])
+    failed = total = 0
+    for i, eps in enumerate(eps_list):
+        errs = []
+        for trial in range(trials):
+            total += 1
+            e = one_trial(eps, i * trials + trial)
+            if e is None:
+                failed += 1
+            else:
+                errs.append(e)
+        for med, col in zip(meds, np.array(errs, dtype=float).reshape(-1, 3).T):
+            med.append(float(np.median(col)))
+    if failed > 0.2 * total:
+        raise RuntimeError("more than 20%% of trials failed (%d of %d)" % (failed, total))
+    fits = {k: fit_slope(eps_list, med, scale) for k, med, scale in zip(names, meds, targets)}
+    slopes = {k: f[0] for k, f in fits.items()}
+    used = {k: f[1] for k, f in fits.items()}
+    return ScalingStudy(eps_list, *meds, slopes, failed, total, used)
 
 
 def scaling_study(target, eps_list, trials, seed):
@@ -177,32 +197,17 @@ def scaling_study(target, eps_list, trials, seed):
     eps_list = list(eps_list)
     if len(eps_list) < 2 or np.log10(eps_list[0] / eps_list[-1]) < 1.0 - 1e-12:
         raise ValueError("eps_list must span at least a decade")
-    med_mu, med_lam, med_x = [], [], []
-    failed = total = 0
-    for i, eps in enumerate(eps_list):
-        em, el, ex = [], [], []
-        for trial in range(trials):
-            total += 1
-            t0 = perturbed_start(target, eps, seed, trial=i * trials + trial)
-            try:
-                t1, _ = rqi.step(target.pair, t0)
-            except (NotIndefinite, RankCollapse):
-                failed += 1
-                continue
-            em.append(abs(t1.mu - target.triplet.mu))
-            el.append(abs(t1.lam - target.triplet.lam))
-            ex.append(target.dist_x(t1.x))
-        med_mu.append(float(np.median(em)))
-        med_lam.append(float(np.median(el)))
-        med_x.append(float(np.median(ex)))
-    if failed > 0.2 * total:
-        raise RuntimeError("more than 20%% of steps failed (%d of %d)" % (failed, total))
-    slopes, used = _fitted(eps_list, {
-        "mu": (med_mu, target.triplet.mu),
-        "lambda": (med_lam, target.triplet.lam),
-        "x": (med_x, 1.0),
-    })
-    return ScalingStudy(eps_list, med_mu, med_lam, med_x, slopes, failed, total, used)
+    tgt = target.triplet
+
+    def one_trial(eps, trial):
+        t0 = perturbed_start(target, eps, seed, trial=trial)
+        try:
+            t1, _ = rqi.step(target.pair, t0)
+        except (NotIndefinite, RankCollapse):
+            return None
+        return abs(t1.mu - tgt.mu), abs(t1.lam - tgt.lam), target.dist_x(t1.x)
+
+    return _study(eps_list, trials, one_trial, ("mu", "lambda", "x"), (tgt.mu, tgt.lam, 1.0))
 
 
 def ritz_approx_study(target, eps_list, trials, seed):
@@ -218,43 +223,22 @@ def ritz_approx_study(target, eps_list, trials, seed):
     pair, tgt = target.pair, target.triplet
     xp = eigvec_derivative(pair, tgt.mu, tgt.lam, tgt.x)
     ideal = np.stack([tgt.x, xp / np.linalg.norm(xp)], axis=1)
-    med_mu, med_lam, med_x = [], [], []
-    failed = total = 0
-    for i, eps in enumerate(eps_list):
-        em, el, ex = [], [], []
-        for trial in range(trials):
-            total += 1
-            rng = _trial_rng(seed, i * trials + trial)
-            g = rng.standard_normal((pair.n, 2)) + 1j * rng.standard_normal((pair.n, 2))
-            g /= np.linalg.norm(g, 2)
-            v, ce = diagonalize_form(pair.c, orthonormalize(ideal + eps * g))
-            # no Jacobian here, so no singular values to record
-            basis = rqi.ProjectionBasis(v, float(ce[0]), float(ce[1]), (np.nan, np.nan), False)
-            try:
-                cands = rqi.solve_2x2(*rqi.form_rq(pair, basis))
-            except NotIndefinite:
-                failed += 1
-                continue
-            best = None
-            for c in cands:
-                x = v @ c.z
-                errs = (abs(c.nu - tgt.mu), abs(c.theta - tgt.lam), target.dist_x(x))
-                if best is None or sum(errs) < sum(best):
-                    best = errs
-            em.append(best[0])
-            el.append(best[1])
-            ex.append(best[2])
-        med_mu.append(float(np.median(em)))
-        med_lam.append(float(np.median(el)))
-        med_x.append(float(np.median(ex)))
-    if failed > 0.2 * total:
-        raise RuntimeError("more than 20%% of trials excluded (%d of %d)" % (failed, total))
-    slopes, used = _fitted(eps_list, {
-        "nu": (med_mu, tgt.mu),
-        "theta": (med_lam, tgt.lam),
-        "x": (med_x, 1.0),
-    })
-    return ScalingStudy(eps_list, med_mu, med_lam, med_x, slopes, failed, total, used)
+
+    def one_trial(eps, trial):
+        rng = _trial_rng(seed, trial)
+        g = rng.standard_normal((pair.n, 2)) + 1j * rng.standard_normal((pair.n, 2))
+        g /= np.linalg.norm(g, 2)
+        v, ce = diagonalize_form(pair.c, orthonormalize(ideal + eps * g))
+        # no Jacobian here, so no singular value to record
+        basis = rqi.ProjectionBasis(v, float(ce[0]), float(ce[1]), np.nan)
+        try:
+            cands = rqi.solve_2x2(*rqi.form_rq(pair, basis))
+        except NotIndefinite:
+            return None
+        errs = [(abs(c.nu - tgt.mu), abs(c.theta - tgt.lam), target.dist_x(v @ c.z)) for c in cands]
+        return min(errs, key=sum)
+
+    return _study(eps_list, trials, one_trial, ("nu", "theta", "x"), (tgt.mu, tgt.lam, 1.0))
 
 
 def conditioning_study(target, eps_list, trials, seed):
@@ -268,7 +252,7 @@ def conditioning_study(target, eps_list, trials, seed):
     """
     eps_list = list(eps_list)
     basis_star = rqi.projection_basis(target.pair, target.triplet)
-    sigma_star = basis_star.sigma_diag[1]
+    sigma_star = basis_star.sigma_n
     c1s, c2s = basis_star.c1, basis_star.c2
     sigma_viol, c_viol = [], []
     for i, eps in enumerate(eps_list):
@@ -281,7 +265,7 @@ def conditioning_study(target, eps_list, trials, seed):
                 sv += 1
                 cv += 1
                 continue
-            if b.sigma_diag[1] < 0.5 * sigma_star:
+            if b.sigma_n < 0.5 * sigma_star:
                 sv += 1
             if target.regime == "simple":
                 ok = (0.5 * c1s <= b.c1 <= 1.5 * c1s) and (1.5 * c2s <= b.c2 <= 0.5 * c2s)

@@ -7,7 +7,7 @@ input validation and the convention the rest of the package relies on
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotIndefinite, RankDeficient
+from .errors import NotIndefinite, RankCollapse, TwoDevpError
 
 
 def as_matrix(m):
@@ -33,10 +33,10 @@ def check_hermitian(m):
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
-        raise NotHermitian("matrix is %dx%d, not square" % m.shape)
+        raise TwoDevpError("matrix is %dx%d, not square" % m.shape)
     dev = np.max(np.abs(m - m.conj().T), initial=0.0)
     if dev > herm_tol(m):
-        raise NotHermitian("asymmetry %.3e exceeds tolerance %.3e" % (dev, herm_tol(m)))
+        raise TwoDevpError("asymmetry %.3e exceeds tolerance %.3e" % (dev, herm_tol(m)))
     return 0.5 * (m + m.conj().T)
 
 
@@ -51,7 +51,7 @@ def hermitian_eig(m):
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc))
+        raise TwoDevpError(str(exc))
     return w[::-1], v[:, ::-1]
 
 
@@ -84,7 +84,7 @@ def orthonormalize(m):
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     scale = s[0] if s.size else 0.0
     if s.size == 0 or s[-1] <= 1e-10 * scale:
-        raise RankDeficient("smallest singular value %.3e below rank tolerance" % (s[-1] if s.size else 0.0))
+        raise RankCollapse("smallest singular value %.3e below rank tolerance" % (s[-1] if s.size else 0.0))
     return u
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotIndefinite, ParseError
+from .errors import NotIndefinite, TwoDevpError
 from .kernels import check_hermitian, hermitian_eig, spectral_norm
 
 
@@ -33,7 +33,7 @@ class HermitianPair:
         a = check_hermitian(self.a)
         c = check_hermitian(self.c)
         if a.shape != c.shape:
-            raise DimensionMismatch("A is %dx%d but C is %dx%d" % (a.shape + c.shape))
+            raise TwoDevpError("A is %dx%d but C is %dx%d" % (a.shape + c.shape))
         w, _ = hermitian_eig(c)
         thr = 1e-12 * max(np.max(np.abs(w), initial=0.0), 1e-300)
         if not (w[0] > thr and w[-1] < -thr):
@@ -81,19 +81,17 @@ class Triplet:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Stacked residual vector and its norm, with per-block norms."""
+    """Stacked residual vector, its norm and the norm of its first n entries."""
 
     f: np.ndarray
     norm: float
     norm_eig: float     # |(A - mu*C - lam*I) x|
-    norm_isotropy: float  # |x^H C x| / 2
-    norm_unit: float      # |1 - x^H x| / 2
 
 
 def residual(pair, t):
     """Evaluate the nonlinear residual F at a triplet."""
     if t.x.shape[0] != pair.n:
-        raise DimensionMismatch("triplet has length %d, pair has n=%d" % (t.x.shape[0], pair.n))
+        raise TwoDevpError("triplet has length %d, pair has n=%d" % (t.x.shape[0], pair.n))
     top = pair.shifted(t.mu, t.lam) @ t.x
     iso = -0.5 * np.real(np.vdot(t.x, pair.c @ t.x))
     unit = 0.5 * (1.0 - np.real(np.vdot(t.x, t.x)))
@@ -102,15 +100,13 @@ def residual(pair, t):
         f=f,
         norm=float(np.linalg.norm(f)),
         norm_eig=float(np.linalg.norm(top)),
-        norm_isotropy=abs(iso),
-        norm_unit=abs(unit),
     )
 
 
 def jacobian(pair, t):
     """The bordered (n+2) x (n+2) Jacobian of F; Hermitian by construction."""
     if t.x.shape[0] != pair.n:
-        raise DimensionMismatch("triplet has length %d, pair has n=%d" % (t.x.shape[0], pair.n))
+        raise TwoDevpError("triplet has length %d, pair has n=%d" % (t.x.shape[0], pair.n))
     cx = pair.c @ t.x
     j = np.zeros((pair.n + 2, pair.n + 2), dtype=complex)
     j[: pair.n, : pair.n] = pair.shifted(t.mu, t.lam)
@@ -137,9 +133,9 @@ def complex_from_json(rows, what, ndim):
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError):
-        raise ParseError("field %r is not an array of [re, im] pairs" % what)
+        raise TwoDevpError("field %r is not an array of [re, im] pairs" % what)
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
-        raise ParseError("field %r must be a %d-d array of [re, im] pairs" % (what, ndim))
+        raise TwoDevpError("field %r must be a %d-d array of [re, im] pairs" % (what, ndim))
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -150,17 +146,17 @@ def _write_json(doc, path):
 
 
 def _read_json(path, fields):
-    """The JSON object in `path`; ParseError unless it holds every field."""
+    """The JSON object in `path`; TwoDevpError unless it holds every field."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError("invalid JSON in %s: %s" % (path, exc))
+            raise TwoDevpError("invalid JSON in %s: %s" % (path, exc))
     if not isinstance(doc, dict):
-        raise ParseError("%s does not hold a JSON object" % path)
+        raise TwoDevpError("%s does not hold a JSON object" % path)
     for key in fields:
         if key not in doc:
-            raise ParseError("missing field %r in %s" % (key, path))
+            raise TwoDevpError("missing field %r in %s" % (key, path))
     return doc
 
 
@@ -174,7 +170,7 @@ def load_pair(path):
     c = complex_from_json(doc["c"], "c", 2)
     n = doc["n"]
     if a.shape != (n, n) or c.shape != (n, n):
-        raise ParseError("matrix shapes %s, %s do not match n=%s" % (a.shape, c.shape, n))
+        raise TwoDevpError("matrix shapes %s, %s do not match n=%s" % (a.shape, c.shape, n))
     return HermitianPair(a, c)
 
 

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotIndefinite, RankCollapse
-from .kernels import diagonalize_form, isotropic_weights, orthonormalize
+from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet, jacobian_hat, residual
 
 TAU_MULT = 1e-10
@@ -45,8 +45,7 @@ class ProjectionBasis:
     v: np.ndarray          # n x 2, orthonormal, V^H C V = diag(c1, c2)
     c1: float
     c2: float
-    sigma_diag: tuple      # two smallest singular values of the leading block
-    near_singular: bool
+    sigma_n: float         # smallest singular value of the leading block
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class RitzCandidate:
     theta: float
     z: np.ndarray
     branch: Branch
-    alpha: complex
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,6 @@ class StepDiagnostics:
     c2: float
     abs_a12: float
     branch: Branch
-    near_singular: bool
 
 
 @dataclass
@@ -94,20 +91,13 @@ def projection_basis(pair, t):
     jhat = jacobian_hat(pair, t)
     _, s, vh = np.linalg.svd(jhat, full_matrices=True)
     null = vh.conj().T[:, pair.n:]          # exact nullspace, dimension 2
-    vt = null[: pair.n, :]
-    sv = np.linalg.svd(vt, compute_uv=False)
+    # The rows of an orthonormal basis have singular values <= 1, so an
+    # absolute floor is the rank test; u is an orthonormal basis of them.
+    u, sv, _ = np.linalg.svd(null[: pair.n, :], full_matrices=False)
     if sv[-1] <= 1e-10:
         raise RankCollapse("leading rows of the nullspace basis have rank < 2")
-    v, ce = diagonalize_form(pair.c, orthonormalize(vt))
-    sigma_n = float(s[pair.n - 1])
-    scale = float(s[0]) if s.size else 0.0
-    return ProjectionBasis(
-        v=v,
-        c1=float(ce[0]),
-        c2=float(ce[1]),
-        sigma_diag=(float(s[pair.n - 2]), sigma_n),
-        near_singular=sigma_n < 1e-12 * scale,
-    )
+    v, ce = diagonalize_form(pair.c, u)
+    return ProjectionBasis(v=v, c1=float(ce[0]), c2=float(ce[1]), sigma_n=float(s[pair.n - 1]))
 
 
 def form_rq(pair, basis):
@@ -134,12 +124,12 @@ def solve_2x2(a11, a12, a22, c1, c2):
             theta = t * t * a11 + s * s * a22 + sign * 2.0 * t * s * abs(a12)
             num = c1 * t * t * a11 + c2 * s * s * a22 + sign * (c1 + c2) * t * s * abs(a12)
             den = c1 * c1 * t * t + c2 * c2 * s * s
-            out.append(RitzCandidate(nu=num / den, theta=theta, z=z, branch=Branch.SIMPLE, alpha=alpha))
+            out.append(RitzCandidate(nu=num / den, theta=theta, z=z, branch=Branch.SIMPLE))
         return out
     nu = (a11 - a22) / (c1 - c2)
     theta = (a22 * c1 - a11 * c2) / (c1 - c2)
     z = np.array([t, s + 0j])
-    return [RitzCandidate(nu=nu, theta=theta, z=z, branch=Branch.MULTIPLE, alpha=1.0 + 0j)]
+    return [RitzCandidate(nu=nu, theta=theta, z=z, branch=Branch.MULTIPLE)]
 
 
 def select_ritz(t_prev, candidates, basis):
@@ -156,12 +146,11 @@ def step(pair, t):
     candidates = solve_2x2(a11, a12, a22, c1, c2)
     t_next, chosen = select_ritz(t, candidates, basis)
     diag = StepDiagnostics(
-        sigma_n_jhat=basis.sigma_diag[1],
+        sigma_n_jhat=basis.sigma_n,
         c1=c1,
         c2=c2,
         abs_a12=abs(a12),
         branch=chosen.branch,
-        near_singular=basis.near_singular,
     )
     return t_next, diag
 

@@ -4,7 +4,7 @@ import pytest
 from twodevp import refpairs
 from twodevp.angles import canonical_angles, dist_to_set, sin_theta_norm
 from twodevp.classify import eigvec_set
-from twodevp.errors import NotOrthonormal
+from twodevp.errors import TwoDevpError
 
 SQ2 = np.sqrt(2.0)
 
@@ -37,7 +37,7 @@ def test_canonical_angles_sorted_and_bounded():
 
 
 def test_canonical_angles_rejects_nonorthonormal():
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(TwoDevpError, match="X deviates from orthonormality"):
         canonical_angles(np.ones((3, 2)), np.eye(3)[:, :2])
 
 

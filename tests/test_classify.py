@@ -4,7 +4,7 @@ import pytest
 from twodevp import refpairs
 from twodevp.classify import Kind, classify, eigvec_set, fix_phase, multiplicity
 from twodevp.curves import eig_at, lambda_double_prime, lambda_prime
-from twodevp.errors import NoIsotropicVector, NotAnEigenvalue
+from twodevp.errors import TwoDevpError
 from twodevp.model import HermitianPair
 
 SQ2 = np.sqrt(2.0)
@@ -58,14 +58,14 @@ def test_classify_triple_cluster_is_singular():
 
 
 def test_classify_off_spectrum_raises():
-    with pytest.raises(NotAnEigenvalue):
+    with pytest.raises(TwoDevpError, match="no eigenvalue of A - mu.C near lambda"):
         classify(refpairs.simple_pair_2x2(), 0.0, 5.0)
 
 
 def test_classify_rejects_non_isotropic_simple_eigenpair():
     # at mu=1 the eigenvector of the larger eigenvalue has x^H C x != 0,
     # so (1, sqrt2) is an eigenpair but not a 2D-eigenvalue
-    with pytest.raises(NoIsotropicVector):
+    with pytest.raises(TwoDevpError, match="simple eigenvector is not isotropic"):
         classify(refpairs.simple_pair_2x2(), 1.0, SQ2)
 
 

@@ -77,7 +77,6 @@ def test_curves_subcommand_json_and_csv(tmp_path):
     rc = main(["curves", "--pair", str(ppath), "--mu-lo", "-1", "--mu-hi", "1", "--grid", "9", "--out", str(jout)])
     assert rc == 0
     doc = json.loads(jout.read_text())
-    assert doc["matched"] is True
     assert len(doc["points"]) >= 9
     cout = tmp_path / "grid.csv"
     rc = main(
@@ -187,3 +186,23 @@ def test_bad_pair_schema_is_input_error(tmp_path):
     bad.write_text('{"n": 2}')
     rc = main(["oracle", "--pair", str(bad), "--mu-lo", "0", "--mu-hi", "1"])
     assert rc == 2
+
+
+def _reject_constant(token):
+    raise ValueError("non-standard JSON token %s" % token)
+
+
+def test_solve_writes_strict_json_and_fails_unless_converged(tmp_path):
+    ppath, tpath = write_reference_files(tmp_path)
+    out = tmp_path / "nan.json"
+    rc = main(["solve", "--pair", ppath, "--mu0", "nan", "--lambda0", "0", "--x0", tpath,
+               "--out", str(out)])
+    assert rc == 1
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert doc["status"] == "NonFinite"
+    assert doc["iterates"][0]["mu"] is None and doc["iterates"][0]["res_norm"] is None
+    out = tmp_path / "short.json"
+    rc = main(["solve", "--pair", ppath, "--mu0", "3", "--lambda0", "-2", "--max-iter", "1",
+               "--out", str(out)])
+    assert rc == 1
+    assert json.loads(out.read_text())["status"] != "Converged"

@@ -3,7 +3,7 @@ import pytest
 
 from twodevp import refpairs
 from twodevp.classify import Kind, classify
-from twodevp.errors import TooShort
+from twodevp.errors import TwoDevpError
 from twodevp.harness import (
     Target,
     conditioning_study,
@@ -45,7 +45,7 @@ def test_convergence_order_excludes_noise_floor():
 
 
 def test_convergence_order_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(TwoDevpError, match="need at least 3 error values"):
         convergence_order([1.0, 0.1])
 
 
@@ -149,7 +149,7 @@ def test_conditioning_study_reports_reference_values():
     tgt = simple_target()
     rep = conditioning_study(tgt, [1e-3], 20, 0)
     b = projection_basis(tgt.pair, tgt.triplet)
-    assert np.isclose(rep.sigma_star, b.sigma_diag[1])
+    assert np.isclose(rep.sigma_star, b.sigma_n)
     assert rep.c_star == (b.c1, b.c2)
     assert rep.sigma_violations == [0] and rep.c_violations == [0]
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twodevp import refpairs
-from twodevp.errors import DimensionMismatch, NotHermitian, NotIndefinite, ParseError
+from twodevp.errors import NotIndefinite, TwoDevpError
 from twodevp.model import (
     HermitianPair,
     Triplet,
@@ -25,14 +25,14 @@ def test_pair_requires_indefinite_c():
 
 def test_pair_rejects_asymmetric():
     asym = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NotHermitian):
+    with pytest.raises(TwoDevpError, match="asymmetry .* exceeds tolerance"):
         HermitianPair(asym, np.diag([1.0, -1.0]))
-    with pytest.raises(NotHermitian):
+    with pytest.raises(TwoDevpError, match="asymmetry .* exceeds tolerance"):
         HermitianPair(np.eye(2), asym)
 
 
 def test_pair_requires_matching_shapes():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(TwoDevpError, match="A is 3x3 but C is 2x2"):
         HermitianPair(np.eye(3), np.diag([1.0, -1.0]))
 
 
@@ -69,7 +69,7 @@ def test_residual_phase_invariance():
 
 def test_residual_dimension_mismatch():
     pair = refpairs.simple_pair_2x2()
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(TwoDevpError, match="triplet has length 3, pair has n=2"):
         residual(pair, Triplet(0.0, 0.0, np.ones(3)))
 
 
@@ -150,11 +150,14 @@ def test_load_pair_rejects_definite_c(tmp_path):
 
 def test_load_pair_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
-    for text in ('{"n": 2, "a": "nope"}', "5"):
+    for text, pair_msg, triplet_msg in [
+        ('{"n": 2, "a": "nope"}', "missing field 'c'", "missing field 'mu'"),
+        ("5", "does not hold a JSON object", "does not hold a JSON object"),
+    ]:
         path.write_text(text)
-        with pytest.raises(ParseError):
+        with pytest.raises(TwoDevpError, match=pair_msg):
             load_pair(path)
-        with pytest.raises(ParseError):
+        with pytest.raises(TwoDevpError, match=triplet_msg):
             load_triplet(path)
 
 
