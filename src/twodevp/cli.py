@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -173,8 +174,8 @@ def _target_from_args(args, pair):
 def _window_verdicts(slopes, windows):
     verdicts = []
     for key, (lo, hi) in windows.items():
-        val = slopes.get(key)  # None when too few points lie above roundoff
-        ok = val is not None and lo <= val <= hi
+        val = slopes[key]  # NaN when too few points lie above roundoff
+        ok = lo <= val <= hi
         verdicts.append({"check": "slope_%s" % key, "value": val, "window": [lo, hi], "pass": ok})
     return verdicts
 
@@ -186,11 +187,11 @@ def cmd_study(args):
     if args.kind == "scaling":
         study = harness.scaling_study(target, eps_list, args.trials, args.seed)
         windows = harness.SIMPLE_WINDOWS if target.regime == "simple" else harness.MULTIPLE_WINDOWS
-        doc = study.to_dict()
+        doc = asdict(study)
         verdicts = _window_verdicts(doc["fitted_slopes"], windows)
     elif args.kind == "ritz":
         study = harness.ritz_approx_study(target, eps_list, args.trials, args.seed)
-        doc = study.to_dict()
+        doc = asdict(study)
         verdicts = _window_verdicts(doc["fitted_slopes"], harness.RITZ_WINDOWS)
     else:
         report = harness.conditioning_study(target, eps_list, args.trials, args.seed)
@@ -205,7 +206,7 @@ def cmd_study(args):
                     "pass": (sv == 0 and cv == 0) if expected_clean else True,
                 }
             )
-        doc = report.to_dict()
+        doc = asdict(report)
     doc["seed"] = args.seed
     doc["regime"] = target.regime
     doc["verdicts"] = verdicts

@@ -1,9 +1,11 @@
 """Eigencurve evaluation along the pencil H(mu) = A - mu*C.
 
-`eig_at` gives the sorted eigenvalues at one mu.  `trace_curves` samples a
-grid and matches curve indices across grid points by eigenvector overlap,
+`eig_at` gives the sorted eigenvalues at one mu.  `match` is the one
+matcher that carries curve identity from reference eigenvectors to a new
+point by eigenvector overlap; `trace_curves` uses it across grid points,
 refining the grid adaptively near crossings, so that each matched curve is
-a discrete sample of one analytic branch.  The derivative helpers give the
+a discrete sample of one analytic branch, and the oracle's bisection uses
+it to follow the curves it refines.  The derivative helpers give the
 first and second derivatives of the branch through (lam, x) as sums over the
 eigenpairs (w_j, v_j) of A - mu*C outside the cluster of lam, d_j = v_j^H C x:
 
@@ -19,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContinuationAmbiguous, TwoDevpError
+from .errors import TwoDevpError
 from .kernels import hermitian_eig
 
 OVERLAP_FLOOR = 0.9
-AMBIGUITY_TOL = 1e-8
 STEP_FLOOR_FACTOR = 2.0 ** -20
 
 
@@ -63,69 +64,46 @@ def eig_at(pair, mu):
     return CurvePoint(mu=mu, values=w, vectors=v)
 
 
-def _match(prev, point):
-    """Permute and phase-fix `point` so column i continues curve i of `prev`.
+def match(refs, point):
+    """Continue the curves whose eigenvectors are the columns of refs to `point`.
 
-    Greedy assignment on the overlap-magnitude matrix; returns the matched
-    point and the smallest matched overlap.  Raises if two assignment
-    choices are indistinguishable (caller decides after the step floor).
+    Assigns each column of refs to a distinct column of point.vectors by
+    the greedy rule on |refs^H V|: the largest overlap first, then retire
+    its row and column.  Returns the matched values, the matched vectors
+    with the phase of each overlap removed, and the overlap magnitudes.
     """
-    n = prev.values.shape[0]
-    overlap = prev.vectors.conj().T @ point.vectors
-    mag = np.abs(overlap)
-    perm = np.full(n, -1)
-    work = mag.copy()
-    min_overlap = np.inf
-    for _ in range(n):
+    ov = refs.conj().T @ point.vectors
+    work = np.abs(ov)
+    cols = np.empty(work.shape[0], dtype=int)
+    for _ in range(cols.size):
         i, j = np.unravel_index(np.argmax(work), work.shape)
-        best = work[i, j]
-        row = work[i, :].copy()
-        row[j] = -np.inf
-        second = np.max(row)
-        if second > -np.inf and best - second < AMBIGUITY_TOL and best < OVERLAP_FLOOR:
-            raise ContinuationAmbiguous(
-                "overlap choices %.3e and %.3e indistinguishable at mu=%r" % (best, second, point.mu)
-            )
-        perm[i] = j
-        min_overlap = min(min_overlap, best)
-        work[i, :] = -np.inf
-        work[:, j] = -np.inf
-    values = point.values[perm]
-    vectors = point.vectors[:, perm].copy()
-    for i in range(n):
-        ov = overlap[i, perm[i]]
-        if abs(ov) > 0:
-            vectors[:, i] *= ov.conj() / abs(ov)
-    return CurvePoint(point.mu, values, vectors), float(min_overlap)
+        cols[i] = j
+        work[i, :] = -1.0
+        work[:, j] = -1.0
+    ov = ov[np.arange(cols.size), cols]
+    mag = np.abs(ov)
+    unit = np.where(mag > 0.0, ov, 1.0)  # a zero overlap keeps its vector's phase
+    return point.values[cols], point.vectors[:, cols] * (unit.conj() / np.abs(unit)), mag
 
 
 def _refine(pair, left, right, step_floor, out, overlaps):
     """Append matched points on (left.mu, right.mu] to `out`."""
-    matched, ov = _try_match(left, right, step_floor)
-    if ov >= OVERLAP_FLOOR or right.mu - left.mu <= step_floor:
-        out.append(matched)
-        overlaps.append(ov)
+    values, vectors, ov = match(left.vectors, right)
+    if ov.min() >= OVERLAP_FLOOR or right.mu - left.mu <= step_floor:
+        out.append(CurvePoint(right.mu, values, vectors))
+        overlaps.append(ov.min())
         return
     mid = eig_at(pair, 0.5 * (left.mu + right.mu))
     _refine(pair, left, mid, step_floor, out, overlaps)
     _refine(pair, out[-1], right, step_floor, out, overlaps)
 
 
-def _try_match(left, right, step_floor):
-    try:
-        return _match(left, right)
-    except ContinuationAmbiguous:
-        if right.mu - left.mu <= step_floor:
-            raise
-        # force refinement by reporting a failing overlap
-        return right, -np.inf
-
-
 def trace_curves(pair, mu_lo, mu_hi, n_grid):
     """Sample and continuation-match the eigencurves on [mu_lo, mu_hi].
 
-    Grid points where consecutive eigenvector overlaps fall below the
-    overlap floor are bisected down to a relative step floor of 2^-20.
+    Cells where a matched eigenvector overlap falls below the overlap
+    floor are bisected down to a relative step floor of 2^-20; a cell at
+    the step floor is accepted as matched, and min_overlap reports it.
     """
     if not mu_lo < mu_hi:
         raise ValueError("need mu_lo < mu_hi")

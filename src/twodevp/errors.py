@@ -3,8 +3,10 @@
 Everything the package raises on bad input or an undefined quantity is a
 TwoDevpError.  A subclass exists only where a caller handles it by name:
 NotIndefinite (rqi.solve, oracle.scan, classify._classify and harness),
-RankCollapse (rqi.solve and harness), BracketInvalid (oracle.scan) and
-ContinuationAmbiguous (curves._try_match).
+RankCollapse (rqi.solve and harness) and BracketInvalid (oracle.scan).
+Curve matching never raises: curves.match, the one matcher behind the
+eigencurve grid and the oracle's bisection, always assigns every curve,
+and the grid reports how good the worst assignment was in min_overlap.
 """
 
 
@@ -23,6 +25,3 @@ class RankCollapse(TwoDevpError):
 class BracketInvalid(TwoDevpError):
     """A scan bracket holds no sign change of a gap that closes."""
 
-
-class ContinuationAmbiguous(TwoDevpError):
-    """Two eigencurve matches cannot be told apart."""

@@ -5,7 +5,7 @@ are derived from (seed, trial index), so reports are reproducible
 byte-for-byte and trials could run in any order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,23 +58,9 @@ class ScalingStudy:
     errors_lambda: list
     errors_x: list
     fitted_slopes: dict
+    fit_epsilons: dict  # eps values each slope was fitted on
     failed: int
     total: int
-    fit_epsilons: dict  # eps values each slope was fitted on
-
-    def to_dict(self):
-        return {
-            "epsilons": list(self.epsilons),
-            "errors_mu": list(self.errors_mu),
-            "errors_lambda": list(self.errors_lambda),
-            "errors_x": list(self.errors_x),
-            "fitted_slopes": {
-                k: None if np.isnan(v) else v for k, v in self.fitted_slopes.items()
-            },
-            "fit_epsilons": {k: list(v) for k, v in self.fit_epsilons.items()},
-            "failed": self.failed,
-            "total": self.total,
-        }
 
 
 @dataclass
@@ -85,16 +71,6 @@ class ConditioningReport:
     c_violations: list
     sigma_star: float
     c_star: tuple
-
-    def to_dict(self):
-        return {
-            "epsilons": list(self.epsilons),
-            "trials": self.trials,
-            "sigma_violations": list(self.sigma_violations),
-            "c_violations": list(self.c_violations),
-            "sigma_star": self.sigma_star,
-            "c_star": list(self.c_star),
-        }
 
 
 def convergence_order(errors, noise_floor=NOISE_FLOOR):
@@ -189,7 +165,7 @@ def _study(eps_list, trials, one_trial, names, targets):
     fits = {k: fit_slope(eps_list, med, scale) for k, med, scale in zip(names, meds, targets)}
     slopes = {k: f[0] for k, f in fits.items()}
     used = {k: f[1] for k, f in fits.items()}
-    return ScalingStudy(eps_list, *meds, slopes, failed, total, used)
+    return ScalingStudy(eps_list, *meds, slopes, used, failed, total)
 
 
 def scaling_study(target, eps_list, trials, seed):

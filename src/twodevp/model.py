@@ -81,11 +81,10 @@ class Triplet:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Stacked residual vector, its norm and the norm of its first n entries."""
+    """Stacked residual vector and its norm."""
 
     f: np.ndarray
     norm: float
-    norm_eig: float     # |(A - mu*C - lam*I) x|
 
 
 def residual(pair, t):
@@ -96,11 +95,7 @@ def residual(pair, t):
     iso = -0.5 * np.real(np.vdot(t.x, pair.c @ t.x))
     unit = 0.5 * (1.0 - np.real(np.vdot(t.x, t.x)))
     f = np.concatenate([top, [iso + 0j, unit + 0j]])
-    return ResidualReport(
-        f=f,
-        norm=float(np.linalg.norm(f)),
-        norm_eig=float(np.linalg.norm(top)),
-    )
+    return ResidualReport(f=f, norm=float(np.linalg.norm(f)))
 
 
 def jacobian(pair, t):

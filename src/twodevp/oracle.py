@@ -4,8 +4,8 @@ Solutions of the two-parameter problem are exactly the points where an
 eigencurve slope lam'(mu) = -x^H C x changes sign (simple case) and the
 crossings of two curves with opposite slopes (multiple case).  The scan
 walks a matched eigencurve grid looking for both kinds of sign change and
-refines each bracket by bisection, tracking curve identity locally by
-eigenvector overlap.
+refines each bracket by bisection, tracking curve identity from one
+midpoint to the next with curves.match, the matcher the grid uses.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .classify import fix_phase
-from .curves import default_tol_mult, eig_at, slopes, trace_curves
+from .curves import default_tol_mult, eig_at, match, slopes, trace_curves
 from .errors import BracketInvalid, NotIndefinite
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet
@@ -34,16 +34,6 @@ class OracleHit:
     curves: tuple          # (i,) for a critical point, (i, j) for a crossing
     bracket: tuple
     refined_to: float
-
-
-def _track(pair, mu, refs):
-    """Values and phase-aligned vectors at mu of the curves whose
-    eigenvectors best match the columns of refs, from one eig_at."""
-    point = eig_at(pair, mu)
-    overlaps = refs.conj().T @ point.vectors
-    cols = np.argmax(np.abs(overlaps), axis=1)
-    ov = overlaps[np.arange(cols.size), cols]  # nonzero: the vectors span C^n
-    return point.values[cols], point.vectors[:, cols] * (ov.conj() / np.abs(ov))
 
 
 def scan(pair, mu_lo, mu_hi, n_grid):
@@ -117,14 +107,14 @@ def _bisect(pair, grid, cols, bracket):
         raise BracketInvalid("%s does not change sign over %r" % (what, bracket))
     while hi - lo > 1e-13 * (1.0 + abs(lo)):
         mid = 0.5 * (lo + hi)
-        vals, vecs_mid = _track(pair, mid, vecs)
+        vals, vecs_mid, _ = match(vecs, eig_at(pair, mid))
         f_mid = scalar(vals, vecs_mid)
         if f_lo * f_mid <= 0.0:
             hi = mid
         else:
             lo, vecs, f_lo = mid, vecs_mid, f_mid
     mu = 0.5 * (lo + hi)
-    vals, vecs = _track(pair, mu, vecs)
+    vals, vecs, _ = match(vecs, eig_at(pair, mu))
     return mu, vals, vecs, hi - lo
 
 

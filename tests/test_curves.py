@@ -7,6 +7,7 @@ from twodevp.curves import (
     eigvec_derivative,
     lambda_double_prime,
     lambda_prime,
+    match,
     trace_curves,
 )
 from twodevp.errors import TwoDevpError
@@ -184,3 +185,31 @@ def test_adaptive_refinement_near_close_curves():
     mus, top = grid.curve(0)
     analytic = np.sqrt((1.0 - mus) ** 2 + 1e-8)
     assert np.allclose(top, analytic, atol=1e-10)
+
+
+def test_match_assigns_distinct_columns():
+    # both references overlap e1 most; the greedy rule gives the second
+    # reference the next best column instead of e1 again
+    pair = HermitianPair(np.diag([3.0, 2.0, 1.0]), np.diag([1.0, -1.0, 1.0]))
+    refs = np.array([[np.sqrt(0.5), np.sqrt(0.5)], [0.5, -0.5], [0.5, -0.5]])
+    values, vectors, overlaps = match(refs, eig_at(pair, 0.0))
+    assert np.allclose(values, [3.0, 2.0])
+    assert np.allclose(overlaps, [np.sqrt(0.5), 0.5])
+    # the phase of each overlap is removed
+    assert np.allclose(np.einsum("ij,ij->j", refs.conj(), vectors), overlaps)
+
+
+def test_trace_curves_accepts_step_floor_cells_at_triple_crossing():
+    # A - C has the three-fold eigenvalue 0 at mu = 1, a grid point
+    q = refpairs.haar_unitary(np.random.default_rng(0), 5)
+    pair = HermitianPair(
+        q.conj().T @ np.diag([1.0, -1.0, 2.0, 5.0, -5.0]) @ q,
+        q.conj().T @ np.diag([1.0, -1.0, 2.0, 1.0, -1.0]) @ q,
+    )
+    grid = trace_curves(pair, 0.0, 2.0, 21)
+    assert len(grid.points) == 53
+    assert grid.min_overlap < 0.9
+    assert np.diff(grid.mus).min() <= 2.0 * 2.0**-20
+    for p in grid.points:
+        w = np.linalg.eigvalsh(pair.a - p.mu * pair.c)
+        assert np.allclose(np.sort(p.values), w, atol=1e-12)

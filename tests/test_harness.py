@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -103,7 +105,7 @@ def test_scaling_study_report_shape():
     assert len(st.errors_mu) == 2 and len(st.errors_lambda) == 2
     assert st.failed == 0 and st.total == 10
     assert set(st.fitted_slopes) == {"mu", "lambda", "x"}
-    d = st.to_dict()
+    d = asdict(st)
     assert d["epsilons"] == [1e-2, 1e-3]
 
 
@@ -131,7 +133,7 @@ def test_scaling_study_reports_fit_points():
     # at eps = 1e-4; mu and x stay well above it
     assert st.fit_epsilons["lambda"] == [1e-2, 1e-3]
     assert st.fit_epsilons["mu"] == st.fit_epsilons["x"] == [1e-2, 1e-3, 1e-4]
-    assert st.to_dict()["fit_epsilons"] == st.fit_epsilons
+    assert asdict(st)["fit_epsilons"] == st.fit_epsilons
 
 
 def test_ritz_study_requires_simple_target():
