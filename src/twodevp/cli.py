@@ -158,7 +158,7 @@ def cmd_oracle(args):
             }
             for h in hits
         ],
-        "suspects": [{"mu": mu, "curves": c if isinstance(c, int) else list(c)} for mu, c in suspects],
+        "suspects": [{"mu": mu, "curves": i} for mu, i in suspects],
     }
     _emit(doc, args.out)
     return 0

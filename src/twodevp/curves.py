@@ -4,8 +4,8 @@
 matcher that carries curve identity from reference eigenvectors to a new
 point by eigenvector overlap; `trace_curves` uses it across grid points,
 refining the grid adaptively near crossings, so that each matched curve is
-a discrete sample of one analytic branch, and the oracle's bisection uses
-it to follow the curves it refines.  The derivative helpers give the
+a discrete sample of one analytic branch.  The oracle keeps only the grid's
+points and puts each back into sorted order.  The derivative helpers give the
 first and second derivatives of the branch through (lam, x) as sums over the
 eigenpairs (w_j, v_j) of A - mu*C outside the cluster of lam, d_j = v_j^H C x:
 

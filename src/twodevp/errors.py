@@ -2,11 +2,11 @@
 
 Everything the package raises on bad input or an undefined quantity is a
 TwoDevpError.  A subclass exists only where a caller handles it by name:
-NotIndefinite (rqi.solve, oracle.scan, classify._classify and harness),
-RankCollapse (rqi.solve and harness) and BracketInvalid (oracle.scan).
-Curve matching never raises: curves.match, the one matcher behind the
-eigencurve grid and the oracle's bisection, always assigns every curve,
-and the grid reports how good the worst assignment was in min_overlap.
+NotIndefinite (rqi.solve, oracle.scan, classify._classify and harness)
+and RankCollapse (rqi.solve and harness).  Curve matching never raises:
+curves.match, the one matcher behind the eigencurve grid, always assigns
+every curve, and the grid reports how good the worst assignment was in
+min_overlap.
 """
 
 
@@ -20,8 +20,3 @@ class NotIndefinite(TwoDevpError):
 
 class RankCollapse(TwoDevpError):
     """A basis lost rank."""
-
-
-class BracketInvalid(TwoDevpError):
-    """A scan bracket holds no sign change of a gap that closes."""
-

@@ -1,11 +1,13 @@
-"""Brute-force 2D-eigenvalue finder based on eigencurve scanning.
+"""Brute-force 2D-eigenvalue finder based on the sorted eigencurves.
 
-Solutions of the two-parameter problem are exactly the points where an
-eigencurve slope lam'(mu) = -x^H C x changes sign (simple case) and the
-crossings of two curves with opposite slopes (multiple case).  The scan
-walks a matched eigencurve grid looking for both kinds of sign change and
-refines each bracket by bisection, tracking curve identity from one
-midpoint to the next with curves.match, the matcher the grid uses.
+Sort the eigenvalues of A - mu*C as lam_1(mu) >= ... >= lam_n(mu).  A point
+mu is a 2D-eigenvalue exactly when zero lies in the generalized derivative
+of one sorted curve: at a smooth critical point, where the slope
+lam'(mu) = -x^H C x changes sign, or at a kink where branches with opposite
+slopes cross, so that the slope of each sorted curve through it jumps across
+zero.  The scan brackets every sign change of a sorted slope between grid
+points and bisects it with one eig_at per midpoint; the cluster of the
+eigenvalue at the refined mu tells the two kinds apart.
 """
 
 from dataclasses import dataclass
@@ -14,8 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .classify import fix_phase
-from .curves import default_tol_mult, eig_at, match, slopes, trace_curves
-from .errors import BracketInvalid, NotIndefinite
+from .curves import cluster, eig_at, slopes, trace_curves
+from .errors import NotIndefinite, TwoDevpError
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet
 
@@ -31,127 +33,83 @@ class HitKind(Enum):
 class OracleHit:
     triplet: Triplet
     kind: HitKind
-    curves: tuple          # (i,) for a critical point, (i, j) for a crossing
+    curves: tuple          # sorted indices at the hit: (i,), or a crossing's cluster
     bracket: tuple
     refined_to: float
 
 
 def scan(pair, mu_lo, mu_hi, n_grid):
-    """Bracket every slope sign change and opposite-slope curve crossing.
+    """Bracket and refine every sign change of a sorted eigencurve's slope.
 
     Returns (hits, suspects): refined OracleHit records plus unrefined
-    suspects, grid points where a slope merely comes close to zero and
-    crossing brackets whose refinement failed.
+    suspects (mu, i), grid points where the slope of sorted curve i merely
+    comes close to zero and brackets whose crossing has no isotropic vector.
     """
     if n_grid < 8:
         raise ValueError("need n_grid >= 8")
-    grid = trace_curves(pair, mu_lo, mu_hi, n_grid)
-    n = pair.n
-    grid_slopes = np.array([slopes(pair, p.vectors) for p in grid.points])  # (m, n)
-    hits = []
-    suspects = []
-    for i in range(n):
-        for j in range(len(grid.points) - 1):
-            s0, s1 = grid_slopes[j, i], grid_slopes[j + 1, i]
-            if s0 == 0.0 or s0 * s1 < 0.0:
-                bracket = (grid.points[j].mu, grid.points[j + 1].mu)
-                hits.append(refine_critical(pair, grid, i, bracket))
-            elif abs(s0) < SUSPECT_SLOPE_TOL:
-                suspects.append((grid.points[j].mu, i))
-    for i in range(n):
-        for j2 in range(i + 1, n):
-            for j in range(len(grid.points) - 1):
-                g0 = grid.points[j].values[i] - grid.points[j].values[j2]
-                g1 = grid.points[j + 1].values[i] - grid.points[j + 1].values[j2]
-                crosses = g0 == 0.0 or g0 * g1 < 0.0
-                if not crosses:
-                    continue
-                mid_s_i = 0.5 * (grid_slopes[j, i] + grid_slopes[j + 1, i])
-                mid_s_j = 0.5 * (grid_slopes[j, j2] + grid_slopes[j + 1, j2])
-                if mid_s_i * mid_s_j >= 0.0:
-                    continue
-                bracket = (grid.points[j].mu, grid.points[j + 1].mu)
-                try:
-                    hits.append(refine_crossing(pair, grid, i, j2, bracket))
-                except (BracketInvalid, NotIndefinite):
-                    suspects.append((0.5 * (bracket[0] + bracket[1]), (i, j2)))
+    points = trace_curves(pair, mu_lo, mu_hi, n_grid).points
+    for p in points:  # back into eig_at's descending order, in place
+        order = np.argsort(-p.values, kind="stable")
+        p.values[:] = p.values[order]
+        p.vectors[:] = p.vectors[:, order]
+    s = np.array([slopes(pair, p.vectors) for p in points])  # (m, n)
+    brackets = (s[:-1] == 0.0) | (s[:-1] * s[1:] < 0.0)
+    flat = ~brackets & (np.abs(s[:-1]) < SUSPECT_SLOPE_TOL)
+    suspects = [(points[j].mu, int(i)) for i, j in zip(*np.nonzero(flat.T))]
+    hits, taken = [], set()
+    for i, j in zip(*np.nonzero(brackets.T)):
+        if (j, i) in taken:  # a crossing changes the sign of every member
+            continue
+        try:
+            hit = refine_critical(pair, points[j], points[j + 1], int(i))
+        except NotIndefinite:
+            suspects.append((0.5 * (points[j].mu + points[j + 1].mu), int(i)))
+            continue
+        hits.append(hit)
+        taken.update((j, k) for k in hit.curves)
     return hits, suspects
 
 
-def _grid_point_at(grid, mu):
-    for p in grid.points:
-        if p.mu == mu:
-            return p
-    raise BracketInvalid("bracket endpoint %r is not a grid point" % mu)
+def refine_critical(pair, left, right, i):
+    """Bisect a sign change of sorted curve i's slope between two eig_at points.
 
-
-def _bisect(pair, grid, cols, bracket):
-    """Bisect the sign change of the tracked curves' scalar over a bracket.
-
-    The scalar is the slope of one curve (one column) or the gap
-    lam_i - lam_j of two.  Both bracket ends are grid points, whose
-    matched columns give the scalar there; the curves are tracked from the
-    left end.  Bisection stops once the bracket is below 1e-13 * (1 + |lo|).
-    Returns (mu, values, vectors, final width).
+    Bisection stops once the bracket is below 1e-13 * (1 + |lo|).  A single
+    eigenvalue at the refined mu is a critical point; a cluster is a
+    crossing, built by refine_crossing.  Raises TwoDevpError when the slope
+    does not change sign between left and right.
     """
-    what = "slope" if len(cols) == 1 else "curve gap"
+    def slope(point):
+        return float(slopes(pair, point.vectors[:, [i]])[0])
 
-    def scalar(values, vectors):
-        return float(slopes(pair, vectors)[0] if len(cols) == 1 else values[0] - values[1])
-
-    lo, hi = bracket
-    left, right = _grid_point_at(grid, lo), _grid_point_at(grid, hi)
-    vecs = left.vectors[:, cols]
-    f_lo = scalar(left.values[cols], vecs)
-    if f_lo * scalar(right.values[cols], right.vectors[:, cols]) > 0.0:
-        raise BracketInvalid("%s does not change sign over %r" % (what, bracket))
+    lo, hi = bracket = (left.mu, right.mu)
+    f_lo = slope(left)
+    if f_lo * slope(right) > 0.0:
+        raise TwoDevpError("slope of curve %d does not change sign over %r" % (i, bracket))
     while hi - lo > 1e-13 * (1.0 + abs(lo)):
         mid = 0.5 * (lo + hi)
-        vals, vecs_mid, _ = match(vecs, eig_at(pair, mid))
-        f_mid = scalar(vals, vecs_mid)
+        f_mid = slope(eig_at(pair, mid))
         if f_lo * f_mid <= 0.0:
             hi = mid
         else:
-            lo, vecs, f_lo = mid, vecs_mid, f_mid
-    mu = 0.5 * (lo + hi)
-    vals, vecs, _ = match(vecs, eig_at(pair, mu))
-    return mu, vals, vecs, hi - lo
+            lo, f_lo = mid, f_mid
+    point = eig_at(pair, 0.5 * (lo + hi))
+    members = np.flatnonzero(cluster(pair, point, point.values[i]))
+    if members.size > 1:
+        return refine_crossing(pair, point, members, bracket, hi - lo)
+    trip = Triplet(point.mu, float(point.values[i]), fix_phase(point.vectors[:, i]))
+    return OracleHit(trip, HitKind.CRITICAL_POINT, (i,), bracket, hi - lo)
 
 
-def refine_critical(pair, grid, curve_index, bracket):
-    """Bisect a slope sign change on one matched curve down to ~1e-13."""
-    mu, vals, vecs, width = _bisect(pair, grid, [curve_index], bracket)
-    return OracleHit(
-        triplet=Triplet(mu, float(vals[0]), fix_phase(vecs[:, 0])),
-        kind=HitKind.CRITICAL_POINT,
-        curves=(curve_index,),
-        bracket=bracket,
-        refined_to=width,
-    )
+def refine_crossing(pair, point, members, bracket, width):
+    """Isotropic cluster vector of a crossing at the eig_at point `point`.
 
-
-def refine_crossing(pair, grid, i, j, bracket):
-    """Bisect a gap sign change and build the isotropic cluster vector.
-
-    Raises BracketInvalid when the gap does not change sign over the
-    bracket or does not close to default_tol_mult, and NotIndefinite when
-    the cluster form of C is not indefinite.
+    `members` are the sorted indices of the cluster.  The directions where
+    the cluster's C-form is largest and smallest are mixed into a unit x
+    with x^H C x = 0, and lam is the cluster mean.  Raises NotIndefinite
+    when that form is not indefinite.
     """
-    mu, vals, vecs, width = _bisect(pair, grid, [i, j], bracket)
-    gap = abs(vals[0] - vals[1])
-    if gap > default_tol_mult(pair, mu):
-        raise BracketInvalid("curve gap %.3e did not close over %r" % (gap, bracket))
-    lam = 0.5 * float(vals[0] + vals[1])
-    # orthonormal cluster basis (the two eigenvectors are orthogonal up to
-    # the residual gap at the refined mu)
-    q, _ = np.linalg.qr(vecs)
-    v, ce = diagonalize_form(pair.c, q)
-    t, s = isotropic_weights(ce[0], ce[1])
-    x = t * v[:, 0] + s * v[:, 1]
-    return OracleHit(
-        triplet=Triplet(mu, lam, fix_phase(x)),
-        kind=HitKind.CROSSING,
-        curves=(i, j),
-        bracket=bracket,
-        refined_to=width,
-    )
+    v, ce = diagonalize_form(pair.c, point.vectors[:, members])
+    t, s = isotropic_weights(ce[0], ce[-1])
+    x = fix_phase(t * v[:, 0] + s * v[:, -1])
+    trip = Triplet(point.mu, float(np.mean(point.values[members])), x)
+    return OracleHit(trip, HitKind.CROSSING, tuple(int(k) for k in members), bracket, width)

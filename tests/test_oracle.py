@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from twodevp import oracle, refpairs
-from twodevp.classify import classify
-from twodevp.errors import BracketInvalid
+from twodevp.classify import Kind, classify
+from twodevp.curves import eig_at
+from twodevp.errors import TwoDevpError
 from twodevp.model import HermitianPair, residual
 from twodevp.harness import random_pair_with_crossing
-from twodevp.oracle import HitKind, refine_critical, refine_crossing, scan
-from twodevp.curves import trace_curves
+from twodevp.oracle import HitKind, refine_critical, scan
 
 SQ2 = np.sqrt(2.0)
 
@@ -91,52 +91,67 @@ def test_hits_classify_cleanly():
 
 
 def test_refine_critical_rejects_bad_bracket():
+    # on [1, 2] both hyperbola branches are monotone
     pair = refpairs.simple_pair_2x2()
-    grid = trace_curves(pair, 1.0, 2.0, 16)
-    bracket = (grid.points[0].mu, grid.points[1].mu)
-    with pytest.raises(BracketInvalid):
-        refine_critical(pair, grid, 0, bracket)
+    with pytest.raises(TwoDevpError, match="does not change sign"):
+        refine_critical(pair, eig_at(pair, 1.0), eig_at(pair, 1.0 + 1.0 / 15.0), 0)
 
 
-def test_refine_crossing_rejects_gap_that_does_not_close():
-    # Two gap sign changes in one grid cell of scan(pair, -3, 3, 96): curves
-    # 30 and 31 meet at the planted crossing, while curves 30 and 32 stop
-    # about 5e-5 apart, which is no 2D-eigenvalue.
+def _cell_at(mu):
+    """The cell of linspace(-3, 3, 96) holding mu."""
+    mus = np.linspace(-3.0, 3.0, 96)
+    j = int(np.searchsorted(mus, mu)) - 1
+    return mus[j], mus[j + 1]
+
+
+def test_scan_tells_crossing_from_nearby_critical_point():
+    # In this cell sorted curves 30 and 31 meet at the planted crossing,
+    # and sorted curve 32 has a critical point 3.5e-5 away from it.
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 10)
-    grid = trace_curves(pair, -3.0, 3.0, 96)
-    mus = grid.mus
-    j = int(np.searchsorted(mus, 0.4)) - 1
-    bracket = (mus[j], mus[j + 1])
-    hit = refine_crossing(pair, grid, 30, 31, bracket)
-    assert abs(hit.triplet.mu - 0.4) < 1e-10 and abs(hit.triplet.lam + 0.3) < 1e-10
-    with pytest.raises(BracketInvalid):
-        refine_crossing(pair, grid, 30, 32, bracket)
-    # scan over that one cell files the open gap as a suspect
-    hits, suspects = scan(pair, bracket[0], bracket[1], 8)
+    lo, hi = _cell_at(0.4)
+    hits, suspects = scan(pair, lo, hi, 8)
+    assert suspects == []
     assert [h.curves for h in hits if h.kind is HitKind.CROSSING] == [(30, 31)]
-    assert [c for _, c in suspects if isinstance(c, tuple)] == [(30, 32)]
+    crit = [h for h in hits if h.kind is HitKind.CRITICAL_POINT and h.curves == (32,)]
+    assert len(crit) == 1
+    mu, lam = crit[0].triplet.mu, crit[0].triplet.lam
+    assert abs(mu - 0.4000345) < 1e-7
+    assert classify(pair, mu, lam).kind is Kind.NONSINGULAR_SIMPLE
 
 
 def test_refine_crossing_takes_one_decomposition_per_midpoint(monkeypatch):
     # one eig_at per bisection midpoint and one at the refined mu; both
-    # bracket ends are grid points already in hand
+    # bracket ends are points already in hand
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
-    grid = trace_curves(pair, -3.0, 3.0, 96)
-    mus = grid.mus
-    j = int(np.searchsorted(mus, 0.4)) - 1
-    bracket = (mus[j], mus[j + 1])
+    lo, hi = _cell_at(0.4)
+    left, right = eig_at(pair, lo), eig_at(pair, hi)
     calls = []
-    eig_at = oracle.eig_at
 
     def counting(pair, mu):
         calls.append(mu)
         return eig_at(pair, mu)
 
     monkeypatch.setattr(oracle, "eig_at", counting)
-    hit = refine_crossing(pair, grid, 31, 32, bracket)
+    hit = refine_critical(pair, left, right, 31)
+    assert hit.kind is HitKind.CROSSING and hit.curves == (31, 32)
     assert abs(hit.triplet.mu - 0.4) < 1e-10 and abs(hit.triplet.lam + 0.3) < 1e-10
-    midpoints = round(np.log2((bracket[1] - bracket[0]) / hit.refined_to))
+    midpoints = round(np.log2((hi - lo) / hit.refined_to))
     assert len(calls) <= midpoints + 1
+
+
+def test_scan_files_triple_crossing_as_crossing():
+    # Three branches 1 - mu, -1 + mu and 2 - 2 mu meet at (1, 0), on a grid
+    # point.  Sorted curves 1 and 3 change slope sign there; both are one
+    # crossing, not critical points.
+    q = refpairs.haar_unitary(np.random.default_rng(1), 5)
+    a = q.conj().T @ np.diag([1.0, -1.0, 2.0, 5.0, -5.0]) @ q
+    c = q.conj().T @ np.diag([1.0, -1.0, 2.0, 1.0, -1.0]) @ q
+    pair = HermitianPair(a, c)
+    hits, _ = scan(pair, 0.0, 2.0, 21)
+    assert hits
+    assert all(h.kind is HitKind.CROSSING for h in hits)
+    for h in hits:
+        assert residual(pair, h.triplet).norm <= 1e-10 * pair.scale(h.triplet.mu, h.triplet.lam)
 
 
 def test_scan_requires_reasonable_grid():
@@ -149,4 +164,4 @@ def test_scan_flags_flat_slope_as_suspect():
     # sign change, but flagged as suspect at every grid point
     pair = HermitianPair(np.diag([0.0, 5.0, -5.0]), np.diag([1e-9, 1.0, -1.0]))
     hits, suspects = scan(pair, -1.0, 1.0, 16)
-    assert any(isinstance(c, (int, np.integer)) for _, c in suspects)
+    assert suspects and all(type(i) is int for _, i in suspects)

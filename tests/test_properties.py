@@ -3,7 +3,7 @@
 On small random pairs with a scaled A, from finite starts and over
 finite windows, rqi.solve ends in a Status or raises TwoDevpError, and
 oracle.scan returns or raises TwoDevpError; no raw numpy exception
-escapes either.
+escapes either.  Every hit scan returns is a 2D-eigentriplet.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from twodevp import oracle, rqi
 from twodevp.errors import TwoDevpError
 from twodevp.harness import random_pair
-from twodevp.model import HermitianPair, Triplet
+from twodevp.model import HermitianPair, Triplet, residual
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -48,3 +48,5 @@ def test_scan_returns_or_raises_twodevp_error(pair, lo, width, n_grid):
     except TwoDevpError:
         return
     assert all(isinstance(h.kind, oracle.HitKind) for h in hits)
+    for h in hits:
+        assert residual(pair, h.triplet).norm <= 1e-6 * pair.scale(h.triplet.mu, h.triplet.lam)
