@@ -12,7 +12,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -68,15 +68,7 @@ def cmd_solve(args):
             "res_norm": rec.res_norm,
         }
         d = rec.diagnostics
-        row.update(
-            {
-                "sigma_n_jhat": d.sigma_n_jhat if d else None,
-                "c1": d.c1 if d else None,
-                "c2": d.c2 if d else None,
-                "abs_a12": d.abs_a12 if d else None,
-                "branch": d.branch.value if d else None,
-            }
-        )
+        row.update(asdict(d) if d else dict.fromkeys(f.name for f in fields(rqi.StepDiagnostics)))
         if reference is not None:
             row.update({"err_mu": rec.err_mu, "err_lambda": rec.err_lambda, "err_x": rec.err_x})
         records.append(row)

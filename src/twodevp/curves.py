@@ -105,8 +105,8 @@ def trace_curves(pair, mu_lo, mu_hi, n_grid):
     floor are bisected down to a relative step floor of 2^-20; a cell at
     the step floor is accepted as matched, and min_overlap reports it.
     """
-    if not mu_lo < mu_hi:
-        raise ValueError("need mu_lo < mu_hi")
+    if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
+        raise ValueError("need finite mu_lo < mu_hi")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
     mus = np.linspace(mu_lo, mu_hi, n_grid)

@@ -66,7 +66,10 @@ def scan(pair, mu_lo, mu_hi, n_grid):
             suspects.append((0.5 * (points[j].mu + points[j + 1].mu), int(i)))
             continue
         hits.append(hit)
-        taken.update((j, k) for k in hit.curves)
+        # a hit on a grid point also closes the bracket of the cell past it
+        cells = [j] + [c for c, g in ((j - 1, j), (j + 1, j + 1)) if 0 <= c < len(brackets)
+                       and abs(points[g].mu - hit.triplet.mu) <= hit.refined_to]
+        taken.update((c, k) for c in cells for k in hit.curves)
     return hits, suspects
 
 

@@ -7,9 +7,8 @@ One step from the iterate (mu_k, lam_k, x_k):
   2. orthonormalize the first n rows into V and rotate V so V^H C V is
      diagonal with c1 >= c2;
   3. solve the projected 2 x 2 problem (V^H A V, V^H C V) in closed form,
-     which yields two candidate triplets when the off-diagonal entry a12
-     of V^H A V exceeds TAU_MULT * (|a11| + |a22| + |a12| + 1) in modulus
-     and one otherwise;
+     which yields two candidate triplets; they coincide when the
+     off-diagonal entry a12 of V^H A V is zero;
   4. pick the candidate closest to (mu_k, lam_k) in |d mu| + |d lam| and
      lift its 2-vector through V.
 """
@@ -23,13 +22,7 @@ from .errors import NotIndefinite, RankCollapse
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet, jacobian_hat, residual
 
-TAU_MULT = 1e-10
 DEFAULT_OPTS = {"tol_abs": 1e-12, "tol_rel": 1e-14, "max_iter": 50}
-
-
-class Branch(Enum):
-    SIMPLE = "simple"      # a12 != 0, two candidates indexed by a unit phase
-    MULTIPLE = "multiple"  # a12 == 0, one candidate
 
 
 class Status(Enum):
@@ -53,7 +46,6 @@ class RitzCandidate:
     nu: float
     theta: float
     z: np.ndarray
-    branch: Branch
 
 
 @dataclass(frozen=True)
@@ -62,7 +54,6 @@ class StepDiagnostics:
     c1: float
     c2: float
     abs_a12: float
-    branch: Branch
 
 
 @dataclass
@@ -112,47 +103,34 @@ def form_rq(pair, basis):
 def solve_2x2(a11, a12, a22, c1, c2):
     """Closed-form solution of the projected 2 x 2 problem.
 
-    Returns two candidates when |a12| is above the branch threshold, one
-    otherwise.  Requires c1 > 0 > c2.
+    Returns the two candidates z = [t, +-alpha s], where (t, s) are the
+    isotropic weights of (c1, c2) and alpha = conj(a12)/|a12|; at a12 == 0,
+    alpha = 1 and the two coincide.  Requires c1 > 0 > c2.
     """
     t, s = isotropic_weights(c1, c2)
-    if abs(a12) > TAU_MULT * (abs(a11) + abs(a22) + abs(a12) + 1.0):
-        out = []
-        for sign in (+1.0, -1.0):
-            alpha = sign * a12.conjugate() / abs(a12)
-            z = np.array([t, alpha * s])
-            theta = t * t * a11 + s * s * a22 + sign * 2.0 * t * s * abs(a12)
-            num = c1 * t * t * a11 + c2 * s * s * a22 + sign * (c1 + c2) * t * s * abs(a12)
-            den = c1 * c1 * t * t + c2 * c2 * s * s
-            out.append(RitzCandidate(nu=num / den, theta=theta, z=z, branch=Branch.SIMPLE))
-        return out
-    nu = (a11 - a22) / (c1 - c2)
-    theta = (a22 * c1 - a11 * c2) / (c1 - c2)
-    z = np.array([t, s + 0j])
-    return [RitzCandidate(nu=nu, theta=theta, z=z, branch=Branch.MULTIPLE)]
+    r = abs(a12)
+    alpha = a12.conjugate() / r if a12 != 0 else 1.0 + 0j
+    den = c1 * c1 * t * t + c2 * c2 * s * s
+    out = []
+    for sign in (+1.0, -1.0):
+        theta = t * t * a11 + s * s * a22 + sign * 2.0 * t * s * r
+        num = c1 * t * t * a11 + c2 * s * s * a22 + sign * (c1 + c2) * t * s * r
+        out.append(RitzCandidate(nu=num / den, theta=theta, z=np.array([t, sign * alpha * s])))
+    return out
 
 
 def select_ritz(t_prev, candidates, basis):
     """Lift the candidate closest to the previous (mu, lam)."""
     best = min(candidates, key=lambda c: abs(t_prev.mu - c.nu) + abs(t_prev.lam - c.theta))
-    x = basis.v @ best.z
-    return Triplet(best.nu, best.theta, x), best
+    return Triplet(best.nu, best.theta, basis.v @ best.z)
 
 
 def step(pair, t):
     """One iteration of the 2DRQI.  Returns (next triplet, diagnostics)."""
     basis = projection_basis(pair, t)
     a11, a12, a22, c1, c2 = form_rq(pair, basis)
-    candidates = solve_2x2(a11, a12, a22, c1, c2)
-    t_next, chosen = select_ritz(t, candidates, basis)
-    diag = StepDiagnostics(
-        sigma_n_jhat=basis.sigma_n,
-        c1=c1,
-        c2=c2,
-        abs_a12=abs(a12),
-        branch=chosen.branch,
-    )
-    return t_next, diag
+    t_next = select_ritz(t, solve_2x2(a11, a12, a22, c1, c2), basis)
+    return t_next, StepDiagnostics(basis.sigma_n, c1, c2, abs(a12))
 
 
 def _errors_vs_reference(t, reference):
@@ -173,10 +151,13 @@ def solve(pair, t0, tol_abs=None, tol_rel=None, max_iter=None, reference=None):
     indefiniteness, nullspace rank collapse) terminate the run with the
     matching status instead of raising.  A start whose mu, lam or x is not
     finite is recorded as iterate 0 and ends the run with NON_FINITE.
+    Raises ValueError when max_iter < 0.
     """
     tol_abs = DEFAULT_OPTS["tol_abs"] if tol_abs is None else tol_abs
     tol_rel = DEFAULT_OPTS["tol_rel"] if tol_rel is None else tol_rel
     max_iter = DEFAULT_OPTS["max_iter"] if max_iter is None else max_iter
+    if max_iter < 0:
+        raise ValueError("need max_iter >= 0")
     if not np.all(np.isfinite(np.r_[t0.mu, t0.lam, t0.x])):
         return RqiTrace([IterateRecord(k=0, triplet=t0, res_norm=float("nan"))], Status.NON_FINITE)
 

@@ -53,7 +53,7 @@ def test_solve_subcommand_csv(tmp_path):
     )
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("k,mu,lambda,res_norm")
+    assert lines[0] == "k,mu,lambda,res_norm,sigma_n_jhat,c1,c2,abs_a12"
     assert len(lines) >= 2
 
 
@@ -178,6 +178,13 @@ def test_study_scaling_and_ritz_pass_on_desk_pair(tmp_path):
 
 def test_missing_pair_file_is_input_error(tmp_path):
     rc = main(["classify", "--pair", str(tmp_path / "nope.json"), "--mu", "0", "--lambda", "0"])
+    assert rc == 2
+
+
+def test_solve_negative_max_iter_is_input_error(tmp_path):
+    ppath, _ = write_reference_files(tmp_path)
+    rc = main(["solve", "--pair", ppath, "--mu0", "0.05", "--lambda0", "0.95", "--max-iter", "-1",
+               "--out", str(tmp_path / "trace.json")])
     assert rc == 2
 
 

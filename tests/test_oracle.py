@@ -139,19 +139,37 @@ def test_refine_crossing_takes_one_decomposition_per_midpoint(monkeypatch):
     assert len(calls) <= midpoints + 1
 
 
-def test_scan_files_triple_crossing_as_crossing():
-    # Three branches 1 - mu, -1 + mu and 2 - 2 mu meet at (1, 0), on a grid
-    # point.  Sorted curves 1 and 3 change slope sign there; both are one
-    # crossing, not critical points.
+def _triple_crossing_pair():
+    # Three branches 1 - mu, -1 + mu and 2 - 2 mu meet at (1, 0), which is a
+    # grid point of scan(pair, 0, 2, 21)
     q = refpairs.haar_unitary(np.random.default_rng(1), 5)
     a = q.conj().T @ np.diag([1.0, -1.0, 2.0, 5.0, -5.0]) @ q
     c = q.conj().T @ np.diag([1.0, -1.0, 2.0, 1.0, -1.0]) @ q
-    pair = HermitianPair(a, c)
+    return HermitianPair(a, c)
+
+
+def test_scan_files_triple_crossing_as_crossing():
+    # Sorted curves 1 and 3 change slope sign at the triple point; both are
+    # one crossing, not critical points.
+    pair = _triple_crossing_pair()
     hits, _ = scan(pair, 0.0, 2.0, 21)
     assert hits
     assert all(h.kind is HitKind.CROSSING for h in hits)
     for h in hits:
         assert residual(pair, h.triplet).norm <= 1e-10 * pair.scale(h.triplet.mu, h.triplet.lam)
+
+
+def test_scan_returns_a_crossing_on_a_grid_point_once():
+    # the triple point ends two grid cells; both brackets are the one hit
+    hits, _ = scan(_triple_crossing_pair(), 0.0, 2.0, 21)
+    crossings = [h for h in hits if h.kind is HitKind.CROSSING]
+    assert len(crossings) == 1
+    assert abs(crossings[0].triplet.mu - 1.0) <= 1e-12
+
+
+def test_scan_rejects_an_infinite_window():
+    with pytest.raises(ValueError):
+        scan(refpairs.simple_pair_2x2(), -1.0, np.inf, 64)
 
 
 def test_scan_requires_reasonable_grid():

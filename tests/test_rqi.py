@@ -6,7 +6,6 @@ from twodevp.curves import eigvec_derivative
 from twodevp.errors import NotIndefinite
 from twodevp.model import Triplet, residual
 from twodevp.rqi import (
-    Branch,
     Status,
     form_rq,
     projection_basis,
@@ -81,17 +80,16 @@ def test_solve_2x2_antisymmetric_example():
     got = sorted((round(c.nu, 12), round(c.theta, 12)) for c in cands)
     assert got == [(0.0, -1.0), (0.0, 1.0)]
     for c in cands:
-        assert c.branch is Branch.SIMPLE
         assert abs(np.linalg.norm(c.z) - 1.0) < 1e-12
         assert abs(c.z.conj() @ (np.array([1.0, -1.0]) * c.z)) < 1e-12
 
 
-def test_solve_2x2_multiple_branch_example():
+def test_solve_2x2_zero_a12_gives_two_candidates_at_one_point():
+    # at a12 = 0 both candidates sit at (nu, theta) = (1, 0)
     cands = solve_2x2(1.0, 0.0 + 0j, -1.0, 1.0, -1.0)
-    assert len(cands) == 1
-    c = cands[0]
-    assert c.branch is Branch.MULTIPLE
-    assert np.isclose(c.nu, 1.0) and np.isclose(c.theta, 0.0)
+    assert len(cands) == 2
+    for c in cands:
+        assert np.isclose(c.nu, 1.0) and np.isclose(c.theta, 0.0)
 
 
 def test_solve_2x2_branch_continuity():
@@ -107,11 +105,14 @@ def test_solve_2x2_requires_indefinite():
 
 
 def test_solve_2x2_candidates_solve_projected_problem():
-    # each candidate satisfies (A_k - nu C_k - theta I) z = 0
+    # each candidate satisfies (A_k - nu C_k - theta I) z = 0, for a12 of
+    # order one and for a tiny a12 at a random phase
     rng = np.random.default_rng(12)
-    for _ in range(20):
+    for k in range(21):
         a11, a22 = rng.standard_normal(2)
         a12 = rng.standard_normal() + 1j * rng.standard_normal()
+        if k == 20:
+            a12 = 1e-11 * a12 / abs(a12)
         c1, c2 = rng.uniform(0.2, 2.0), -rng.uniform(0.2, 2.0)
         ak = np.array([[a11, a12], [np.conj(a12), a22]])
         ck = np.diag([c1, c2])
@@ -125,7 +126,7 @@ def test_select_ritz_picks_nearest():
     t_prev = Triplet.normalized(0.1, 0.9, np.array([1.0, 0.8]))
     b = projection_basis(pair, t_prev)
     cands = solve_2x2(*form_rq(pair, b))
-    chosen, _ = select_ritz(t_prev, cands, b)
+    chosen = select_ritz(t_prev, cands, b)
     assert abs(chosen.mu - 0.0) + abs(chosen.lam - 1.0) < 1e-12
     assert abs(np.vdot(chosen.x, pair.c @ chosen.x)) < 1e-10
     assert abs(np.linalg.norm(chosen.x) - 1.0) < 1e-12
@@ -139,7 +140,7 @@ def test_step_contracts_near_simple_target():
     e0 = abs(t0.mu) + abs(t0.lam - 1.0)
     e1 = abs(t1.mu) + abs(t1.lam - 1.0)
     assert e1 <= e0 / 10.0
-    assert diag.branch is Branch.SIMPLE
+    assert diag.abs_a12 > 0.0
 
 
 def test_step_fixed_point_at_target():
@@ -192,6 +193,13 @@ def test_solve_max_iter_zero():
     trace = solve(pair, t0, max_iter=0)
     assert trace.status is Status.MAX_ITERATIONS
     assert len(trace.iterates) == 1
+
+
+def test_solve_rejects_negative_max_iter():
+    # a negative budget would leave the trace empty, and .final undefined
+    pair = refpairs.simple_pair_2x2()
+    with pytest.raises(ValueError):
+        solve(pair, Triplet(0.5, 0.5, np.array([1.0, 0.0])), max_iter=-1)
 
 
 def test_solve_non_finite_start_is_a_status():
