@@ -19,13 +19,19 @@ def _check_orthonormal(m, name):
 def canonical_angles(x, y):
     """Principal angles (ascending, in [0, pi/2]) between two spans.
 
-    Computed as arccos of the singular values of Y^H X.
+    An angle with sin^2 < 1/2 is the arcsin of a singular value of
+    (I - YY^H)X, and any other the arccos of one of Y^H X, so that small
+    angles keep their relative accuracy (Knyazev & Argentati, SIAM J. Sci.
+    Comput. 23, 2002).  The span with more columns plays Y.
     """
     x = _check_orthonormal(x, "X")
     y = _check_orthonormal(y, "Y")
-    sigma = np.linalg.svd(y.conj().T @ x, compute_uv=False)
-    cos = np.clip(sigma, 0.0, 1.0)
-    return np.sort(np.arccos(cos))
+    if x.shape[1] > y.shape[1]:
+        x, y = y, x
+    yx = y.conj().T @ x
+    cos = np.clip(np.linalg.svd(yx, compute_uv=False), 0.0, 1.0)
+    sin = np.clip(np.sort(np.linalg.svd(x - y @ yx, compute_uv=False)), 0.0, 1.0)
+    return np.sort(np.where(sin**2 < 0.5, np.arcsin(sin), np.arccos(cos)))
 
 
 def sin_theta_norm(x, y):

@@ -124,7 +124,6 @@ def cmd_curves(args):
         _emit_csv(rows, args.out)
     else:
         doc = {
-            "min_overlap": grid.min_overlap,
             "points": [
                 {"mu": p.mu, "values": [float(v) for v in p.values]} for p in grid.points
             ],
@@ -241,7 +240,7 @@ def build_parser():
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_classify)
 
-    pv = sub.add_parser("curves", help="trace matched eigencurves")
+    pv = sub.add_parser("curves", help="sample the sorted eigencurves")
     pv.add_argument("--pair", required=True)
     pv.add_argument("--mu-lo", type=float, required=True)
     pv.add_argument("--mu-hi", type=float, required=True)

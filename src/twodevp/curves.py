@@ -1,13 +1,11 @@
 """Eigencurve evaluation along the pencil H(mu) = A - mu*C.
 
-`eig_at` gives the sorted eigenvalues at one mu.  `match` is the one
-matcher that carries curve identity from reference eigenvectors to a new
-point by eigenvector overlap; `trace_curves` uses it across grid points,
-refining the grid adaptively near crossings, so that each matched curve is
-a discrete sample of one analytic branch.  The oracle keeps only the grid's
-points and puts each back into sorted order.  The derivative helpers give the
-first and second derivatives of the branch through (lam, x) as sums over the
-eigenpairs (w_j, v_j) of A - mu*C outside the cluster of lam, d_j = v_j^H C x:
+`eig_at` gives the eigenpairs of H(mu) at one mu, values descending, and
+`trace_curves` samples them on a uniform grid, so that curve i of the grid
+is the sorted eigencurve the oracle scans: curve 0 is the largest
+eigenvalue at every mu.  The derivative helpers give the first and second
+derivatives of the branch through (lam, x) as sums over the eigenpairs
+(w_j, v_j) of A - mu*C outside the cluster of lam, d_j = v_j^H C x:
 
     lam'(mu)  = -x^H C x
     x'(mu)    = sum_j v_j d_j / (w_j - lam)
@@ -24,16 +22,13 @@ import numpy as np
 from .errors import TwoDevpError
 from .kernels import hermitian_eig
 
-OVERLAP_FLOOR = 0.9
-STEP_FLOOR_FACTOR = 2.0 ** -20
-
 
 @dataclass(frozen=True)
 class CurvePoint:
     """Eigenvalues and eigenvectors of A - mu*C at one mu.
 
-    values[i] and vectors[:, i] belong to curve i; after continuation
-    matching the values are in curve order, not necessarily sorted.
+    values are descending; values[i] and vectors[:, i] belong to sorted
+    curve i.
     """
 
     mu: float
@@ -44,7 +39,6 @@ class CurvePoint:
 @dataclass(frozen=True)
 class EigencurveGrid:
     points: list
-    min_overlap: float
 
     @property
     def mus(self):
@@ -64,58 +58,13 @@ def eig_at(pair, mu):
     return CurvePoint(mu=mu, values=w, vectors=v)
 
 
-def match(refs, point):
-    """Continue the curves whose eigenvectors are the columns of refs to `point`.
-
-    Assigns each column of refs to a distinct column of point.vectors by
-    the greedy rule on |refs^H V|: the largest overlap first, then retire
-    its row and column.  Returns the matched values, the matched vectors
-    with the phase of each overlap removed, and the overlap magnitudes.
-    """
-    ov = refs.conj().T @ point.vectors
-    work = np.abs(ov)
-    cols = np.empty(work.shape[0], dtype=int)
-    for _ in range(cols.size):
-        i, j = np.unravel_index(np.argmax(work), work.shape)
-        cols[i] = j
-        work[i, :] = -1.0
-        work[:, j] = -1.0
-    ov = ov[np.arange(cols.size), cols]
-    mag = np.abs(ov)
-    unit = np.where(mag > 0.0, ov, 1.0)  # a zero overlap keeps its vector's phase
-    return point.values[cols], point.vectors[:, cols] * (unit.conj() / np.abs(unit)), mag
-
-
-def _refine(pair, left, right, step_floor, out, overlaps):
-    """Append matched points on (left.mu, right.mu] to `out`."""
-    values, vectors, ov = match(left.vectors, right)
-    if ov.min() >= OVERLAP_FLOOR or right.mu - left.mu <= step_floor:
-        out.append(CurvePoint(right.mu, values, vectors))
-        overlaps.append(ov.min())
-        return
-    mid = eig_at(pair, 0.5 * (left.mu + right.mu))
-    _refine(pair, left, mid, step_floor, out, overlaps)
-    _refine(pair, out[-1], right, step_floor, out, overlaps)
-
-
 def trace_curves(pair, mu_lo, mu_hi, n_grid):
-    """Sample and continuation-match the eigencurves on [mu_lo, mu_hi].
-
-    Cells where a matched eigenvector overlap falls below the overlap
-    floor are bisected down to a relative step floor of 2^-20; a cell at
-    the step floor is accepted as matched, and min_overlap reports it.
-    """
+    """Sample the sorted eigencurves at n_grid uniform points of [mu_lo, mu_hi]."""
     if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
         raise ValueError("need finite mu_lo < mu_hi")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
-    mus = np.linspace(mu_lo, mu_hi, n_grid)
-    step_floor = (mu_hi - mu_lo) * STEP_FLOOR_FACTOR
-    points = [eig_at(pair, mus[0])]
-    overlaps = []
-    for mu in mus[1:]:
-        _refine(pair, points[-1], eig_at(pair, mu), step_floor, points, overlaps)
-    return EigencurveGrid(points=points, min_overlap=float(min(overlaps)) if overlaps else 1.0)
+    return EigencurveGrid([eig_at(pair, mu) for mu in np.linspace(mu_lo, mu_hi, n_grid)])
 
 
 def slopes(pair, vectors):

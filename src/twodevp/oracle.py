@@ -48,12 +48,8 @@ def scan(pair, mu_lo, mu_hi, n_grid):
     if n_grid < 8:
         raise ValueError("need n_grid >= 8")
     points = trace_curves(pair, mu_lo, mu_hi, n_grid).points
-    for p in points:  # back into eig_at's descending order, in place
-        order = np.argsort(-p.values, kind="stable")
-        p.values[:] = p.values[order]
-        p.vectors[:] = p.vectors[:, order]
     s = np.array([slopes(pair, p.vectors) for p in points])  # (m, n)
-    brackets = (s[:-1] == 0.0) | (s[:-1] * s[1:] < 0.0)
+    brackets = s[:-1] * s[1:] <= 0.0
     flat = ~brackets & (np.abs(s[:-1]) < SUSPECT_SLOPE_TOL)
     suspects = [(points[j].mu, int(i)) for i, j in zip(*np.nonzero(flat.T))]
     hits, taken = [], set()

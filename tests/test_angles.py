@@ -12,7 +12,14 @@ SQ2 = np.sqrt(2.0)
 def test_canonical_angles_identical_subspaces():
     rng = np.random.default_rng(0)
     x, _ = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
-    assert np.allclose(canonical_angles(x, x), 0.0, atol=1e-7)
+    assert np.allclose(canonical_angles(x, x), 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("a", [1e-4, 1e-8, 1e-12])
+def test_canonical_angles_small_angle_to_relative_accuracy(a):
+    e1 = np.array([1.0, 0.0, 0.0]).reshape(-1, 1)
+    d = np.array([np.cos(a), np.sin(a), 0.0]).reshape(-1, 1)
+    assert abs(canonical_angles(e1, d)[0] - a) <= 1e-10 * a
 
 
 def test_canonical_angles_orthogonal_vectors():

@@ -77,7 +77,8 @@ def test_curves_subcommand_json_and_csv(tmp_path):
     rc = main(["curves", "--pair", str(ppath), "--mu-lo", "-1", "--mu-hi", "1", "--grid", "9", "--out", str(jout)])
     assert rc == 0
     doc = json.loads(jout.read_text())
-    assert len(doc["points"]) >= 9
+    assert list(doc) == ["points"] and len(doc["points"]) == 9
+    assert all(np.all(np.diff(p["values"]) <= 0.0) for p in doc["points"])
     cout = tmp_path / "grid.csv"
     rc = main(
         ["curves", "--pair", str(ppath), "--mu-lo", "-1", "--mu-hi", "1", "--grid", "9",

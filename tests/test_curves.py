@@ -7,7 +7,6 @@ from twodevp.curves import (
     eigvec_derivative,
     lambda_double_prime,
     lambda_prime,
-    match,
     trace_curves,
 )
 from twodevp.errors import TwoDevpError
@@ -35,9 +34,9 @@ def test_trace_curves_straight_lines_through_crossing():
     grid = trace_curves(refpairs.multiple_pair_2x2(), 0.0, 2.0, 21)
     mus, top = grid.curve(0)
     _, bot = grid.curve(1)
-    # matched curves follow the analytic lines, no swap at mu=1
-    assert np.allclose(top, 1.0 - mus, atol=1e-12)
-    assert np.allclose(bot, -1.0 + mus, atol=1e-12)
+    # the sorted curves take the kink where the lines 1 - mu and mu - 1 cross
+    assert np.allclose(top, np.abs(1.0 - mus), atol=1e-12)
+    assert np.allclose(bot, -np.abs(1.0 - mus), atol=1e-12)
 
 
 def test_trace_curves_hyperbolas():
@@ -46,12 +45,11 @@ def test_trace_curves_hyperbolas():
     _, bot = grid.curve(1)
     assert np.allclose(top, np.sqrt(1.0 + mus**2), atol=1e-12)
     assert np.allclose(bot, -np.sqrt(1.0 + mus**2), atol=1e-12)
-    assert grid.min_overlap >= 0.9
 
 
 def test_trace_curves_two_point_grid():
     grid = trace_curves(refpairs.simple_pair_2x2(), 0.2, 0.4, 2)
-    assert grid.min_overlap >= 0.9 or len(grid.points) > 2
+    assert np.array_equal(grid.mus, [0.2, 0.4])
 
 
 def test_trace_curves_bad_arguments():
@@ -69,14 +67,6 @@ def test_trace_sum_matches_trace():
         expect = np.trace(pair.a).real - p.mu * np.trace(pair.c).real
         scale = pair.norm_a + abs(p.mu) * pair.norm_c
         assert abs(np.sum(p.values) - expect) < 1e-10 * pair.n * scale
-
-
-def test_phase_fixing_nonnegative_overlaps():
-    pair, _ = refpairs.simple_pair_desk()
-    grid = trace_curves(pair, -0.3, 0.3, 13)
-    for a, b in zip(grid.points, grid.points[1:]):
-        for i in range(pair.n):
-            assert np.real(np.vdot(a.vectors[:, i], b.vectors[:, i])) >= 0.0
 
 
 def test_lambda_prime_isotropic_vector():
@@ -175,41 +165,17 @@ def test_lambda_double_prime_second_difference():
     assert abs(val - fd) < 1e-4
 
 
-def test_adaptive_refinement_near_close_curves():
-    # two nearly parallel lines with a tight avoided crossing force extra
-    # grid points between the coarse samples
-    a = np.array([[1.0, 1e-4], [1e-4, -1.0]])
-    pair = HermitianPair(a, np.diag([1.0, -1.0]))
-    grid = trace_curves(pair, 0.0, 2.0, 9)
-    assert len(grid.points) > 9
-    mus, top = grid.curve(0)
-    analytic = np.sqrt((1.0 - mus) ** 2 + 1e-8)
-    assert np.allclose(top, analytic, atol=1e-10)
-
-
-def test_match_assigns_distinct_columns():
-    # both references overlap e1 most; the greedy rule gives the second
-    # reference the next best column instead of e1 again
-    pair = HermitianPair(np.diag([3.0, 2.0, 1.0]), np.diag([1.0, -1.0, 1.0]))
-    refs = np.array([[np.sqrt(0.5), np.sqrt(0.5)], [0.5, -0.5], [0.5, -0.5]])
-    values, vectors, overlaps = match(refs, eig_at(pair, 0.0))
-    assert np.allclose(values, [3.0, 2.0])
-    assert np.allclose(overlaps, [np.sqrt(0.5), 0.5])
-    # the phase of each overlap is removed
-    assert np.allclose(np.einsum("ij,ij->j", refs.conj(), vectors), overlaps)
-
-
-def test_trace_curves_accepts_step_floor_cells_at_triple_crossing():
-    # A - C has the three-fold eigenvalue 0 at mu = 1, a grid point
+def test_trace_curves_samples_eig_at_at_triple_crossing():
+    # A - C has the three-fold eigenvalue 0 at mu = 1, a grid point; the grid
+    # adds no point there and keeps eig_at's sorted columns
     q = refpairs.haar_unitary(np.random.default_rng(0), 5)
     pair = HermitianPair(
         q.conj().T @ np.diag([1.0, -1.0, 2.0, 5.0, -5.0]) @ q,
         q.conj().T @ np.diag([1.0, -1.0, 2.0, 1.0, -1.0]) @ q,
     )
     grid = trace_curves(pair, 0.0, 2.0, 21)
-    assert len(grid.points) == 53
-    assert grid.min_overlap < 0.9
-    assert np.diff(grid.mus).min() <= 2.0 * 2.0**-20
-    for p in grid.points:
-        w = np.linalg.eigvalsh(pair.a - p.mu * pair.c)
-        assert np.allclose(np.sort(p.values), w, atol=1e-12)
+    assert len(grid.points) == 21
+    for p, mu in zip(grid.points, np.linspace(0.0, 2.0, 21)):
+        ref = eig_at(pair, mu)
+        assert p.mu == ref.mu
+        assert np.array_equal(p.values, ref.values) and np.array_equal(p.vectors, ref.vectors)

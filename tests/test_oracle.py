@@ -27,6 +27,15 @@ def test_scan_finds_both_critical_points():
     assert abs(abs(np.vdot(bot.triplet.x, np.array([1, -1]) / SQ2)) - 1.0) < 1e-8
 
 
+def test_scan_finds_critical_points_on_the_last_grid_point():
+    # the slopes vanish at mu = 0, the right end of the window
+    hits, _ = scan(refpairs.simple_pair_2x2(), -1.0, 0.0, 8)
+    crit = sorted((h.triplet for h in hits if h.kind is HitKind.CRITICAL_POINT), key=lambda t: t.lam)
+    assert len(crit) == 2
+    assert all(abs(t.mu) < 1e-12 for t in crit)
+    assert np.allclose([t.lam for t in crit], [-1.0, 1.0], atol=1e-12)
+
+
 def test_scan_finds_crossing():
     pair = refpairs.multiple_pair_2x2()
     hits, _ = scan(pair, 0.0, 2.0, 64)
@@ -165,6 +174,14 @@ def test_scan_returns_a_crossing_on_a_grid_point_once():
     crossings = [h for h in hits if h.kind is HitKind.CROSSING]
     assert len(crossings) == 1
     assert abs(crossings[0].triplet.mu - 1.0) <= 1e-12
+
+
+def test_scan_brackets_are_grid_cells():
+    # scan refines on the plain grid; it adds no point inside a cell
+    hits, _ = scan(_triple_crossing_pair(), 0.0, 2.0, 21)
+    mus = np.linspace(0.0, 2.0, 21)
+    cells = set(zip(mus, mus[1:]))
+    assert hits and all(h.bracket in cells for h in hits)
 
 
 def test_scan_rejects_an_infinite_window():
