@@ -40,10 +40,10 @@ def sin_theta_norm(x, y):
 
 
 def dist_to_set(x, s):
-    """Distance from a unit vector to a structured 2D-eigenvector set.
+    """Distance from a vector x to a structured 2D-eigenvector set.
 
-    Simple set {g*x_* : |g|=1}: the minimum sqrt(2 - 2|x_*^H x|) is
-    attained at the aligning phase g = sign(x_*^H x).  Multiple set
+    Simple set {g*x_* : |g|=1}: the minimum, sqrt(2 - 2|x_*^H x|) for a
+    unit x, is attained at the aligning phase g = sign(x_*^H x).  Multiple set
     {g1*t*v1 + g2*s*v2}: the two phases optimize independently,
     g_i = sign(v_i^H x).  The difference vector is formed explicitly
     instead of using the 2 - 2|overlap| form, which loses half the digits

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import curves as curves_mod
 from . import harness, oracle, rqi
-from .classify import Kind, classify as run_classify, eigvec_set
+from .classify import classify as run_classify, eigvec_set
 from .errors import TwoDevpError
 from .model import Triplet, complex_to_json, load_pair, load_triplet, residual, save_pair
 
@@ -109,6 +109,8 @@ def cmd_classify(args):
 
 
 def cmd_curves(args):
+    if args.vectors and args.format != "csv":
+        raise ValueError("--vectors needs --format csv")
     pair = load_pair(args.pair)
     grid = curves_mod.trace_curves(pair, args.mu_lo, args.mu_hi, args.grid)
     if args.format == "csv":
@@ -157,9 +159,8 @@ def cmd_oracle(args):
 
 def _target_from_args(args, pair):
     s = eigvec_set(pair, args.target_mu, args.target_lambda)
-    regime = "simple" if s.kind is Kind.NONSINGULAR_SIMPLE else "multiple"
     t = Triplet(args.target_mu, args.target_lambda, s.representative())
-    return harness.Target(pair=pair, triplet=t, regime=regime, vec_set=s)
+    return harness.Target(pair=pair, triplet=t, vec_set=s)
 
 
 def _window_verdicts(slopes, windows):
@@ -228,7 +229,7 @@ def build_parser():
     ps.add_argument("--x0", help="triplet file providing the starting vector (default: the nearest eigenvector)")
     ps.add_argument("--tol-abs", type=float, default=None)
     ps.add_argument("--max-iter", type=int, default=None)
-    ps.add_argument("--reference", help="triplet file with the known solution")
+    ps.add_argument("--reference", help="triplet file whose (mu, lambda) is a known nonsingular 2D-eigenvalue")
     ps.add_argument("--out")
     ps.add_argument("--format", choices=["json", "csv"], default="json")
     ps.set_defaults(func=cmd_solve)
@@ -245,7 +246,7 @@ def build_parser():
     pv.add_argument("--mu-lo", type=float, required=True)
     pv.add_argument("--mu-hi", type=float, required=True)
     pv.add_argument("--grid", type=int, default=64)
-    pv.add_argument("--vectors", action="store_true")
+    pv.add_argument("--vectors", action="store_true", help="add eigenvector columns (CSV only)")
     pv.add_argument("--out")
     pv.add_argument("--format", choices=["json", "csv"], default="json")
     pv.set_defaults(func=cmd_curves)

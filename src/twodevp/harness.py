@@ -11,7 +11,7 @@ import numpy as np
 
 from . import rqi
 from .angles import dist_to_set
-from .classify import Kind, eigvec_set
+from .classify import EigvecSet, Kind, eigvec_set
 from .curves import eig_at, eigvec_derivative
 from .errors import NotIndefinite, RankCollapse, TwoDevpError
 from .kernels import diagonalize_form, orthonormalize
@@ -30,17 +30,24 @@ RITZ_WINDOWS = {"theta": (1.6, 2.4), "nu": (1.7, 2.3)}
 
 @dataclass(frozen=True)
 class Target:
-    """A known 2D-eigentriplet to perturb around."""
+    """A known 2D-eigentriplet to perturb around, with its 2D-eigenvector set."""
 
     pair: HermitianPair
     triplet: Triplet
-    regime: str  # "simple" | "multiple"
-    vec_set: object = None
+    vec_set: EigvecSet
+
+    @property
+    def regime(self):
+        """"simple" at a simple 2D-eigenvalue, "multiple" at a multiple one."""
+        return "simple" if self.vec_set.kind is Kind.NONSINGULAR_SIMPLE else "multiple"
 
     @classmethod
     def at(cls, pair, triplet, regime):
-        s = eigvec_set(pair, triplet.mu, triplet.lam)
-        return cls(pair=pair, triplet=triplet, regime=regime, vec_set=s)
+        """Target at the triplet's (mu, lam); ValueError unless its regime is `regime`."""
+        target = cls(pair=pair, triplet=triplet, vec_set=eigvec_set(pair, triplet.mu, triplet.lam))
+        if target.regime != regime:
+            raise ValueError("(%r, %r) is %s, not %s" % (triplet.mu, triplet.lam, target.regime, regime))
+        return target
 
     def dist_x(self, x):
         return dist_to_set(x, self.vec_set)
@@ -73,10 +80,10 @@ class ConditioningReport:
     c_star: tuple
 
 
-def convergence_order(errors, noise_floor=NOISE_FLOOR):
+def convergence_order(errors):
     """Per-step empirical orders p_k = log(e_{k+1}/e_k) / log(e_k/e_{k-1}).
 
-    Steps touching values at or below the noise floor, or where the
+    Steps touching values at or below NOISE_FLOOR, or where the
     sequence is not strictly decreasing, are excluded.
     """
     errors = np.asarray(errors, dtype=float)
@@ -85,7 +92,7 @@ def convergence_order(errors, noise_floor=NOISE_FLOOR):
     orders = []
     for k in range(1, errors.size - 1):
         e0, e1, e2 = errors[k - 1], errors[k], errors[k + 1]
-        if min(e0, e1, e2) <= noise_floor or not (e0 > e1 > e2):
+        if min(e0, e1, e2) <= NOISE_FLOOR or not (e0 > e1 > e2):
             continue
         orders.append(float(np.log(e2 / e1) / np.log(e1 / e0)))
     return OrderEstimate(orders=orders)
@@ -106,8 +113,9 @@ def perturbed_start(target, eps, seed, trial=0):
     """Seeded start at controlled distance eps from the target.
 
     Simple regime: all three components perturbed at O(eps).  Multiple
-    regime: scalars perturbed at O(eps^2), the vector at O(eps), matching
-    the hypothesis under which the multiple-case one-step bounds hold.
+    regime: scalars perturbed at O(eps^2), the vector at O(eps) from the
+    set's representative, matching the hypothesis under which the
+    multiple-case one-step bounds hold.
     """
     if not 0.0 <= eps <= 0.3:
         raise ValueError("eps must be in [0, 0.3]")

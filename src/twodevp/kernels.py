@@ -106,7 +106,3 @@ def pinv_apply(m, b, rank_tol=None):
     w, v = hermitian_eig(m)
     keep = np.abs(w) > rank_tol * np.max(np.abs(w), initial=0.0)
     return v[:, keep] @ ((v[:, keep].conj().T @ b) / w[keep])
-
-
-def spectral_norm(m):
-    return float(np.linalg.norm(as_matrix(m), 2))

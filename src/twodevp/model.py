@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotIndefinite, TwoDevpError
-from .kernels import check_hermitian, hermitian_eig, spectral_norm
+from .kernels import check_hermitian
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,21 @@ class HermitianPair:
         c = check_hermitian(self.c)
         if a.shape != c.shape:
             raise TwoDevpError("A is %dx%d but C is %dx%d" % (a.shape + c.shape))
-        w, _ = hermitian_eig(c)
-        thr = 1e-12 * max(np.max(np.abs(w), initial=0.0), 1e-300)
-        if not (w[0] > thr and w[-1] < -thr):
+        try:
+            wa, wc = np.linalg.eigvalsh(a), np.linalg.eigvalsh(c)  # ascending
+        except np.linalg.LinAlgError as exc:
+            raise TwoDevpError(str(exc))
+        norm_a, norm_c = max(-wa[0], wa[-1]), max(-wc[0], wc[-1])
+        thr = 1e-12 * max(norm_c, 1e-300)
+        if not (wc[-1] > thr and wc[0] < -thr):
             raise NotIndefinite("C must have both positive and negative eigenvalues")
         a.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "n", a.shape[0])
-        object.__setattr__(self, "norm_a", spectral_norm(a))
-        object.__setattr__(self, "norm_c", spectral_norm(c))
+        object.__setattr__(self, "norm_a", float(norm_a))
+        object.__setattr__(self, "norm_c", float(norm_c))
 
     def shifted(self, mu, lam):
         """The Hermitian matrix A - mu*C - lam*I."""

@@ -50,7 +50,10 @@ def scan(pair, mu_lo, mu_hi, n_grid):
     points = trace_curves(pair, mu_lo, mu_hi, n_grid).points
     s = np.array([slopes(pair, p.vectors) for p in points])  # (m, n)
     brackets = s[:-1] * s[1:] <= 0.0
-    flat = ~brackets & (np.abs(s[:-1]) < SUSPECT_SLOPE_TOL)
+    # a nearly flat point is suspect unless a cell it bounds has a bracket
+    flat = np.abs(s) < SUSPECT_SLOPE_TOL
+    flat[:-1] &= ~brackets
+    flat[1:] &= ~brackets
     suspects = [(points[j].mu, int(i)) for i, j in zip(*np.nonzero(flat.T))]
     hits, taken = [], set()
     for i, j in zip(*np.nonzero(brackets.T)):

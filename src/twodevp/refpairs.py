@@ -26,10 +26,9 @@ def simple_pair_2x2():
     return HermitianPair(a, c)
 
 
-def simple_target_2x2(top=True):
-    if top:
-        return Triplet(0.0, 1.0, np.array([1.0, 1.0]) / SQ2)
-    return Triplet(0.0, -1.0, np.array([1.0, -1.0]) / SQ2)
+def simple_target_2x2():
+    """The top target (0, 1, (e1+e2)/sqrt 2) of simple_pair_2x2."""
+    return Triplet(0.0, 1.0, np.array([1.0, 1.0]) / SQ2)
 
 
 def multiple_pair_2x2():
@@ -49,41 +48,31 @@ def haar_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def simple_pair_desk(n=8, seed=20260826):
-    """Dense n x n pair with the simple target of the 2 x 2 pair embedded.
+def simple_pair_desk():
+    """Dense 8 x 8 pair with the simple target of the 2 x 2 pair embedded.
 
-    Built by padding the 2 x 2 pair with well-separated diagonal curves
-    and conjugating by a fixed unitary; the target is (0, 1, Q^H e12).
+    Built by padding the 2 x 2 pair with three well-separated pairs of
+    diagonal curves and conjugating by a fixed unitary; the target is
+    (0, 1, Q^H e12).
     """
-    assert n >= 4 and n % 2 == 0
-    a = np.zeros((n, n))
+    a = np.zeros((8, 8))
     a[0, 1] = a[1, 0] = 1.0
-    pad = []
-    c_diag = [1.0, -1.0]
-    for i in range((n - 2) // 2):
-        pad += [2.5 + 0.9 * i, -(2.5 + 0.8 * i)]
-        c_diag += [1.0, -1.0]
-    a[2:, 2:] = np.diag(pad)
-    c = np.diag(c_diag)
-    q = haar_unitary(np.random.default_rng(seed), n)
-    x = np.zeros(n, dtype=complex)
+    a[2:, 2:] = np.diag([v for i in range(3) for v in (2.5 + 0.9 * i, -(2.5 + 0.8 * i))])
+    c = np.diag([1.0, -1.0] * 4)
+    q = haar_unitary(np.random.default_rng(20260826), 8)
+    x = np.zeros(8, dtype=complex)
     x[0] = x[1] = 1.0 / SQ2
     return HermitianPair(q.conj().T @ a @ q, q.conj().T @ c @ q), Triplet(0.0, 1.0, q.conj().T @ x)
 
 
-def multiple_pair_desk(n=6):
-    """Diagonal pair with a nonsingular multiple target at (1, 0).
+def multiple_pair_desk():
+    """Diagonal 6 x 6 pair with a nonsingular multiple target at (1, 0).
 
     Curves are the lines a_i - mu*c_i; the first two cross at mu = 1 with
-    slopes -1 and +1, the rest stay away from lambda = 0 near mu = 1.
+    slopes -1 and +1, the other four stay away from lambda = 0 near mu = 1.
     """
-    assert n >= 2 and n % 2 == 0
-    a_diag = [1.0, -1.0]
-    c_diag = [1.0, -1.0]
-    for i in range((n - 2) // 2):
-        a_diag += [3.0 + 1.1 * i, -(3.0 + 0.9 * i)]
-        c_diag += [1.0, -1.0]
-    pair = HermitianPair(np.diag(a_diag), np.diag(c_diag))
-    x = np.zeros(n, dtype=complex)
+    a_diag = [1.0, -1.0] + [v for i in range(2) for v in (3.0 + 1.1 * i, -(3.0 + 0.9 * i))]
+    pair = HermitianPair(np.diag(a_diag), np.diag([1.0, -1.0] * 3))
+    x = np.zeros(6, dtype=complex)
     x[0] = x[1] = 1.0 / SQ2
     return pair, Triplet(1.0, 0.0, x)

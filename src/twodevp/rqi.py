@@ -18,6 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+from .angles import dist_to_set
+from .classify import eigvec_set
 from .errors import NotIndefinite, RankCollapse
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet, jacobian_hat, residual
@@ -133,31 +135,25 @@ def step(pair, t):
     return t_next, StepDiagnostics(basis.sigma_n, c1, c2, abs(a12))
 
 
-def _errors_vs_reference(t, reference):
-    if reference is None:
-        return None, None, None
-    rx = reference.x / np.linalg.norm(reference.x)
-    tx = t.x / np.linalg.norm(t.x)
-    ov = np.vdot(rx, tx)
-    phase = ov / abs(ov) if abs(ov) > 0 else 1.0
-    err_x = float(np.linalg.norm(tx - phase * rx))
-    return abs(t.mu - reference.mu), abs(t.lam - reference.lam), err_x
-
-
-def solve(pair, t0, tol_abs=None, tol_rel=None, max_iter=None, reference=None):
+def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     """Run the 2DRQI from t0 until the residual is small or max_iter hits.
 
-    Failures that the local theory anticipates (projected C losing
-    indefiniteness, nullspace rank collapse) terminate the run with the
-    matching status instead of raising.  A start whose mu, lam or x is not
-    finite is recorded as iterate 0 and ends the run with NON_FINITE.
-    Raises ValueError when max_iter < 0.
+    The run converges once the residual norm is at most tol_abs +
+    DEFAULT_OPTS["tol_rel"] * (|A| + |mu| |C| + |lam|).  Given a reference
+    triplet, each iterate records its distances to the reference's
+    (mu, lam) and, as err_x, to the 2D-eigenvector set there.  Failures
+    that the local theory anticipates (projected C losing indefiniteness,
+    nullspace rank collapse) end the run with the matching status instead
+    of raising.  A non-finite start is recorded as iterate 0 and ends the
+    run with NON_FINITE.  Raises ValueError when max_iter < 0, and
+    TwoDevpError when the reference's (mu, lam) is not a nonsingular
+    2D-eigenvalue.
     """
     tol_abs = DEFAULT_OPTS["tol_abs"] if tol_abs is None else tol_abs
-    tol_rel = DEFAULT_OPTS["tol_rel"] if tol_rel is None else tol_rel
     max_iter = DEFAULT_OPTS["max_iter"] if max_iter is None else max_iter
     if max_iter < 0:
         raise ValueError("need max_iter >= 0")
+    vec_set = None if reference is None else eigvec_set(pair, reference.mu, reference.lam)
     if not np.all(np.isfinite(np.r_[t0.mu, t0.lam, t0.x])):
         return RqiTrace([IterateRecord(k=0, triplet=t0, res_norm=float("nan"))], Status.NON_FINITE)
 
@@ -165,11 +161,12 @@ def solve(pair, t0, tol_abs=None, tol_rel=None, max_iter=None, reference=None):
     t = t0
     for k in range(max_iter + 1):
         res = residual(pair, t)
-        em, el, ex = _errors_vs_reference(t, reference)
-        trace.iterates.append(
-            IterateRecord(k=k, triplet=t, res_norm=res.norm, err_mu=em, err_lambda=el, err_x=ex)
-        )
-        tol = tol_abs + tol_rel * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
+        rec = IterateRecord(k=k, triplet=t, res_norm=res.norm)
+        if vec_set is not None:
+            rec.err_mu, rec.err_lambda = abs(t.mu - reference.mu), abs(t.lam - reference.lam)
+            rec.err_x = dist_to_set(t.x, vec_set)
+        trace.iterates.append(rec)
+        tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
         if res.norm <= tol:
             trace.status = Status.CONVERGED
             return trace

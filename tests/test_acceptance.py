@@ -126,9 +126,9 @@ def test_one_step_error_scaling_multiple():
     tgt2 = harness.Target(
         pair=pair2,
         triplet=Triplet(h.triplet.mu, h.triplet.lam, s.representative()),
-        regime="multiple",
         vec_set=s,
     )
+    assert tgt2.regime == "multiple"
     study2 = harness.scaling_study(tgt2, eps_list, 50, 0)
     bad += window_violations(study2.fitted_slopes, MULTIPLE_WINDOWS, "random-crossing")
     assert time.monotonic() - start < 10.0
@@ -322,8 +322,7 @@ def test_oracle_solver_closure_on_random_pairs():
             if c.kind is Kind.SINGULAR:
                 continue
             s = td.eigvec_set(pair, h.triplet.mu, h.triplet.lam)
-            regime = "simple" if c.kind is Kind.NONSINGULAR_SIMPLE else "multiple"
-            tgt = harness.Target(pair=pair, triplet=h.triplet, regime=regime, vec_set=s)
+            tgt = harness.Target(pair=pair, triplet=h.triplet, vec_set=s)
             t0 = harness.perturbed_start(tgt, 1e-3, seed, trial=0)
             trace = td.solve(pair, t0)
             assert trace.status is td.Status.CONVERGED

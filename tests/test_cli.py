@@ -5,7 +5,7 @@ import numpy as np
 from twodevp import refpairs
 from twodevp.cli import main
 from twodevp.curves import trace_curves
-from twodevp.model import load_pair, save_pair, save_triplet
+from twodevp.model import Triplet, load_pair, save_pair, save_triplet
 
 
 def write_reference_files(tmp_path):
@@ -187,6 +187,24 @@ def test_solve_negative_max_iter_is_input_error(tmp_path):
     rc = main(["solve", "--pair", ppath, "--mu0", "0.05", "--lambda0", "0.95", "--max-iter", "-1",
                "--out", str(tmp_path / "trace.json")])
     assert rc == 2
+
+
+def test_solve_bad_reference_is_input_error(tmp_path):
+    ppath, _ = write_reference_files(tmp_path)
+    _, trip = refpairs.simple_pair_desk()
+    rpath = tmp_path / "bad_ref.json"
+    save_triplet(Triplet(0.0, 0.5, trip.x), rpath)
+    rc = main(["solve", "--pair", ppath, "--mu0", "0.05", "--lambda0", "0.95",
+               "--reference", str(rpath), "--out", str(tmp_path / "trace.json")])
+    assert rc == 2
+
+
+def test_curves_vectors_without_csv_is_input_error(tmp_path):
+    ppath, _ = write_reference_files(tmp_path)
+    out = tmp_path / "grid.json"
+    rc = main(["curves", "--pair", ppath, "--mu-lo", "-1", "--mu-hi", "1", "--vectors",
+               "--out", str(out)])
+    assert rc == 2 and not out.exists()
 
 
 def test_bad_pair_schema_is_input_error(tmp_path):

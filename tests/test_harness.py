@@ -42,7 +42,7 @@ def test_convergence_order_linear_sequence():
 
 
 def test_convergence_order_excludes_noise_floor():
-    est = convergence_order([1e-2, 1e-5, 1e-16], noise_floor=1e-13)
+    est = convergence_order([1e-2, 1e-5, 1e-16])
     assert est.orders == []
 
 
@@ -190,3 +190,13 @@ def test_target_at_builds_consistent_triplet():
     tgt = multiple_target()
     assert residual(tgt.pair, tgt.triplet).norm < 1e-12
     assert tgt.dist_x(tgt.vec_set.representative()) < 1e-12
+
+
+def test_target_regime_comes_from_its_eigenvector_set():
+    assert simple_target().regime == "simple" and multiple_target().regime == "multiple"
+    pair, trip = refpairs.simple_pair_desk()
+    with pytest.raises(ValueError, match="is simple, not multiple"):
+        Target.at(pair, trip, "multiple")
+    pair, trip = refpairs.multiple_pair_desk()
+    with pytest.raises(ValueError, match="is multiple, not simple"):
+        Target.at(pair, trip, "simple")

@@ -7,7 +7,6 @@ from twodevp.kernels import (
     hermitian_eig,
     orthonormalize,
     pinv_apply,
-    spectral_norm,
 )
 
 
@@ -110,9 +109,3 @@ def test_reconstruction_at_larger_sizes():
         w, v = hermitian_eig(m)
         err = np.linalg.norm(m - v @ np.diag(w) @ v.conj().T, 2)
         assert err < 1e-11 * n * np.linalg.norm(m, 2)
-
-
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((5, 3))
-    assert np.isclose(spectral_norm(m), np.linalg.svd(m, compute_uv=False)[0])

@@ -36,6 +36,17 @@ def test_pair_requires_matching_shapes():
         HermitianPair(np.eye(3), np.diag([1.0, -1.0]))
 
 
+def test_pair_norms_match_svd():
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 16):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        d = np.diag(np.where(np.arange(n) % 2 == 0, 3.0, -0.5))
+        pair = HermitianPair(0.5 * (g + g.conj().T), d)
+        for norm, m in ((pair.norm_a, pair.a), (pair.norm_c, pair.c)):
+            assert type(norm) is float
+            assert abs(norm - np.linalg.svd(m, compute_uv=False)[0]) <= 1e-14 * norm
+
+
 def test_residual_zero_at_simple_solution():
     pair = refpairs.simple_pair_2x2()
     rep = residual(pair, refpairs.simple_target_2x2())

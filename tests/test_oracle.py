@@ -199,4 +199,15 @@ def test_scan_flags_flat_slope_as_suspect():
     # sign change, but flagged as suspect at every grid point
     pair = HermitianPair(np.diag([0.0, 5.0, -5.0]), np.diag([1e-9, 1.0, -1.0]))
     hits, suspects = scan(pair, -1.0, 1.0, 16)
-    assert suspects and all(type(i) is int for _, i in suspects)
+    assert not hits and all(type(i) is int for _, i in suspects)
+    assert sorted(mu for mu, _ in suspects) == list(np.linspace(-1.0, 1.0, 16))
+
+
+def test_scan_flags_a_flat_last_grid_point_as_suspect():
+    # the slopes -+mu/sqrt(1 + mu^2) of the curves +-sqrt(1 + mu^2) keep
+    # their sign on each window but are below the tolerance at mu = +-1e-9
+    right = scan(refpairs.simple_pair_2x2(), 1e-9, 1.0, 8)
+    left = scan(refpairs.simple_pair_2x2(), -1.0, -1e-9, 8)
+    assert right[0] == [] and left[0] == []
+    assert sorted(right[1]) == [(1e-9, 0), (1e-9, 1)]
+    assert sorted(left[1]) == [(-1e-9, 0), (-1e-9, 1)]

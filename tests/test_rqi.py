@@ -3,7 +3,8 @@ import pytest
 
 from twodevp import refpairs
 from twodevp.curves import eigvec_derivative
-from twodevp.errors import NotIndefinite
+from twodevp.errors import NotIndefinite, TwoDevpError
+from twodevp.harness import Target, perturbed_start
 from twodevp.model import Triplet, residual
 from twodevp.rqi import (
     Status,
@@ -228,6 +229,36 @@ def test_solve_records_reference_errors():
     usable = [e for e in errs if e > 1e-13]
     for e0, e1 in zip(usable[-3:], usable[-2:]):
         assert np.log(e1) <= 1.7 * np.log(e0) + 1.0
+
+
+def test_solve_measures_err_x_to_the_eigenvector_set():
+    # at a multiple 2D-eigenvalue the eigenvectors form a torus, so a run
+    # may converge to a vector of the set far from the reference's x
+    pair, trip = refpairs.multiple_pair_desk()
+    target = Target.at(pair, trip, "multiple")
+    converged = 0
+    for k in range(20):
+        trace = solve(pair, perturbed_start(target, 1e-2, 7, trial=k), reference=trip)
+        if trace.status is Status.CONVERGED:
+            converged += 1
+            assert trace.iterates[-1].err_x <= 1e-12
+    assert converged > 0
+
+
+def test_solve_rejects_a_reference_that_is_no_2d_eigenvalue():
+    pair, trip = refpairs.simple_pair_desk()
+    t0 = Triplet.normalized(trip.mu + 0.01, trip.lam + 0.01, trip.x)
+    # A - 0*C has no eigenvalue near 0.5
+    with pytest.raises(TwoDevpError, match="no eigenvalue"):
+        solve(pair, t0, reference=Triplet(0.0, 0.5, trip.x))
+
+
+def test_solve_reference_error_of_a_zero_start():
+    # the zero vector is at distance 1 from every set of unit vectors
+    pair, trip = refpairs.simple_pair_desk()
+    trace = solve(pair, Triplet(trip.mu, trip.lam, np.zeros(pair.n)), reference=trip)
+    assert trace.status is Status.JACOBIAN_NEAR_SINGULAR
+    assert abs(trace.iterates[0].err_x - 1.0) <= 1e-14
 
 
 def test_solve_final_residual_consistent():
