@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from .classify import Kind
 from .errors import TwoDevpError
 
 
@@ -40,20 +39,16 @@ def sin_theta_norm(x, y):
 
 
 def dist_to_set(x, s):
-    """Distance from a vector x to a structured 2D-eigenvector set.
+    """Distance from a vector x to the 2D-eigenvector set s (classify.EigvecSet).
 
-    Simple set {g*x_* : |g|=1}: the minimum, sqrt(2 - 2|x_*^H x|) for a
-    unit x, is attained at the aligning phase g = sign(x_*^H x).  Multiple set
-    {g1*t*v1 + g2*s*v2}: the two phases optimize independently,
-    g_i = sign(v_i^H x).  The difference vector is formed explicitly
-    instead of using the 2 - 2|overlap| form, which loses half the digits
-    to cancellation near the set.
+    The set is {sum_i g_i w_i v_i : |g_i| = 1} over the columns v_i of s.v
+    and the weights w_i of s.w.  The phases optimize independently, so the
+    nearest member takes g_i = phase(v_i^H x).  The difference vector is
+    formed explicitly instead of using a 2 - 2|overlap| form, which loses
+    half the digits to cancellation near the set.
     """
     x = np.asarray(x, dtype=complex).reshape(-1)
-    if s.kind is Kind.NONSINGULAR_SIMPLE:
-        return float(np.linalg.norm(x - _phase(np.vdot(s.x, x)) * s.x))
-    y = s.t * _phase(np.vdot(s.v[:, 0], x)) * s.v[:, 0] \
-        + s.s * _phase(np.vdot(s.v[:, 1], x)) * s.v[:, 1]
+    y = sum(w * _phase(np.vdot(v, x)) * v for v, w in zip(s.v.T, s.w))
     return float(np.linalg.norm(x - y))
 
 

@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import curves
+from .angles import dist_to_set
 from .errors import NotIndefinite, TwoDevpError
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet, jacobian
@@ -41,22 +42,30 @@ class Classification:
 class EigvecSet:
     """The set of unit 2D-eigenvectors at a nonsingular (mu, lam).
 
-    Simple: all unit-phase multiples of x.  Multiple: all vectors
-    g1*t*v1 + g2*s*v2 with |g1| = |g2| = 1, where (v1, v2) are the columns
-    of v and (t, s) are fixed mixing weights from the cluster form of C.
+    Its members are v @ diag(g) @ w with |g_i| = 1: v is n x k with
+    orthonormal columns and w holds k fixed weights.  At a simple
+    2D-eigenvalue k = 1 and w = [1], so the set is the phase circle of one
+    eigenvector; at a multiple one k = 2 and w = (t, s), the isotropic
+    weights of the cluster form of C, so the set is a torus.
     """
 
-    kind: Kind
-    x: np.ndarray = None       # simple representative
-    v: np.ndarray = None       # n x 2 orthonormal, multiple case
-    t: float = None
-    s: float = None
+    mu: float
+    lam: float
+    v: np.ndarray
+    w: np.ndarray
+
+    @property
+    def kind(self):
+        """NONSINGULAR_SIMPLE when v has one column, else NONSINGULAR_MULTIPLE."""
+        return Kind.NONSINGULAR_SIMPLE if self.v.shape[1] == 1 else Kind.NONSINGULAR_MULTIPLE
 
     def representative(self):
         """One concrete unit 2D-eigenvector from the set."""
-        if self.kind is Kind.NONSINGULAR_SIMPLE:
-            return self.x
-        return self.t * self.v[:, 0] + self.s * self.v[:, 1]
+        return self.v @ self.w
+
+    def errors(self, mu, lam, x):
+        """(|mu - mu_*|, |lam - lam_*|, distance from x to the set)."""
+        return abs(mu - self.mu), abs(lam - self.lam), dist_to_set(x, self)
 
 
 def default_tol_sing(pair):
@@ -86,8 +95,9 @@ def multiplicity(pair, mu, lam):
 def _classify(pair, mu, lam):
     """Classify (mu, lam) from one eigendecomposition of A - mu*C.
 
-    Returns (classification without sigma_min_j, an isotropic unit vector
-    or None, the EigvecSet or None when the point is singular).
+    Returns (classification without sigma_min_j, v, w) where v @ w is an
+    isotropic unit vector as in EigvecSet, or v = w = None when there is
+    none.
     """
     tol_sing = default_tol_sing(pair)
     point = curves.eig_at(pair, mu)
@@ -103,37 +113,33 @@ def _classify(pair, mu, lam):
                 "x^H C x = %.3e: the simple eigenvector is not isotropic" % iso
             )
         ldp = curves.branch_derivatives(pair, point, lam, x)[1]
-        simple = abs(ldp) > tol_sing
-        kind = Kind.NONSINGULAR_SIMPLE if simple else Kind.SINGULAR
-        cls = Classification(kind, k, ldp, np.array([]), float("nan"))
-        return cls, x, EigvecSet(kind=kind, x=x) if simple else None
+        kind = Kind.NONSINGULAR_SIMPLE if abs(ldp) > tol_sing else Kind.SINGULAR
+        return Classification(kind, k, ldp, np.array([]), float("nan")), x[:, None], np.ones(1)
 
     v, c_eigs = diagonalize_form(pair.c, basis)
     c1, c2 = float(c_eigs[0]), float(c_eigs[-1])
     cls = Classification(Kind.SINGULAR, k, float("nan"), c_eigs, float("nan"))
     try:
-        t, s = isotropic_weights(c1, c2)
+        w = np.array(isotropic_weights(c1, c2))
     except NotIndefinite:
         return cls, None, None
-    rep = t * v[:, 0] + s * v[:, -1]
     if k > 2 or not (c1 > tol_sing and c2 < -tol_sing):
-        return cls, rep, None
-    vec_set = EigvecSet(kind=Kind.NONSINGULAR_MULTIPLE, v=v, t=float(t), s=float(s))
-    return replace(cls, kind=vec_set.kind), rep, vec_set
+        return cls, v[:, [0, -1]], w
+    return replace(cls, kind=Kind.NONSINGULAR_MULTIPLE), v, w
 
 
 def classify(pair, mu, lam):
     """Classify the candidate 2D-eigenvalue (mu, lam)."""
-    cls, rep, _ = _classify(pair, mu, lam)
-    if rep is None:
+    cls, v, w = _classify(pair, mu, lam)
+    if v is None:
         return cls
-    j = jacobian(pair, Triplet(mu, lam, rep))
+    j = jacobian(pair, Triplet(mu, lam, v @ w))
     return replace(cls, sigma_min_j=float(np.linalg.svd(j, compute_uv=False)[-1]))
 
 
 def eigvec_set(pair, mu, lam):
     """The structured set of 2D-eigenvectors at a nonsingular (mu, lam)."""
-    vec_set = _classify(pair, mu, lam)[2]
-    if vec_set is None:
+    cls, v, w = _classify(pair, mu, lam)
+    if cls.kind is Kind.SINGULAR:
         raise TwoDevpError("eigvec_set is defined only for nonsingular classifications")
-    return vec_set
+    return EigvecSet(float(mu), float(lam), v, w)

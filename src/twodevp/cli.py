@@ -20,6 +20,7 @@ from . import curves as curves_mod
 from . import harness, oracle, rqi
 from .classify import classify as run_classify, eigvec_set
 from .errors import TwoDevpError
+from .kernels import isotropic_weights
 from .model import Triplet, complex_to_json, load_pair, load_triplet, residual, save_pair
 
 
@@ -44,8 +45,24 @@ def _emit(doc, path):
 
 
 def _auto_x0(pair, mu0, lam0):
+    """Start vector for solve without --x0.
+
+    x_p is the eigenvector of A - mu0*C nearest lam0 and x_n the nearest
+    one whose x^H C x has the other sign.  The start is t x_p + s x_n,
+    with (t, s) the isotropic weights of the two values of x^H C x, which
+    is isotropic when x_p^H C x_n = 0.  When every x^H C x has one sign
+    it is x_p.
+    """
     point = curves_mod.eig_at(pair, mu0)
-    return point.vectors[:, int(np.argmin(np.abs(point.values - lam0)))]
+    order = np.argsort(np.abs(point.values - lam0), kind="stable")
+    forms = -curves_mod.slopes(pair, point.vectors)  # x^H C x of each column
+    p = order[0]
+    n = next((i for i in order if forms[i] * forms[p] < 0), None)
+    if n is None:
+        return point.vectors[:, p]
+    pos, neg = (p, n) if forms[p] > 0 else (n, p)
+    t, s = isotropic_weights(forms[pos], forms[neg])
+    return t * point.vectors[:, pos] + s * point.vectors[:, neg]
 
 
 def cmd_solve(args):
@@ -157,12 +174,6 @@ def cmd_oracle(args):
     return 0
 
 
-def _target_from_args(args, pair):
-    s = eigvec_set(pair, args.target_mu, args.target_lambda)
-    t = Triplet(args.target_mu, args.target_lambda, s.representative())
-    return harness.Target(pair=pair, triplet=t, vec_set=s)
-
-
 def _window_verdicts(slopes, windows):
     verdicts = []
     for key, (lo, hi) in windows.items():
@@ -174,7 +185,7 @@ def _window_verdicts(slopes, windows):
 
 def cmd_study(args):
     pair = load_pair(args.pair)
-    target = _target_from_args(args, pair)
+    target = harness.Target(pair, eigvec_set(pair, args.target_mu, args.target_lambda))
     eps_list = [float(e) for e in args.eps]
     if args.kind == "scaling":
         study = harness.scaling_study(target, eps_list, args.trials, args.seed)
@@ -226,7 +237,8 @@ def build_parser():
     ps.add_argument("--pair", required=True)
     ps.add_argument("--mu0", type=float, required=True)
     ps.add_argument("--lambda0", type=float, required=True)
-    ps.add_argument("--x0", help="triplet file providing the starting vector (default: the nearest eigenvector)")
+    ps.add_argument("--x0", help="triplet file providing the starting vector (default: the isotropic "
+                    "mix of two eigenvectors of A - mu0 C near lambda0)")
     ps.add_argument("--tol-abs", type=float, default=None)
     ps.add_argument("--max-iter", type=int, default=None)
     ps.add_argument("--reference", help="triplet file whose (mu, lambda) is a known nonsingular 2D-eigenvalue")

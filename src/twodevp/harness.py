@@ -6,11 +6,11 @@ byte-for-byte and trials could run in any order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import rqi
-from .angles import dist_to_set
 from .classify import EigvecSet, Kind, eigvec_set
 from .curves import eig_at, eigvec_derivative
 from .errors import NotIndefinite, RankCollapse, TwoDevpError
@@ -30,11 +30,16 @@ RITZ_WINDOWS = {"theta": (1.6, 2.4), "nu": (1.7, 2.3)}
 
 @dataclass(frozen=True)
 class Target:
-    """A known 2D-eigentriplet to perturb around, with its 2D-eigenvector set."""
+    """A known nonsingular 2D-eigenvalue of `pair`, held as its 2D-eigenvector set."""
 
     pair: HermitianPair
-    triplet: Triplet
     vec_set: EigvecSet
+
+    @cached_property
+    def triplet(self):
+        """(mu, lam) of the set with its representative as x."""
+        s = self.vec_set
+        return Triplet(s.mu, s.lam, s.representative())
 
     @property
     def regime(self):
@@ -43,14 +48,15 @@ class Target:
 
     @classmethod
     def at(cls, pair, triplet, regime):
-        """Target at the triplet's (mu, lam); ValueError unless its regime is `regime`."""
-        target = cls(pair=pair, triplet=triplet, vec_set=eigvec_set(pair, triplet.mu, triplet.lam))
+        """Target at the triplet's (mu, lam); ValueError unless its regime is `regime`.
+
+        Only triplet.mu and triplet.lam are read: the 2D-eigenvectors come
+        from eigvec_set, in both regimes.
+        """
+        target = cls(pair, eigvec_set(pair, triplet.mu, triplet.lam))
         if target.regime != regime:
             raise ValueError("(%r, %r) is %s, not %s" % (triplet.mu, triplet.lam, target.regime, regime))
         return target
-
-    def dist_x(self, x):
-        return dist_to_set(x, self.vec_set)
 
 
 @dataclass
@@ -112,23 +118,19 @@ def _unit_perp(rng, x):
 def perturbed_start(target, eps, seed, trial=0):
     """Seeded start at controlled distance eps from the target.
 
-    Simple regime: all three components perturbed at O(eps).  Multiple
-    regime: scalars perturbed at O(eps^2), the vector at O(eps) from the
-    set's representative, matching the hypothesis under which the
-    multiple-case one-step bounds hold.
+    The vector is the set's representative perturbed at O(eps) in both
+    regimes.  The scalars are perturbed at O(eps) in the simple regime and
+    at O(eps^2) in the multiple regime, matching the hypothesis under
+    which the multiple-case one-step bounds hold.
     """
     if not 0.0 <= eps <= 0.3:
         raise ValueError("eps must be in [0, 0.3]")
     rng = _trial_rng(seed, trial)
     u1, u2 = rng.uniform(-1.0, 1.0, size=2)
-    base = target.vec_set.representative() if target.regime == "multiple" else target.triplet.x
-    w = _unit_perp(rng, base)
+    tgt = target.triplet
+    w = _unit_perp(rng, tgt.x)
     scal = eps * eps if target.regime == "multiple" else eps
-    return Triplet.normalized(
-        target.triplet.mu + scal * u1,
-        target.triplet.lam + scal * u2,
-        base + eps * w,
-    )
+    return Triplet.normalized(tgt.mu + scal * u1, tgt.lam + scal * u2, tgt.x + eps * w)
 
 
 def fit_slope(eps, med, scale=1.0):
@@ -181,7 +183,7 @@ def scaling_study(target, eps_list, trials, seed):
     eps_list = list(eps_list)
     if len(eps_list) < 2 or np.log10(eps_list[0] / eps_list[-1]) < 1.0 - 1e-12:
         raise ValueError("eps_list must span at least a decade")
-    tgt = target.triplet
+    ref = target.vec_set
 
     def one_trial(eps, trial):
         t0 = perturbed_start(target, eps, seed, trial=trial)
@@ -189,9 +191,9 @@ def scaling_study(target, eps_list, trials, seed):
             t1, _ = rqi.step(target.pair, t0)
         except (NotIndefinite, RankCollapse):
             return None
-        return abs(t1.mu - tgt.mu), abs(t1.lam - tgt.lam), target.dist_x(t1.x)
+        return ref.errors(t1.mu, t1.lam, t1.x)
 
-    return _study(eps_list, trials, one_trial, ("mu", "lambda", "x"), (tgt.mu, tgt.lam, 1.0))
+    return _study(eps_list, trials, one_trial, ("mu", "lambda", "x"), (ref.mu, ref.lam, 1.0))
 
 
 def ritz_approx_study(target, eps_list, trials, seed):
@@ -219,7 +221,7 @@ def ritz_approx_study(target, eps_list, trials, seed):
             cands = rqi.solve_2x2(*rqi.form_rq(pair, basis))
         except NotIndefinite:
             return None
-        errs = [(abs(c.nu - tgt.mu), abs(c.theta - tgt.lam), target.dist_x(v @ c.z)) for c in cands]
+        errs = [target.vec_set.errors(c.nu, c.theta, v @ c.z) for c in cands]
         return min(errs, key=sum)
 
     return _study(eps_list, trials, one_trial, ("nu", "theta", "x"), (tgt.mu, tgt.lam, 1.0))

@@ -32,8 +32,8 @@ def check_hermitian(m):
     tolerance check has passed.
     """
     m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise TwoDevpError("matrix is %dx%d, not square" % m.shape)
+    if m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise TwoDevpError("matrix is %dx%d, not square and nonempty" % m.shape)
     dev = np.max(np.abs(m - m.conj().T), initial=0.0)
     if dev > herm_tol(m):
         raise TwoDevpError("asymmetry %.3e exceeds tolerance %.3e" % (dev, herm_tol(m)))

@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from .angles import dist_to_set
 from .classify import eigvec_set
 from .errors import NotIndefinite, RankCollapse
 from .kernels import diagonalize_form, isotropic_weights
@@ -163,8 +162,7 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         res = residual(pair, t)
         rec = IterateRecord(k=k, triplet=t, res_norm=res.norm)
         if vec_set is not None:
-            rec.err_mu, rec.err_lambda = abs(t.mu - reference.mu), abs(t.lam - reference.lam)
-            rec.err_x = dist_to_set(t.x, vec_set)
+            rec.err_mu, rec.err_lambda, rec.err_x = vec_set.errors(t.mu, t.lam, t.x)
         trace.iterates.append(rec)
         tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
         if res.norm <= tol:

@@ -22,7 +22,7 @@ from twodevp.classify import Kind
 from twodevp.curves import branch_derivatives, eig_at
 from twodevp.harness import MULTIPLE_WINDOWS, RITZ_WINDOWS, SIMPLE_WINDOWS
 from twodevp.kernels import orthonormalize
-from twodevp.model import HermitianPair, Triplet, save_pair
+from twodevp.model import HermitianPair, save_pair
 from twodevp.rqi import form_rq
 
 SQ2 = np.sqrt(2.0)
@@ -123,11 +123,7 @@ def test_one_step_error_scaling_multiple():
     assert len(cross) == 1
     h = cross[0]
     s = td.eigvec_set(pair2, h.triplet.mu, h.triplet.lam)
-    tgt2 = harness.Target(
-        pair=pair2,
-        triplet=Triplet(h.triplet.mu, h.triplet.lam, s.representative()),
-        vec_set=s,
-    )
+    tgt2 = harness.Target(pair2, s)
     assert tgt2.regime == "multiple"
     study2 = harness.scaling_study(tgt2, eps_list, 50, 0)
     bad += window_violations(study2.fitted_slopes, MULTIPLE_WINDOWS, "random-crossing")
@@ -322,7 +318,7 @@ def test_oracle_solver_closure_on_random_pairs():
             if c.kind is Kind.SINGULAR:
                 continue
             s = td.eigvec_set(pair, h.triplet.mu, h.triplet.lam)
-            tgt = harness.Target(pair=pair, triplet=h.triplet, vec_set=s)
+            tgt = harness.Target(pair, s)
             t0 = harness.perturbed_start(tgt, 1e-3, seed, trial=0)
             trace = td.solve(pair, t0)
             assert trace.status is td.Status.CONVERGED

@@ -85,8 +85,9 @@ def test_sin_theta_matches_vector_closed_form_random():
 
 def test_dist_to_simple_set():
     s = eigvec_set(refpairs.simple_pair_2x2(), 0.0, 1.0)
-    assert dist_to_set(s.x, s) < 1e-15
-    assert dist_to_set(s.x * np.exp(2.1j), s) < 1e-15
+    x = s.representative()
+    assert dist_to_set(x, s) < 1e-15
+    assert dist_to_set(x * np.exp(2.1j), s) < 1e-15
     perp = np.array([1.0, -1.0]) / SQ2
     assert np.isclose(dist_to_set(perp, s), SQ2)
 
@@ -105,7 +106,7 @@ def test_dist_to_simple_set_matches_grid_search():
     x /= np.linalg.norm(x)
     got = dist_to_set(x, s)
     phases = np.exp(1j * np.arange(0.0, 2 * np.pi, 1e-4))
-    brute = min(np.linalg.norm(x - g * s.x) for g in phases)
+    brute = min(np.linalg.norm(x - g * s.representative()) for g in phases)
     assert abs(got - brute) < 1e-7
 
 
@@ -118,7 +119,7 @@ def test_dist_to_multiple_set_matches_grid_search():
     got = dist_to_set(x, s)
     phases = np.exp(1j * np.arange(0.0, 2 * np.pi, 1e-3))
     brute = min(
-        np.linalg.norm(x - (g1 * s.t * s.v[:, 0] + g2 * s.s * s.v[:, 1]))
+        np.linalg.norm(x - s.v @ (np.array([g1, g2]) * s.w))
         for g1 in phases[::10]
         for g2 in phases[::10]
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twodevp import refpairs
+from twodevp.angles import dist_to_set
 from twodevp.classify import Kind, classify, eigvec_set, fix_phase, multiplicity
 from twodevp.curves import eig_at, lambda_double_prime, lambda_prime
 from twodevp.errors import TwoDevpError
@@ -81,16 +82,27 @@ def test_classify_definite_cluster_is_singular():
 def test_eigvec_set_simple():
     s = eigvec_set(refpairs.simple_pair_2x2(), 0.0, 1.0)
     assert s.kind is Kind.NONSINGULAR_SIMPLE
-    assert np.allclose(s.x, np.array([1.0, 1.0]) / SQ2)
+    assert (s.mu, s.lam) == (0.0, 1.0)
+    assert s.v.shape == (2, 1) and np.array_equal(s.w, [1.0])
+    assert np.allclose(s.representative(), np.array([1.0, 1.0]) / SQ2)
 
 
 def test_eigvec_set_multiple():
     s = eigvec_set(refpairs.multiple_pair_2x2(), 1.0, 0.0)
     assert s.kind is Kind.NONSINGULAR_MULTIPLE
-    assert np.isclose(s.t, 1.0 / SQ2) and np.isclose(s.s, 1.0 / SQ2)
+    assert s.v.shape == (2, 2) and np.allclose(s.w, [1.0 / SQ2, 1.0 / SQ2])
     # columns are e1, e2 up to phase
     mags = np.abs(s.v)
     assert np.allclose(mags, np.eye(2), atol=1e-12)
+
+
+def test_errors_gives_mu_lambda_and_set_distances():
+    x = np.array([1.0, 0.0])
+    for pair, mu, lam in ((refpairs.simple_pair_2x2(), 0.0, 1.0), (refpairs.multiple_pair_2x2(), 1.0, 0.0)):
+        s = eigvec_set(pair, mu, lam)
+        errs = s.errors(mu + 0.25, lam - 0.5, x)
+        assert errs == (0.25, 0.5, dist_to_set(x, s))
+        assert abs(errs[2] - np.sqrt(2.0 - SQ2)) < 1e-15
 
 
 def test_multiple_representative_is_isotropic_unit():

@@ -3,9 +3,10 @@ import json
 import numpy as np
 
 from twodevp import refpairs
-from twodevp.cli import main
+from twodevp.cli import _auto_x0, main
 from twodevp.curves import trace_curves
-from twodevp.model import Triplet, load_pair, save_pair, save_triplet
+from twodevp.harness import random_pair_with_crossing
+from twodevp.model import HermitianPair, Triplet, load_pair, save_pair, save_triplet
 
 
 def write_reference_files(tmp_path):
@@ -36,6 +37,35 @@ def test_solve_subcommand(tmp_path):
     last = doc["iterates"][-1]
     assert last["res_norm"] < 1e-10
     assert last["err_mu"] < 1e-9
+
+
+def _auto_start_end(tmp_path, pair, mu0, lam0):
+    ppath, out = tmp_path / "p.json", tmp_path / "trace.json"
+    save_pair(pair, ppath)
+    rc = main(["solve", "--pair", str(ppath), "--mu0", mu0, "--lambda0", lam0, "--out", str(out)])
+    last = json.loads(out.read_text())["iterates"][-1]
+    return rc, last["mu"], last["lambda"]
+
+
+def test_solve_auto_start_on_commuting_pair(tmp_path):
+    rc, mu, lam = _auto_start_end(tmp_path, refpairs.multiple_pair_desk()[0], "1.01", "0.01")
+    assert rc == 0
+    assert abs(mu - 1.0) <= 1e-12 and abs(lam) <= 1e-12
+
+
+def test_solve_auto_start_reaches_nearby_crossing(tmp_path):
+    # the README example: a crossing planted at (0.4, -0.3), started 0.01 away
+    pair = random_pair_with_crossing(12, (6, 6), 0.4, -0.3, 11)
+    rc, mu, lam = _auto_start_end(tmp_path, pair, "0.41", "-0.29")
+    assert rc == 0
+    assert abs(mu - 0.4) <= 1e-10 and abs(lam + 0.3) <= 1e-10
+
+
+def test_auto_start_falls_back_to_nearest_eigenvector():
+    # C is indefinite, yet both eigenvectors of A - 0*C have x^H C x = 1
+    pair = HermitianPair(np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert np.allclose(np.abs(_auto_x0(pair, 0.0, 0.9)), [1.0, 0.0])
+    assert np.allclose(np.abs(_auto_x0(pair, 0.0, -0.9)), [0.0, 1.0])
 
 
 def test_solve_subcommand_csv(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twodevp import refpairs
+from twodevp.angles import dist_to_set
 from twodevp.classify import Kind, classify
 from twodevp.errors import TwoDevpError
 from twodevp.harness import (
@@ -17,7 +18,7 @@ from twodevp.harness import (
     ritz_approx_study,
     scaling_study,
 )
-from twodevp.model import residual
+from twodevp.model import Triplet, residual
 from twodevp.rqi import projection_basis
 
 
@@ -56,11 +57,7 @@ def test_perturbed_start_simple_scaling():
     for trial in range(10):
         eps = 0.01
         t0 = perturbed_start(tgt, eps, 0, trial=trial)
-        err = max(
-            abs(t0.mu - tgt.triplet.mu),
-            abs(t0.lam - tgt.triplet.lam),
-            tgt.dist_x(t0.x),
-        )
+        err = max(tgt.vec_set.errors(t0.mu, t0.lam, t0.x))
         assert 0.1 * eps <= err <= 1.5 * eps
 
 
@@ -76,7 +73,7 @@ def test_perturbed_start_zero_eps_is_exact():
     tgt = simple_target()
     t0 = perturbed_start(tgt, 0.0, 0)
     assert t0.mu == tgt.triplet.mu and t0.lam == tgt.triplet.lam
-    assert tgt.dist_x(t0.x) < 1e-12
+    assert dist_to_set(t0.x, tgt.vec_set) < 1e-12
 
 
 def test_perturbed_start_multiple_scales_scalars_quadratically():
@@ -85,7 +82,16 @@ def test_perturbed_start_multiple_scales_scalars_quadratically():
     t0 = perturbed_start(tgt, eps, 0, trial=1)
     assert abs(t0.mu - tgt.triplet.mu) <= eps * eps
     assert abs(t0.lam - tgt.triplet.lam) <= eps * eps
-    assert tgt.dist_x(t0.x) <= 1.5 * eps
+    assert dist_to_set(t0.x, tgt.vec_set) <= 1.5 * eps
+
+
+def test_simple_target_reads_no_caller_vector():
+    pair, _ = refpairs.simple_pair_desk()
+    tgt = Target.at(pair, Triplet(0.0, 1.0, np.eye(pair.n)[0]), "simple")
+    assert dist_to_set(tgt.triplet.x, tgt.vec_set) < 1e-14
+    for trial in range(10):
+        t0 = perturbed_start(tgt, 1e-3, 0, trial=trial)
+        assert dist_to_set(t0.x, tgt.vec_set) <= 1.5e-3
 
 
 def test_perturbed_start_range_check():
@@ -189,7 +195,7 @@ def test_random_pair_with_crossing_plants_multiple_eigenvalue():
 def test_target_at_builds_consistent_triplet():
     tgt = multiple_target()
     assert residual(tgt.pair, tgt.triplet).norm < 1e-12
-    assert tgt.dist_x(tgt.vec_set.representative()) < 1e-12
+    assert dist_to_set(tgt.triplet.x, tgt.vec_set) < 1e-12
 
 
 def test_target_regime_comes_from_its_eigenvector_set():

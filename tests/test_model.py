@@ -31,6 +31,11 @@ def test_pair_rejects_asymmetric():
         HermitianPair(np.eye(2), asym)
 
 
+def test_empty_pair_is_rejected():
+    with pytest.raises(TwoDevpError, match="0x0, not square and nonempty"):
+        HermitianPair(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
 def test_pair_requires_matching_shapes():
     with pytest.raises(TwoDevpError, match="A is 3x3 but C is 2x2"):
         HermitianPair(np.eye(3), np.diag([1.0, -1.0]))
