@@ -85,6 +85,7 @@ def cmd_solve(args):
             "res_norm": rec.res_norm,
         }
         d = rec.diagnostics
+        row["sigma_n_jhat"] = rqi.sigma_n_jhat(pair, rec.triplet) if d else None
         row.update(asdict(d) if d else dict.fromkeys(f.name for f in fields(rqi.StepDiagnostics)))
         if reference is not None:
             row.update({"err_mu": rec.err_mu, "err_lambda": rec.err_lambda, "err_x": rec.err_x})

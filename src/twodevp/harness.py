@@ -150,6 +150,11 @@ def fit_slope(eps, med, scale=1.0):
     return float(np.polyfit(np.log(used), np.log(med[keep]), 1)[0]), used.tolist()
 
 
+def _check_trials(trials):
+    if trials < 1:
+        raise ValueError("need trials >= 1, got %r" % trials)
+
+
 def _study(eps_list, trials, one_trial, names, targets):
     """Median per-eps errors of `trials` trials and their fit_slope slopes.
 
@@ -157,6 +162,7 @@ def _study(eps_list, trials, one_trial, names, targets):
     None for a trial excluded by a failed step.  names label the three
     error series and targets are the values they are errors of.
     """
+    _check_trials(trials)
     meds = ([], [], [])
     failed = total = 0
     for i, eps in enumerate(eps_list):
@@ -215,8 +221,7 @@ def ritz_approx_study(target, eps_list, trials, seed):
         g = rng.standard_normal((pair.n, 2)) + 1j * rng.standard_normal((pair.n, 2))
         g /= np.linalg.norm(g, 2)
         v, ce = diagonalize_form(pair.c, orthonormalize(ideal + eps * g))
-        # no Jacobian here, so no singular value to record
-        basis = rqi.ProjectionBasis(v, float(ce[0]), float(ce[1]), np.nan)
+        basis = rqi.ProjectionBasis(v, float(ce[0]), float(ce[1]))
         try:
             cands = rqi.solve_2x2(*rqi.form_rq(pair, basis))
         except NotIndefinite:
@@ -237,8 +242,9 @@ def conditioning_study(target, eps_list, trials, seed):
     multiple regime).
     """
     eps_list = list(eps_list)
+    _check_trials(trials)
     basis_star = rqi.projection_basis(target.pair, target.triplet)
-    sigma_star = basis_star.sigma_n
+    sigma_star = rqi.sigma_n_jhat(target.pair, target.triplet)
     c1s, c2s = basis_star.c1, basis_star.c2
     sigma_viol, c_viol = [], []
     for i, eps in enumerate(eps_list):
@@ -251,7 +257,7 @@ def conditioning_study(target, eps_list, trials, seed):
                 sv += 1
                 cv += 1
                 continue
-            if b.sigma_n < 0.5 * sigma_star:
+            if rqi.sigma_n_jhat(target.pair, t0) < 0.5 * sigma_star:
                 sv += 1
             if target.regime == "simple":
                 ok = (0.5 * c1s <= b.c1 <= 1.5 * c1s) and (1.5 * c2s <= b.c2 <= 0.5 * c2s)

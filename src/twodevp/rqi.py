@@ -2,10 +2,15 @@
 
 One step from the iterate (mu_k, lam_k, x_k):
 
-  1. build the n x (n+2) leading Jacobian block and take the two right
-     singular vectors of its smallest singular values as a nullspace basis;
-  2. orthonormalize the first n rows into V and rotate V so V^H C V is
-     diagonal with c1 >= c2;
+  1. take the nullspace of the n x (n+2) leading block Jhat = J[:n] of the
+     bordered Jacobian J as the last two columns of J^-1, from one LU
+     solve J N = [0; I_2].  J is nonsingular at a nonsingular
+     2D-eigentriplet, so the solve stays defined where H = A - mu C - lam I
+     is singular: for z = (y, a, b) with J z = 0, a simple triplet forces
+     a lam'' = 0 and a crossing (cluster form of C diag(c1, c2), isotropic
+     weights (t, s)) forces a t s (c1 - c2) = 0, and a = 0 then gives z = 0;
+  2. orthonormalize N, orthonormalize its first n rows into V and rotate
+     V so V^H C V is diagonal with c1 >= c2;
   3. solve the projected 2 x 2 problem (V^H A V, V^H C V) in closed form,
      which yields two candidate triplets; they coincide when the
      off-diagonal entry a12 of V^H A V is zero;
@@ -21,7 +26,7 @@ import numpy as np
 from .classify import eigvec_set
 from .errors import NotIndefinite, RankCollapse
 from .kernels import diagonalize_form, isotropic_weights
-from .model import Triplet, jacobian_hat, residual
+from .model import Triplet, jacobian, jacobian_hat, residual
 
 DEFAULT_OPTS = {"tol_abs": 1e-12, "tol_rel": 1e-14, "max_iter": 50}
 
@@ -39,7 +44,6 @@ class ProjectionBasis:
     v: np.ndarray          # n x 2, orthonormal, V^H C V = diag(c1, c2)
     c1: float
     c2: float
-    sigma_n: float         # smallest singular value of the leading block
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,6 @@ class RitzCandidate:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    sigma_n_jhat: float
     c1: float
     c2: float
     abs_a12: float
@@ -79,17 +82,32 @@ class RqiTrace:
 
 
 def projection_basis(pair, t):
-    """Projection basis from the nullspace of the leading Jacobian block."""
-    jhat = jacobian_hat(pair, t)
-    _, s, vh = np.linalg.svd(jhat, full_matrices=True)
-    null = vh.conj().T[:, pair.n:]          # exact nullspace, dimension 2
+    """Projection basis from the nullspace of the leading Jacobian block.
+
+    The nullspace is spanned by the last two columns of J^-1.  RankCollapse
+    is raised for an exactly singular J, as at a zero x, and for a basis
+    whose leading rows have rank < 2, as at an x that is an eigenvector of
+    C, where the two border rows of J are parallel.
+    """
+    e = np.zeros((pair.n + 2, 2))
+    e[pair.n, 0] = e[pair.n + 1, 1] = 1.0
+    try:
+        null = np.linalg.solve(jacobian(pair, t), e)
+    except np.linalg.LinAlgError:
+        raise RankCollapse("bordered Jacobian is singular")
+    null, _ = np.linalg.qr(null)
     # The rows of an orthonormal basis have singular values <= 1, so an
     # absolute floor is the rank test; u is an orthonormal basis of them.
     u, sv, _ = np.linalg.svd(null[: pair.n, :], full_matrices=False)
     if sv[-1] <= 1e-10:
         raise RankCollapse("leading rows of the nullspace basis have rank < 2")
     v, ce = diagonalize_form(pair.c, u)
-    return ProjectionBasis(v=v, c1=float(ce[0]), c2=float(ce[1]), sigma_n=float(s[pair.n - 1]))
+    return ProjectionBasis(v=v, c1=float(ce[0]), c2=float(ce[1]))
+
+
+def sigma_n_jhat(pair, t):
+    """Smallest singular value of the leading Jacobian block at t."""
+    return float(np.linalg.svd(jacobian_hat(pair, t), compute_uv=False)[-1])
 
 
 def form_rq(pair, basis):
@@ -131,7 +149,7 @@ def step(pair, t):
     basis = projection_basis(pair, t)
     a11, a12, a22, c1, c2 = form_rq(pair, basis)
     t_next = select_ritz(t, solve_2x2(a11, a12, a22, c1, c2), basis)
-    return t_next, StepDiagnostics(basis.sigma_n, c1, c2, abs(a12))
+    return t_next, StepDiagnostics(c1, c2, abs(a12))
 
 
 def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
@@ -144,14 +162,16 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     that the local theory anticipates (projected C losing indefiniteness,
     nullspace rank collapse) end the run with the matching status instead
     of raising.  A non-finite start is recorded as iterate 0 and ends the
-    run with NON_FINITE.  Raises ValueError when max_iter < 0, and
-    TwoDevpError when the reference's (mu, lam) is not a nonsingular
-    2D-eigenvalue.
+    run with NON_FINITE.  Raises ValueError when max_iter < 0 or tol_abs
+    is negative or not finite, and TwoDevpError when the reference's
+    (mu, lam) is not a nonsingular 2D-eigenvalue.
     """
     tol_abs = DEFAULT_OPTS["tol_abs"] if tol_abs is None else tol_abs
     max_iter = DEFAULT_OPTS["max_iter"] if max_iter is None else max_iter
     if max_iter < 0:
         raise ValueError("need max_iter >= 0")
+    if not 0.0 <= tol_abs < np.inf:
+        raise ValueError("need a finite tol_abs >= 0, got %r" % tol_abs)
     vec_set = None if reference is None else eigvec_set(pair, reference.mu, reference.lam)
     if not np.all(np.isfinite(np.r_[t0.mu, t0.lam, t0.x])):
         return RqiTrace([IterateRecord(k=0, triplet=t0, res_norm=float("nan"))], Status.NON_FINITE)

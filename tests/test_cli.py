@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,7 +7,15 @@ from twodevp import refpairs
 from twodevp.cli import _auto_x0, main
 from twodevp.curves import trace_curves
 from twodevp.harness import random_pair_with_crossing
-from twodevp.model import HermitianPair, Triplet, load_pair, save_pair, save_triplet
+from twodevp.model import (
+    HermitianPair,
+    Triplet,
+    jacobian_hat,
+    load_pair,
+    save_pair,
+    save_triplet,
+)
+from twodevp.rqi import solve
 
 
 def write_reference_files(tmp_path):
@@ -82,9 +91,19 @@ def test_solve_subcommand_csv(tmp_path):
         ]
     )
     assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "k,mu,lambda,res_norm,sigma_n_jhat,c1,c2,abs_a12"
-    assert len(lines) >= 2
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert ",".join(rows[0]) == "k,mu,lambda,res_norm,sigma_n_jhat,c1,c2,abs_a12"
+    # sigma_n_jhat is the smallest singular value of the leading Jacobian
+    # block at each stepped iterate; the same run in process gives the vectors
+    pair = load_pair(ppath)
+    trace = solve(pair, Triplet.normalized(0.05, 0.95, _auto_x0(pair, 0.05, 0.95)))
+    assert len(rows) == len(trace.iterates) >= 2
+    for row, rec in zip(rows[:-1], trace.iterates):
+        assert float(row["mu"]) == rec.triplet.mu
+        want = np.linalg.svd(jacobian_hat(pair, rec.triplet), compute_uv=False).min()
+        assert abs(float(row["sigma_n_jhat"]) - want) <= 1e-12 * want
+    assert rows[-1]["sigma_n_jhat"] == ""
 
 
 def test_classify_subcommand(tmp_path):
@@ -217,6 +236,22 @@ def test_solve_negative_max_iter_is_input_error(tmp_path):
     rc = main(["solve", "--pair", ppath, "--mu0", "0.05", "--lambda0", "0.95", "--max-iter", "-1",
                "--out", str(tmp_path / "trace.json")])
     assert rc == 2
+
+
+def test_solve_unreachable_tolerance_is_input_error(tmp_path):
+    ppath, _ = write_reference_files(tmp_path)
+    for tol in ("-1", "nan"):
+        rc = main(["solve", "--pair", ppath, "--mu0", "0.05", "--lambda0", "0.95", "--tol-abs", tol,
+                   "--out", str(tmp_path / "trace.json")])
+        assert rc == 2
+
+
+def test_study_without_trials_is_input_error(tmp_path):
+    ppath, _ = write_reference_files(tmp_path)
+    for kind in ("scaling", "ritz", "conditioning"):
+        rc = main(["study", kind, "--pair", ppath, "--target-mu", "0", "--target-lambda", "1",
+                   "--eps", "1e-2", "1e-3", "--trials", "0", "--out", str(tmp_path / "st.json")])
+        assert rc == 2
 
 
 def test_solve_bad_reference_is_input_error(tmp_path):

@@ -19,7 +19,7 @@ from twodevp.harness import (
     scaling_study,
 )
 from twodevp.model import Triplet, residual
-from twodevp.rqi import projection_basis
+from twodevp.rqi import projection_basis, sigma_n_jhat
 
 
 def simple_target():
@@ -157,9 +157,16 @@ def test_conditioning_study_reports_reference_values():
     tgt = simple_target()
     rep = conditioning_study(tgt, [1e-3], 20, 0)
     b = projection_basis(tgt.pair, tgt.triplet)
-    assert np.isclose(rep.sigma_star, b.sigma_n)
+    assert np.isclose(rep.sigma_star, sigma_n_jhat(tgt.pair, tgt.triplet))
     assert rep.c_star == (b.c1, b.c2)
     assert rep.sigma_violations == [0] and rep.c_violations == [0]
+
+
+def test_studies_reject_zero_trials():
+    # a study over no trials has no medians to fit and no violations to count
+    for study in (scaling_study, ritz_approx_study, conditioning_study):
+        with pytest.raises(ValueError, match="trials"):
+            study(simple_target(), [1e-2, 1e-3], 0, 0)
 
 
 def test_conditioning_study_counts_large_eps_violations():

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from twodevp import refpairs
+from twodevp.angles import canonical_angles
+from twodevp.classify import eigvec_set
 from twodevp.curves import eigvec_derivative
 from twodevp.errors import NotIndefinite, TwoDevpError
-from twodevp.harness import Target, perturbed_start
-from twodevp.model import Triplet, residual
+from twodevp.harness import Target, perturbed_start, random_pair, random_pair_with_crossing
+from twodevp.kernels import orthonormalize
+from twodevp.model import Triplet, jacobian_hat, residual
 from twodevp.rqi import (
     Status,
     form_rq,
@@ -56,6 +59,62 @@ def test_projection_basis_diagonalizes_c():
     cv = b.v.conj().T @ pair.c @ b.v
     assert abs(cv[0, 1]) < 1e-10
     assert np.isclose(cv[0, 0].real, b.c1) and np.isclose(cv[1, 1].real, b.c2)
+
+
+def _targets_for_basis_checks():
+    pair, trip = refpairs.simple_pair_desk()
+    yield Target.at(pair, trip, "simple")
+    pair, trip = refpairs.multiple_pair_desk()
+    yield Target.at(pair, trip, "multiple")
+    for n in (12, 64):
+        pair = random_pair_with_crossing(n, (n // 2, n // 2), 0.4, -0.3, 11)
+        yield Target(pair, eigvec_set(pair, 0.4, -0.3))
+
+
+def test_projection_basis_matches_svd_nullspace():
+    # the leading rows of J^-1's last two columns span what the leading
+    # rows of the SVD nullspace of the leading Jacobian block span
+    for target in _targets_for_basis_checks():
+        n = target.pair.n
+        for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+            t0 = perturbed_start(target, eps, 5)
+            _, _, vh = np.linalg.svd(jacobian_hat(target.pair, t0))
+            ref = orthonormalize(vh.conj().T[:n, n:])
+            b = projection_basis(target.pair, t0)
+            assert np.sin(canonical_angles(b.v, ref)[-1]) <= 1e-12, (n, eps)
+
+
+def test_step_makes_one_solve_and_no_large_svd(monkeypatch):
+    pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
+    t0 = perturbed_start(Target(pair, eigvec_set(pair, 0.4, -0.3)), 1e-3, 5)
+    solves, svd_cols = [], []
+    solve_, svd_ = np.linalg.solve, np.linalg.svd
+
+    def counted_solve(a, b):
+        solves.append(np.shape(a))
+        return solve_(a, b)
+
+    def counted_svd(a, *args, **kwargs):
+        svd_cols.append(np.shape(a)[-1])
+        return svd_(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    step(pair, t0)
+    assert solves == [(66, 66)]
+    assert svd_cols and max(svd_cols) <= 2
+
+
+def test_eigenvector_of_c_start_is_jacobian_near_singular():
+    # x = an eigenvector of C makes the two border rows of J parallel, so
+    # J^-1 is rounding noise; the rank test on the orthonormalized whole
+    # basis must stop the run before the first step
+    pair = random_pair(8, (4, 4), 3)
+    _, q = np.linalg.eigh(pair.c)
+    for x in q.T:
+        trace = solve(pair, Triplet(0.3, 0.1, x))
+        assert trace.status is Status.JACOBIAN_NEAR_SINGULAR
+        assert len(trace.iterates) == 1
 
 
 def test_form_rq_identity_basis():
@@ -201,6 +260,13 @@ def test_solve_rejects_negative_max_iter():
     pair = refpairs.simple_pair_2x2()
     with pytest.raises(ValueError):
         solve(pair, Triplet(0.5, 0.5, np.array([1.0, 0.0])), max_iter=-1)
+
+
+def test_solve_rejects_a_tolerance_it_cannot_meet():
+    pair = refpairs.simple_pair_2x2()
+    for tol_abs in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol_abs"):
+            solve(pair, Triplet(0.5, 0.5, np.array([1.0, 0.0])), tol_abs=tol_abs)
 
 
 def test_solve_non_finite_start_is_a_status():
