@@ -6,8 +6,10 @@ of one sorted curve: at a smooth critical point, where the slope
 lam'(mu) = -x^H C x changes sign, or at a kink where branches with opposite
 slopes cross, so that the slope of each sorted curve through it jumps across
 zero.  The scan brackets every sign change of a sorted slope between grid
-points and bisects it with one eig_at per midpoint; the cluster of the
-eigenvalue at the refined mu tells the two kinds apart.
+points and refines it with Newton steps on the slope, safeguarded by
+bisection (rtsafe, Press et al., Numerical Recipes, sec. 9.4), one eig_at
+per iterate.  A crossing's kink has no curvature, so it is bisected.  The
+cluster of the eigenvalue at the refined mu tells the two kinds apart.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .classify import fix_phase
-from .curves import cluster, eig_at, slopes, trace_curves
+from .curves import branch_derivatives, cluster, eig_at, slopes, trace_curves
 from .errors import NotIndefinite, TwoDevpError
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet
@@ -73,33 +75,71 @@ def scan(pair, mu_lo, mu_hi, n_grid):
 
 
 def refine_critical(pair, left, right, i):
-    """Bisect a sign change of sorted curve i's slope between two eig_at points.
+    """Zero of sorted curve i's slope between two eig_at points.
 
-    Bisection stops once the bracket is below 1e-13 * (1 + |lo|).  A single
-    eigenvalue at the refined mu is a critical point; a cluster is a
-    crossing, built by refine_crossing.  Raises TwoDevpError when the slope
-    does not change sign between left and right.
+    rtsafe on the slope f = -x^H C x: from the bracket end with the smaller
+    |f|, take the Newton step mu - f/lam'' when it stays strictly inside the
+    bracket and is at most half the step before last; otherwise bisect.
+    lam'' comes from the same eig_at point; a cluster at values[i], as at
+    a crossing's kink, has none, so the step bisects.  Each new point
+    narrows the bracket by the sign of its slope.  A point is accepted once
+    |f/lam''| is within 1e-13 * (|mu| + min(1, |A|/|C|)); bisection stops
+    once the bracket is that narrow or its midpoint is no longer strictly
+    inside it.
+
+    refined_to is the distance estimate to the zero: |f/lam''| at a point
+    Newton accepts, the final bracket width when bisection ends, and 0 at
+    an exactly zero slope.  A single eigenvalue at the refined mu is a
+    critical point; a cluster is a crossing, built by refine_crossing.
+    Raises TwoDevpError when the slope does not change sign between left
+    and right.
     """
     def slope(point):
         return float(slopes(pair, point.vectors[:, [i]])[0])
 
+    def curvature(point):
+        lam = point.values[i]
+        if np.count_nonzero(cluster(pair, point, lam)) != 1:
+            return np.nan
+        return branch_derivatives(pair, point, lam, point.vectors[:, i])[1]
+
     lo, hi = bracket = (left.mu, right.mu)
-    f_lo = slope(left)
-    if f_lo * slope(right) > 0.0:
+    f_lo, f_hi = slope(left), slope(right)
+    if f_lo * f_hi > 0.0:
         raise TwoDevpError("slope of curve %d does not change sign over %r" % (i, bracket))
-    while hi - lo > 1e-13 * (1.0 + abs(lo)):
-        mid = 0.5 * (lo + hi)
-        f_mid = slope(eig_at(pair, mid))
-        if f_lo * f_mid <= 0.0:
-            hi = mid
+    point, f = (left, f_lo) if abs(f_lo) <= abs(f_hi) else (right, f_hi)
+    # the width follows a small |A| down, and is never looser than 1e-13 * (1 + |mu|)
+    offset = min(1.0, pair.norm_a / pair.norm_c)
+    dx_old = dx = hi - lo
+    refined_to = 0.0
+    while f != 0.0:
+        tol = 1e-13 * (abs(point.mu) + offset)
+        d2 = curvature(point)
+        step = f / d2 if d2 else np.nan
+        # accept before testing the step: at a zero hit to rounding, the
+        # step rounds to nothing and mu - step would fall on a bracket end
+        if abs(step) <= tol:
+            refined_to = abs(step)
+            break
+        if lo < point.mu - step < hi and abs(2.0 * f) <= abs(dx_old * d2):
+            dx_old, dx, mu = dx, abs(step), point.mu - step
         else:
-            lo, f_lo = mid, f_mid
-    point = eig_at(pair, 0.5 * (lo + hi))
+            mu = 0.5 * (lo + hi)
+            if hi - lo <= tol or not lo < mu < hi:
+                refined_to = hi - lo
+                break
+            dx_old, dx = dx, 0.5 * (hi - lo)
+        point = eig_at(pair, mu)
+        f = slope(point)
+        if (f > 0.0) == (f_lo > 0.0):
+            lo = mu
+        else:
+            hi = mu
     members = np.flatnonzero(cluster(pair, point, point.values[i]))
     if members.size > 1:
-        return refine_crossing(pair, point, members, bracket, hi - lo)
+        return refine_crossing(pair, point, members, bracket, refined_to)
     trip = Triplet(point.mu, float(point.values[i]), fix_phase(point.vectors[:, i]))
-    return OracleHit(trip, HitKind.CRITICAL_POINT, (i,), bracket, hi - lo)
+    return OracleHit(trip, HitKind.CRITICAL_POINT, (i,), bracket, refined_to)
 
 
 def refine_crossing(pair, point, members, bracket, width):

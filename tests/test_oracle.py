@@ -129,8 +129,9 @@ def test_scan_tells_crossing_from_nearby_critical_point():
 
 
 def test_refine_crossing_takes_one_decomposition_per_midpoint(monkeypatch):
-    # one eig_at per bisection midpoint and one at the refined mu; both
-    # bracket ends are points already in hand
+    # the kink has no curvature, so every step bisects: one eig_at per
+    # midpoint, the last of which is the refined mu; both bracket ends are
+    # points already in hand
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
     lo, hi = _cell_at(0.4)
     left, right = eig_at(pair, lo), eig_at(pair, hi)
@@ -146,6 +147,87 @@ def test_refine_crossing_takes_one_decomposition_per_midpoint(monkeypatch):
     assert abs(hit.triplet.mu - 0.4) < 1e-10 and abs(hit.triplet.lam + 0.3) < 1e-10
     midpoints = round(np.log2((hi - lo) / hit.refined_to))
     assert len(calls) <= midpoints + 1
+
+
+def _count_eig_at_per_hit(monkeypatch):
+    """Route oracle.eig_at and oracle.refine_critical through counters.
+
+    Returns a list that gets (hit, eig_at calls made while refining it)
+    for every refine_critical call.
+    """
+    calls, per_hit = [], []
+
+    def counting(pair, mu):
+        calls.append(mu)
+        return eig_at(pair, mu)
+
+    def refining(*args):
+        before = len(calls)
+        hit = refine_critical(*args)
+        per_hit.append((hit, len(calls) - before))
+        return hit
+
+    monkeypatch.setattr(oracle, "eig_at", counting)
+    monkeypatch.setattr(oracle, "refine_critical", refining)
+    return per_hit
+
+
+def test_newton_refines_a_critical_point_in_few_decompositions(monkeypatch):
+    # bisection to 1e-13 takes about 40; an iterate that lands on the zero
+    # to rounding must be accepted before its Newton step is tested
+    per_hit = _count_eig_at_per_hit(monkeypatch)
+    pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 13)
+    hits, _ = scan(pair, -3.0, 3.0, 96)
+    crit = [n for h, n in per_hit if h.kind is HitKind.CRITICAL_POINT]
+    assert len(crit) == len([h for h in hits if h.kind is HitKind.CRITICAL_POINT]) > 90
+    assert max(crit) <= 6
+
+
+def test_refine_critical_takes_no_decomposition_at_a_zero_slope(monkeypatch):
+    # the slope of both curves vanishes at mu = 0, the left bracket end
+    per_hit = _count_eig_at_per_hit(monkeypatch)
+    pair = refpairs.simple_pair_2x2()
+    hit = oracle.refine_critical(pair, eig_at(pair, 0.0), eig_at(pair, 0.25), 0)
+    assert [n for _, n in per_hit] == [0]
+    assert hit.triplet.mu == 0.0 and hit.refined_to == 0.0
+
+
+@pytest.mark.parametrize("window", [(-1.0, 1.0, 9), (-1.0, 0.0, 8), (-1.0, 1.0, 8)])
+def test_refined_to_is_the_distance_to_the_zero(window):
+    # scan reads refined_to as a radius when it closes the cell past a hit
+    # on a grid point, so it must not be a step or a cell width
+    hits, _ = scan(refpairs.simple_pair_2x2(), *window)
+    assert len(hits) == 2
+    assert all(h.refined_to <= 1e-13 * (1.0 + abs(h.triplet.mu)) for h in hits)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_critical_points_match_brentq_on_the_sorted_slope(seed):
+    # the reference root finder sees the pair only through numpy.linalg.eigh
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    pair = random_pair_with_crossing(24, (12, 12), 0.4, -0.3, seed)
+    hits, _ = scan(pair, -3.0, 3.0, 96)
+    crit = [h for h in hits if h.kind is HitKind.CRITICAL_POINT]
+    assert crit
+    for h in crit:
+        col = pair.n - 1 - h.curves[0]  # eigh sorts ascending
+
+        def slope(mu):
+            x = np.linalg.eigh(pair.a - mu * pair.c)[1][:, col]
+            return -np.real(np.vdot(x, pair.c @ x))
+
+        root = brentq(slope, *h.bracket, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        assert abs(h.triplet.mu - root) <= 1e-12
+
+
+def test_scan_returns_on_a_zero_a_pair():
+    # every eigencurve is a line through (0, 0), so the width
+    # 1e-13 * (|mu| + |A|/|C|) vanishes at the zero: bisection must stop
+    # when the midpoint no longer lies strictly inside the bracket
+    pair = HermitianPair(np.zeros((4, 4)), np.diag([1.0, -1.0, 2.0, -3.0]))
+    hits, _ = scan(pair, -1.0, 1.0, 9)
+    assert [h.curves for h in hits] == [(0, 1, 2, 3)]
+    assert abs(hits[0].triplet.mu) <= 1e-12
 
 
 def _triple_crossing_pair():
