@@ -11,7 +11,7 @@ oracle and an experiment harness for convergence-rate verification.
 
 from .model import HermitianPair, Triplet, residual, jacobian, jacobian_hat
 from .model import load_pair, save_pair, load_triplet, save_triplet
-from .curves import eig_at, trace_curves, lambda_prime, lambda_double_prime, eigvec_derivative
+from .curves import eig_at, trace_curves, lambda_double_prime, eigvec_derivative
 from .classify import classify, multiplicity, eigvec_set, Kind
 from .angles import canonical_angles, sin_theta_norm, dist_to_set
 from .rqi import step, solve, projection_basis, solve_2x2, Status
@@ -30,7 +30,7 @@ from .harness import (
 __all__ = [
     "HermitianPair", "Triplet", "residual", "jacobian", "jacobian_hat",
     "load_pair", "save_pair", "load_triplet", "save_triplet",
-    "eig_at", "trace_curves", "lambda_prime", "lambda_double_prime", "eigvec_derivative",
+    "eig_at", "trace_curves", "lambda_double_prime", "eigvec_derivative",
     "classify", "multiplicity", "eigvec_set", "Kind",
     "canonical_angles", "sin_theta_norm", "dist_to_set",
     "step", "solve", "projection_basis", "solve_2x2", "Status",

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
+from enum import Enum
 
 import numpy as np
 
@@ -23,11 +24,21 @@ from .errors import TwoDevpError
 from .kernels import isotropic_weights
 from .model import Triplet, complex_to_json, load_pair, load_triplet, residual, save_pair
 
+STUDIES = {
+    "scaling": harness.scaling_study,
+    "ritz": harness.ritz_approx_study,
+    "conditioning": harness.conditioning_study,
+}
+
 
 def _finite(doc):
-    """doc with every non-finite float replaced by None."""
+    """doc as plain JSON values: enums by value, arrays as lists, non-finite floats as None."""
     if isinstance(doc, float):
         return doc if math.isfinite(doc) else None
+    if isinstance(doc, Enum):
+        return doc.value
+    if isinstance(doc, np.ndarray):
+        return _finite(doc.tolist())
     if isinstance(doc, dict):
         return {k: _finite(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -36,7 +47,16 @@ def _finite(doc):
 
 
 def _emit(doc, path):
-    text = json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
+    """Write doc to path, or to stdout without one: a dict as JSON, a list of rows as CSV."""
+    if isinstance(doc, list):
+        buf = io.StringIO()
+        if doc:
+            writer = csv.DictWriter(buf, fieldnames=list(doc[0].keys()))
+            writer.writeheader()
+            writer.writerows(doc)
+        text = buf.getvalue()
+    else:
+        text = json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -67,15 +87,10 @@ def _auto_x0(pair, mu0, lam0):
 
 def cmd_solve(args):
     pair = load_pair(args.pair)
-    if args.x0:
-        x0 = load_triplet(args.x0).x
-    else:
-        x0 = _auto_x0(pair, args.mu0, args.lambda0)
+    x0 = load_triplet(args.x0).x if args.x0 else _auto_x0(pair, args.mu0, args.lambda0)
     t0 = Triplet.normalized(args.mu0, args.lambda0, x0)
     reference = load_triplet(args.reference) if args.reference else None
-    trace = rqi.solve(
-        pair, t0, tol_abs=args.tol_abs, max_iter=args.max_iter, reference=reference
-    )
+    trace = rqi.solve(pair, t0, tol_abs=args.tol_abs, max_iter=args.max_iter, reference=reference)
     records = []
     for rec in trace.iterates:
         row = {
@@ -90,65 +105,32 @@ def cmd_solve(args):
         if reference is not None:
             row.update({"err_mu": rec.err_mu, "err_lambda": rec.err_lambda, "err_x": rec.err_x})
         records.append(row)
-    doc = {"status": trace.status.value, "iterates": records}
-    if args.format == "csv":
-        _emit_csv(records, args.out)
-    else:
-        _emit(doc, args.out)
+    _emit(records if args.format == "csv" else {"status": trace.status, "iterates": records}, args.out)
     return 0 if trace.status is rqi.Status.CONVERGED else 1
 
 
-def _emit_csv(records, path):
-    buf = io.StringIO()
-    if records:
-        writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
-        writer.writeheader()
-        writer.writerows(records)
-    text = buf.getvalue()
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_classify(args):
-    pair = load_pair(args.pair)
-    c = run_classify(pair, args.mu, getattr(args, "lambda"))
-    doc = {
-        "kind": c.kind.value,
-        "multiplicity": c.multiplicity,
-        "lambda_double_prime": c.lambda_double_prime,
-        "cluster_c_eigs": [float(e) for e in c.cluster_c_eigs],
-        "sigma_min_j": c.sigma_min_j,
-    }
-    _emit(doc, args.out)
+    _emit(asdict(run_classify(load_pair(args.pair), args.mu, getattr(args, "lambda"))), args.out)
     return 0
 
 
 def cmd_curves(args):
     if args.vectors and args.format != "csv":
         raise ValueError("--vectors needs --format csv")
-    pair = load_pair(args.pair)
-    grid = curves_mod.trace_curves(pair, args.mu_lo, args.mu_hi, args.grid)
-    if args.format == "csv":
-        rows = []
-        for p in grid.points:
-            for i, value in enumerate(p.values):
-                row = {"mu": p.mu, "curve_index": i, "lambda": float(value)}
-                if args.vectors:
-                    x = p.vectors[:, i]
-                    row.update(("x%d_re" % k, float(z.real)) for k, z in enumerate(x))
-                    row.update(("x%d_im" % k, float(z.imag)) for k, z in enumerate(x))
-                rows.append(row)
-        _emit_csv(rows, args.out)
-    else:
-        doc = {
-            "points": [
-                {"mu": p.mu, "values": [float(v) for v in p.values]} for p in grid.points
-            ],
-        }
-        _emit(doc, args.out)
+    grid = curves_mod.trace_curves(load_pair(args.pair), args.mu_lo, args.mu_hi, args.grid)
+    if args.format == "json":
+        _emit({"points": [{"mu": p.mu, "values": p.values} for p in grid.points]}, args.out)
+        return 0
+    rows = []
+    for p in grid.points:
+        for i, value in enumerate(p.values):
+            row = {"mu": p.mu, "curve_index": i, "lambda": float(value)}
+            if args.vectors:
+                x = p.vectors[:, i]
+                row.update(("x%d_re" % k, float(z.real)) for k, z in enumerate(x))
+                row.update(("x%d_im" % k, float(z.imag)) for k, z in enumerate(x))
+            rows.append(row)
+    _emit(rows, args.out)
     return 0
 
 
@@ -158,12 +140,12 @@ def cmd_oracle(args):
     doc = {
         "hits": [
             {
-                "kind": h.kind.value,
-                "curves": list(h.curves),
+                "kind": h.kind,
+                "curves": h.curves,
                 "mu": h.triplet.mu,
                 "lambda": h.triplet.lam,
                 "x": complex_to_json(h.triplet.x),
-                "bracket": list(h.bracket),
+                "bracket": h.bracket,
                 "refined_to": h.refined_to,
                 "residual": residual(pair, h.triplet).norm,
             }
@@ -175,67 +157,41 @@ def cmd_oracle(args):
     return 0
 
 
-def _window_verdicts(slopes, windows):
-    verdicts = []
-    for key, (lo, hi) in windows.items():
-        val = slopes[key]  # NaN when too few points lie above roundoff
-        ok = lo <= val <= hi
-        verdicts.append({"check": "slope_%s" % key, "value": val, "window": [lo, hi], "pass": ok})
-    return verdicts
-
-
 def cmd_study(args):
     pair = load_pair(args.pair)
     target = harness.Target(pair, eigvec_set(pair, args.target_mu, args.target_lambda))
-    eps_list = [float(e) for e in args.eps]
-    if args.kind == "scaling":
-        study = harness.scaling_study(target, eps_list, args.trials, args.seed)
-        windows = harness.SIMPLE_WINDOWS if target.regime == "simple" else harness.MULTIPLE_WINDOWS
-        doc = asdict(study)
-        verdicts = _window_verdicts(doc["fitted_slopes"], windows)
-    elif args.kind == "ritz":
-        study = harness.ritz_approx_study(target, eps_list, args.trials, args.seed)
-        doc = asdict(study)
-        verdicts = _window_verdicts(doc["fitted_slopes"], harness.RITZ_WINDOWS)
-    else:
-        report = harness.conditioning_study(target, eps_list, args.trials, args.seed)
-        verdicts = []
-        for eps, sv, cv in zip(report.epsilons, report.sigma_violations, report.c_violations):
-            expected_clean = eps <= 1e-3
-            verdicts.append(
-                {
-                    "check": "conditioning_eps_%g" % eps,
-                    "sigma_violations": sv,
-                    "c_violations": cv,
-                    "pass": (sv == 0 and cv == 0) if expected_clean else True,
-                }
-            )
-        doc = asdict(report)
-    doc["seed"] = args.seed
-    doc["regime"] = target.regime
-    doc["verdicts"] = verdicts
-    _emit(doc, args.out)
+    report = STUDIES[args.kind](target, [float(e) for e in args.eps], args.trials, args.seed)
+    verdicts = harness.verdicts(args.kind, target, report)
+    _emit(dict(asdict(report), seed=args.seed, regime=target.regime, verdicts=verdicts), args.out)
     return 0 if all(v["pass"] for v in verdicts) else 1
 
 
 def cmd_gen_pair(args):
+    signature = (args.sig_pos, args.sig_neg)
     if args.crossing:
-        mu_star, lam_star = args.crossing
-        pair = harness.random_pair_with_crossing(
-            args.n, (args.sig_pos, args.sig_neg), mu_star, lam_star, args.seed
-        )
+        pair = harness.random_pair_with_crossing(args.n, signature, *args.crossing, args.seed)
     else:
-        pair = harness.random_pair(args.n, (args.sig_pos, args.sig_neg), args.seed)
+        pair = harness.random_pair(args.n, signature, args.seed)
     save_pair(pair, args.out)
     return 0
 
 
 def build_parser():
+    # argument groups shared by several subcommands
+    pair_out = argparse.ArgumentParser(add_help=False)
+    pair_out.add_argument("--pair", required=True)
+    pair_out.add_argument("--out")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "csv"], default="json")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--mu-lo", type=float, required=True)
+    window.add_argument("--mu-hi", type=float, required=True)
+    window.add_argument("--grid", type=int, default=64)
+
     p = argparse.ArgumentParser(prog="twodevp")
     sub = p.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="run the 2D Rayleigh quotient iteration")
-    ps.add_argument("--pair", required=True)
+    ps = sub.add_parser("solve", parents=[pair_out, fmt], help="run the 2D Rayleigh quotient iteration")
     ps.add_argument("--mu0", type=float, required=True)
     ps.add_argument("--lambda0", type=float, required=True)
     ps.add_argument("--x0", help="triplet file providing the starting vector (default: the isotropic "
@@ -243,44 +199,27 @@ def build_parser():
     ps.add_argument("--tol-abs", type=float, default=None)
     ps.add_argument("--max-iter", type=int, default=None)
     ps.add_argument("--reference", help="triplet file whose (mu, lambda) is a known nonsingular 2D-eigenvalue")
-    ps.add_argument("--out")
-    ps.add_argument("--format", choices=["json", "csv"], default="json")
     ps.set_defaults(func=cmd_solve)
 
-    pc = sub.add_parser("classify", help="classify a candidate 2D-eigenvalue")
-    pc.add_argument("--pair", required=True)
+    pc = sub.add_parser("classify", parents=[pair_out], help="classify a candidate 2D-eigenvalue")
     pc.add_argument("--mu", type=float, required=True)
     pc.add_argument("--lambda", type=float, required=True)
-    pc.add_argument("--out")
     pc.set_defaults(func=cmd_classify)
 
-    pv = sub.add_parser("curves", help="sample the sorted eigencurves")
-    pv.add_argument("--pair", required=True)
-    pv.add_argument("--mu-lo", type=float, required=True)
-    pv.add_argument("--mu-hi", type=float, required=True)
-    pv.add_argument("--grid", type=int, default=64)
+    pv = sub.add_parser("curves", parents=[pair_out, fmt, window], help="sample the sorted eigencurves")
     pv.add_argument("--vectors", action="store_true", help="add eigenvector columns (CSV only)")
-    pv.add_argument("--out")
-    pv.add_argument("--format", choices=["json", "csv"], default="json")
     pv.set_defaults(func=cmd_curves)
 
-    po = sub.add_parser("oracle", help="scan for 2D-eigenvalues by brute force")
-    po.add_argument("--pair", required=True)
-    po.add_argument("--mu-lo", type=float, required=True)
-    po.add_argument("--mu-hi", type=float, required=True)
-    po.add_argument("--grid", type=int, default=64)
-    po.add_argument("--out")
+    po = sub.add_parser("oracle", parents=[pair_out, window], help="scan for 2D-eigenvalues by brute force")
     po.set_defaults(func=cmd_oracle)
 
-    pt = sub.add_parser("study", help="perturbation studies around a known solution")
-    pt.add_argument("kind", choices=["scaling", "ritz", "conditioning"])
-    pt.add_argument("--pair", required=True)
+    pt = sub.add_parser("study", parents=[pair_out], help="perturbation studies around a known solution")
+    pt.add_argument("kind", choices=list(STUDIES))
     pt.add_argument("--target-mu", type=float, required=True)
     pt.add_argument("--target-lambda", type=float, required=True)
     pt.add_argument("--eps", nargs="+", required=True)
     pt.add_argument("--trials", type=int, default=50)
     pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--out")
     pt.set_defaults(func=cmd_study)
 
     pg = sub.add_parser("gen-pair", help="generate a seeded random pair")

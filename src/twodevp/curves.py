@@ -72,14 +72,6 @@ def slopes(pair, vectors):
     return -np.real(np.einsum("ij,ij->j", vectors.conj(), pair.c @ vectors))
 
 
-def lambda_prime(pair, x):
-    """Slope of the eigencurve through the unit eigenvector x: -x^H C x."""
-    x = np.asarray(x, dtype=complex).reshape(-1, 1)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-8:
-        raise TwoDevpError("eigenvector norm %.6f is not 1" % np.linalg.norm(x))
-    return float(slopes(pair, x)[0])
-
-
 def default_tol_mult(pair, mu):
     """Distance within which two eigenvalues of A - mu*C count as one."""
     return max(1e-8, 1e-12 * (pair.norm_a + abs(mu) * pair.norm_c))

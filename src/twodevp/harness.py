@@ -25,7 +25,34 @@ ROUNDING_UNITS = 10.0
 # on the rate the 2DRQI attains; README.md, "One-step rates", derives them.
 SIMPLE_WINDOWS = {"lambda": (3.3, 4.7), "mu": (2.6, 3.4), "x": (1.6, 2.4)}
 MULTIPLE_WINDOWS = {"lambda": (3.3, 4.7), "mu": (3.3, 4.7), "x": (1.6, 2.4)}
+COMMUTING_WINDOWS = {"lambda": (5.3, 6.7), "mu": (5.3, 6.7), "x": (2.6, 3.4)}
 RITZ_WINDOWS = {"theta": (1.6, 2.4), "nu": (1.7, 2.3)}
+
+
+def verdicts(kind, target, report):
+    """Pass/fail rows of a "scaling", "ritz" or "conditioning" report on target.
+
+    Slopes are judged by the windows of their case: Ritz extraction, a
+    simple target, or a multiple one on a commuting pair (|AC - CA| <=
+    1e-12 |A| |C|) or at a generic crossing.  The conditioning bounds are
+    claimed near the target only, so a count must be 0 at eps <= 1e-3.
+    """
+    if kind == "conditioning":
+        rows = zip(report.epsilons, report.sigma_violations, report.c_violations)
+        return [{"check": "conditioning_eps_%g" % eps, "sigma_violations": sv, "c_violations": cv,
+                 "pass": eps > 1e-3 or sv == cv == 0} for eps, sv, cv in rows]
+    if kind == "ritz":
+        windows = RITZ_WINDOWS
+    elif target.regime == "simple":
+        windows = SIMPLE_WINDOWS
+    else:
+        pair = target.pair
+        ac = pair.a @ pair.c  # CA = (AC)^H, as A and C are Hermitian
+        commuting = np.linalg.norm(ac - ac.conj().T, 2) <= 1e-12 * pair.norm_a * pair.norm_c
+        windows = COMMUTING_WINDOWS if commuting else MULTIPLE_WINDOWS
+    # a NaN slope, from too few points above roundoff, fails its window
+    return [{"check": "slope_%s" % key, "value": report.fitted_slopes[key], "window": [lo, hi],
+             "pass": lo <= report.fitted_slopes[key] <= hi} for key, (lo, hi) in windows.items()]
 
 
 @dataclass(frozen=True)
@@ -160,8 +187,12 @@ def _study(eps_list, trials, one_trial, names, targets):
 
     one_trial(eps, trial index) returns the three errors of one trial, or
     None for a trial excluded by a failed step.  names label the three
-    error series and targets are the values they are errors of.
+    error series and targets are the values they are errors of.  eps_list
+    runs down from its largest eps and must span at least a decade.
     """
+    eps_list = list(eps_list)
+    if len(eps_list) < 2 or np.log10(eps_list[0] / eps_list[-1]) < 1.0 - 1e-12:
+        raise ValueError("eps_list must span at least a decade")
     _check_trials(trials)
     meds = ([], [], [])
     failed = total = 0
@@ -186,9 +217,6 @@ def _study(eps_list, trials, one_trial, names, targets):
 
 def scaling_study(target, eps_list, trials, seed):
     """One-step error scaling: median per-eps errors and their fit_slope slopes."""
-    eps_list = list(eps_list)
-    if len(eps_list) < 2 or np.log10(eps_list[0] / eps_list[-1]) < 1.0 - 1e-12:
-        raise ValueError("eps_list must span at least a decade")
     ref = target.vec_set
 
     def one_trial(eps, trial):
@@ -211,7 +239,6 @@ def ritz_approx_study(target, eps_list, trials, seed):
     """
     if target.regime != "simple":
         raise ValueError("ritz study requires a simple nonsingular target")
-    eps_list = list(eps_list)
     pair, tgt = target.pair, target.triplet
     xp = eigvec_derivative(pair, tgt.mu, tgt.lam, tgt.x)
     ideal = np.stack([tgt.x, xp / np.linalg.norm(xp)], axis=1)

@@ -83,9 +83,9 @@ def refine_critical(pair, left, right, i):
     lam'' comes from the same eig_at point; a cluster at values[i], as at
     a crossing's kink, has none, so the step bisects.  Each new point
     narrows the bracket by the sign of its slope.  A point is accepted once
-    |f/lam''| is within 1e-13 * (|mu| + min(1, |A|/|C|)); bisection stops
-    once the bracket is that narrow or its midpoint is no longer strictly
-    inside it.
+    |f/lam''| is within 1e-13 * (|mu| + min(1, |A|/|C|)), or 1e-13 * (|mu| + 1)
+    when A = 0; bisection stops once the bracket is that narrow or its
+    midpoint is no longer strictly inside it.
 
     refined_to is the distance estimate to the zero: |f/lam''| at a point
     Newton accepts, the final bracket width when bisection ends, and 0 at
@@ -108,8 +108,10 @@ def refine_critical(pair, left, right, i):
     if f_lo * f_hi > 0.0:
         raise TwoDevpError("slope of curve %d does not change sign over %r" % (i, bracket))
     point, f = (left, f_lo) if abs(f_lo) <= abs(f_hi) else (right, f_hi)
-    # the width follows a small |A| down, and is never looser than 1e-13 * (1 + |mu|)
-    offset = min(1.0, pair.norm_a / pair.norm_c)
+    # the width follows a small |A| down, and is never looser than 1e-13 * (1 + |mu|);
+    # A = 0 gives no scale to follow, and a width that vanished at mu = 0 would
+    # let bisection run to subnormal numbers
+    offset = min(1.0, pair.norm_a / pair.norm_c) or 1.0
     dx_old = dx = hi - lo
     refined_to = 0.0
     while f != 0.0:

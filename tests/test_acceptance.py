@@ -19,22 +19,13 @@ import pytest
 import twodevp as td
 from twodevp import harness, refpairs
 from twodevp.classify import Kind
-from twodevp.curves import branch_derivatives, eig_at
-from twodevp.harness import MULTIPLE_WINDOWS, RITZ_WINDOWS, SIMPLE_WINDOWS
+from twodevp.curves import branch_derivatives, eig_at, slopes
+from twodevp.harness import COMMUTING_WINDOWS, MULTIPLE_WINDOWS, RITZ_WINDOWS, SIMPLE_WINDOWS
 from twodevp.kernels import orthonormalize
 from twodevp.model import HermitianPair, save_pair
 from twodevp.rqi import form_rq
 
 SQ2 = np.sqrt(2.0)
-
-# Windows for a commuting pair (A and C both diagonal, as in
-# refpairs.multiple_pair_desk).  The cluster span U = span{e1, e2} is then
-# invariant under A and C for every mu, so the step's subspace misses U by
-# O(eps) * O(eps^2) = O(eps^3), and with no cross terms between U and its
-# complement the projected pair, hence (mu, lambda), is off by the square,
-# O(eps^6); the Ritz vector inherits the O(eps^3) miss.  README.md,
-# "One-step rates", has the full derivation.
-COMMUTING_WINDOWS = {"lambda": (5.3, 6.7), "mu": (5.3, 6.7), "x": (2.6, 3.4)}
 
 
 def window_violations(slopes, windows, tag):
@@ -214,7 +205,7 @@ def test_derivative_formulas_match_finite_differences():
 
             h = 1e-4
             fd1 = (lam_at(mu + h) - lam_at(mu - h)) / (2 * h)
-            assert abs(td.lambda_prime(pair, x) - fd1) <= 1e-6
+            assert abs(slopes(pair, x[:, None])[0] - fd1) <= 1e-6
             h = 1e-3
             fd2 = (lam_at(mu + h) - 2 * lam + lam_at(mu - h)) / h**2
             assert abs(td.lambda_double_prime(pair, mu, lam, x) - fd2) <= 1e-4

@@ -4,7 +4,7 @@ import pytest
 from twodevp import refpairs
 from twodevp.angles import dist_to_set
 from twodevp.classify import Kind, classify, eigvec_set, fix_phase, multiplicity
-from twodevp.curves import eig_at, lambda_double_prime, lambda_prime
+from twodevp.curves import eig_at, lambda_double_prime, slopes
 from twodevp.errors import TwoDevpError
 from twodevp.model import HermitianPair
 
@@ -135,8 +135,7 @@ def test_simple_target_has_nonzero_cx_and_xprime():
 def test_multiple_cluster_slopes_have_opposite_signs():
     pair, trip = refpairs.multiple_pair_desk()
     s = eigvec_set(pair, trip.mu, trip.lam)
-    s1 = lambda_prime(pair, s.v[:, 0])
-    s2 = lambda_prime(pair, s.v[:, 1])
+    s1, s2 = slopes(pair, s.v)
     assert s1 * s2 < 0
 
 

@@ -226,6 +226,27 @@ def test_study_scaling_and_ritz_pass_on_desk_pair(tmp_path):
         assert all(v["pass"] for v in doc["verdicts"])
 
 
+def test_study_scaling_passes_on_commuting_pair(tmp_path):
+    # judged by the commuting-pair windows, not the generic-crossing ones
+    ppath = tmp_path / "mult.json"
+    save_pair(refpairs.multiple_pair_desk()[0], ppath)
+    out = tmp_path / "sc.json"
+    rc = main(["study", "scaling", "--pair", str(ppath), "--target-mu", "1", "--target-lambda", "0",
+               "--eps", "1e-1", "3e-2", "1e-2", "--trials", "50", "--seed", "0", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert rc == 0, doc["verdicts"]
+    assert doc["regime"] == "multiple"
+
+
+def test_study_eps_under_a_decade_is_input_error(tmp_path):
+    ppath, _ = write_reference_files(tmp_path)
+    for kind in ("scaling", "ritz"):
+        out = tmp_path / (kind + ".json")
+        rc = main(["study", kind, "--pair", ppath, "--target-mu", "0", "--target-lambda", "1",
+                   "--eps", "1e-2", "5e-3", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+
+
 def test_missing_pair_file_is_input_error(tmp_path):
     rc = main(["classify", "--pair", str(tmp_path / "nope.json"), "--mu", "0", "--lambda", "0"])
     assert rc == 2

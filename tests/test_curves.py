@@ -6,7 +6,7 @@ from twodevp.curves import (
     eig_at,
     eigvec_derivative,
     lambda_double_prime,
-    lambda_prime,
+    slopes,
     trace_curves,
 )
 from twodevp.errors import TwoDevpError
@@ -71,17 +71,12 @@ def test_trace_sum_matches_trace():
 
 def test_lambda_prime_isotropic_vector():
     pair = refpairs.simple_pair_2x2()
-    assert abs(lambda_prime(pair, np.array([1.0, 1.0]) / SQ2)) < 1e-15
+    assert abs(slopes(pair, np.array([[1.0], [1.0]]) / SQ2)[0]) < 1e-15
 
 
 def test_lambda_prime_basis_vector():
     pair = refpairs.simple_pair_2x2()
-    assert lambda_prime(pair, np.array([1.0, 0.0])) == -1.0
-
-
-def test_lambda_prime_requires_unit_vector():
-    with pytest.raises(TwoDevpError, match="eigenvector norm .* is not 1"):
-        lambda_prime(refpairs.simple_pair_2x2(), np.array([1.0, 1.0]))
+    assert slopes(pair, np.array([[1.0], [0.0]]))[0] == -1.0
 
 
 def test_lambda_prime_matches_finite_difference():
@@ -90,7 +85,7 @@ def test_lambda_prime_matches_finite_difference():
     for mu in (-0.35, 0.1, 0.42):
         point = eig_at(pair, mu)
         x = point.vectors[:, 0]
-        lp = lambda_prime(pair, x)
+        lp = slopes(pair, point.vectors[:, [0]])[0]
 
         def lam_at(m):
             q = eig_at(pair, m)
@@ -104,7 +99,7 @@ def test_lambda_prime_matches_finite_difference():
 def test_lambda_prime_vanishes_at_critical_point():
     _, t = refpairs.simple_pair_desk()
     pair, _ = refpairs.simple_pair_desk()
-    assert abs(lambda_prime(pair, t.x)) < 1e-10
+    assert abs(slopes(pair, t.x[:, None])[0]) < 1e-10
 
 
 def test_eigvec_derivative_worked_example():

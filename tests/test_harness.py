@@ -5,9 +5,14 @@ import pytest
 
 from twodevp import refpairs
 from twodevp.angles import dist_to_set
-from twodevp.classify import Kind, classify
+from twodevp.classify import Kind, classify, eigvec_set
 from twodevp.errors import TwoDevpError
 from twodevp.harness import (
+    COMMUTING_WINDOWS,
+    MULTIPLE_WINDOWS,
+    RITZ_WINDOWS,
+    SIMPLE_WINDOWS,
+    ConditioningReport,
     Target,
     conditioning_study,
     convergence_order,
@@ -17,6 +22,7 @@ from twodevp.harness import (
     random_pair_with_crossing,
     ritz_approx_study,
     scaling_study,
+    verdicts,
 )
 from twodevp.model import Triplet, residual
 from twodevp.rqi import projection_basis, sigma_n_jhat
@@ -104,6 +110,34 @@ def test_scaling_study_needs_a_decade():
         scaling_study(simple_target(), [1e-2], 5, 0)
     with pytest.raises(ValueError):
         scaling_study(simple_target(), [1e-2, 5e-3], 5, 0)
+
+
+def test_ritz_study_needs_a_decade():
+    with pytest.raises(ValueError, match="decade"):
+        ritz_approx_study(simple_target(), [1e-2, 5e-3], 5, 0)
+
+
+def test_verdicts_judge_each_case_by_its_windows():
+    crossing = random_pair_with_crossing(12, (6, 6), 0.4, -0.3, 11)
+    cases = [
+        ("scaling", simple_target(), SIMPLE_WINDOWS),
+        ("scaling", multiple_target(), COMMUTING_WINDOWS),  # A and C both diagonal
+        ("scaling", Target(crossing, eigvec_set(crossing, 0.4, -0.3)), MULTIPLE_WINDOWS),
+        ("ritz", simple_target(), RITZ_WINDOWS),
+    ]
+    for kind, tgt, windows in cases:
+        study = scaling_study if kind == "scaling" else ritz_approx_study
+        rows = verdicts(kind, tgt, study(tgt, [1e-1, 1e-2], 2, 0))
+        assert [r["check"] for r in rows] == ["slope_%s" % k for k in windows]
+        assert [r["window"] for r in rows] == [list(w) for w in windows.values()]
+
+
+def test_conditioning_verdicts_require_clean_counts_near_the_target():
+    rep = ConditioningReport([1e-1, 1e-3, 1e-4], 5, [3, 0, 0], [2, 1, 0], 1.0, (1.0, -1.0))
+    rows = verdicts("conditioning", simple_target(), rep)
+    assert [r["check"] for r in rows] == ["conditioning_eps_0.1", "conditioning_eps_0.001",
+                                          "conditioning_eps_0.0001"]
+    assert [r["pass"] for r in rows] == [True, False, True]
 
 
 def test_scaling_study_report_shape():

@@ -183,6 +183,16 @@ def test_newton_refines_a_critical_point_in_few_decompositions(monkeypatch):
     assert max(crit) <= 6
 
 
+def test_crossing_at_zero_with_a_zero_a_stops_in_few_decompositions(monkeypatch):
+    # with A = 0 every curve crosses at mu = 0, where a width scaled by |A|
+    # would vanish and let bisection run on to subnormal numbers
+    per_hit = _count_eig_at_per_hit(monkeypatch)
+    hits, _ = scan(HermitianPair(np.zeros((4, 4)), np.diag([1.0, -1.0, 2.0, -3.0])), -1.0, 1.0, 9)
+    assert [h.kind for h in hits] == [HitKind.CROSSING]
+    assert abs(hits[0].triplet.mu) <= 1e-13
+    assert sum(n for _, n in per_hit) <= 50
+
+
 def test_refine_critical_takes_no_decomposition_at_a_zero_slope(monkeypatch):
     # the slope of both curves vanishes at mu = 0, the left bracket end
     per_hit = _count_eig_at_per_hit(monkeypatch)
