@@ -43,14 +43,15 @@ def dist_to_set(x, s):
 
     The set is {sum_i g_i w_i v_i : |g_i| = 1} over the columns v_i of s.v
     and the weights w_i of s.w.  The phases optimize independently, so the
-    nearest member takes g_i = phase(v_i^H x).  The difference vector is
-    formed explicitly instead of using a 2 - 2|overlap| form, which loses
-    half the digits to cancellation near the set.
+    nearest member takes g_i = phase(v_i^H x), and 1 where v_i^H x = 0.
+    The difference vector is formed explicitly instead of using a
+    2 - 2|overlap| form, which loses half the digits to cancellation near
+    the set.  For a (k, n) stack of vectors x it returns the k distances.
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = sum(w * _phase(np.vdot(v, x)) * v for v, w in zip(s.v.T, s.w))
-    return float(np.linalg.norm(x - y))
-
-
-def _phase(z):
-    return z / abs(z) if abs(z) > 0 else 1.0
+    x = np.asarray(x, dtype=complex)
+    p = x @ s.v.conj()  # v_i^H x in column i
+    r = np.abs(p)
+    zero = r == 0
+    g = (p + zero) / (r + zero)  # phase(v_i^H x), and 1 where it is 0
+    d = np.linalg.norm(x - (g * s.w) @ s.v.T, axis=-1)
+    return d if d.ndim else float(d)

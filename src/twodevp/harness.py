@@ -13,9 +13,9 @@ import numpy as np
 from . import rqi
 from .classify import EigvecSet, Kind, eigvec_set
 from .curves import eig_at, eigvec_derivative
-from .errors import NotIndefinite, RankCollapse, TwoDevpError
+from .errors import TwoDevpError
 from .kernels import diagonalize_form, orthonormalize
-from .model import HermitianPair, Triplet
+from .model import HermitianPair, Triplet, TripletStack, jacobian
 from .refpairs import haar_unitary
 
 NOISE_FLOOR = 1e-13
@@ -135,29 +135,38 @@ def _trial_rng(seed, trial):
     return np.random.default_rng([seed, trial])
 
 
-def _unit_perp(rng, x):
-    n = x.shape[0]
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    w -= np.vdot(x, w) / np.vdot(x, x) * x
-    return w / np.linalg.norm(w)
-
-
-def perturbed_start(target, eps, seed, trial=0):
-    """Seeded start at controlled distance eps from the target.
+def perturbed_starts(target, eps, seed, trials):
+    """Seeded starts at controlled distance eps from the target, one per trial index.
 
     The vector is the set's representative perturbed at O(eps) in both
     regimes.  The scalars are perturbed at O(eps) in the simple regime and
     at O(eps^2) in the multiple regime, matching the hypothesis under
-    which the multiple-case one-step bounds hold.
+    which the multiple-case one-step bounds hold.  Each trial draws from
+    its own RNG, seeded by (seed, trial index), so a start does not depend
+    on which other trials share its stack.  Returns a TripletStack.
     """
     if not 0.0 <= eps <= 0.3:
         raise ValueError("eps must be in [0, 0.3]")
-    rng = _trial_rng(seed, trial)
-    u1, u2 = rng.uniform(-1.0, 1.0, size=2)
     tgt = target.triplet
-    w = _unit_perp(rng, tgt.x)
+    n = tgt.x.shape[0]
+    u = np.empty((len(trials), 2))
+    w = np.empty((len(trials), n), dtype=complex)
+    for row, trial in enumerate(trials):
+        rng = _trial_rng(seed, trial)
+        u[row] = rng.uniform(-1.0, 1.0, size=2)
+        w[row] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # a unit direction orthogonal to the target's x
+    w -= np.outer(w @ tgt.x.conj() / np.vdot(tgt.x, tgt.x), tgt.x)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    x = tgt.x + eps * w
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
     scal = eps * eps if target.regime == "multiple" else eps
-    return Triplet.normalized(tgt.mu + scal * u1, tgt.lam + scal * u2, tgt.x + eps * w)
+    return TripletStack(tgt.mu + scal * u[:, 0], tgt.lam + scal * u[:, 1], x)
+
+
+def perturbed_start(target, eps, seed, trial=0):
+    """The start of perturbed_starts for one trial index, as a Triplet."""
+    return perturbed_starts(target, eps, seed, [trial])[0]
 
 
 def fit_slope(eps, med, scale=1.0):
@@ -182,30 +191,26 @@ def _check_trials(trials):
         raise ValueError("need trials >= 1, got %r" % trials)
 
 
-def _study(eps_list, trials, one_trial, names, targets):
+def _study(eps_list, trials, errors_at, names, targets):
     """Median per-eps errors of `trials` trials and their fit_slope slopes.
 
-    one_trial(eps, trial index) returns the three errors of one trial, or
-    None for a trial excluded by a failed step.  names label the three
-    error series and targets are the values they are errors of.  eps_list
-    runs down from its largest eps and must span at least a decade.
+    errors_at(eps, trial indices) returns the (m, 3) errors of the trials
+    whose step succeeded and the number of the others, which are excluded.
+    names label the three error series and targets are the values they
+    are errors of.  eps_list is read in descending order, so each eps
+    draws the same trials whatever order it comes in, and must span at
+    least a decade.
     """
-    eps_list = list(eps_list)
+    eps_list = sorted(eps_list, reverse=True)
     if len(eps_list) < 2 or np.log10(eps_list[0] / eps_list[-1]) < 1.0 - 1e-12:
         raise ValueError("eps_list must span at least a decade")
     _check_trials(trials)
     meds = ([], [], [])
-    failed = total = 0
+    failed, total = 0, len(eps_list) * trials
     for i, eps in enumerate(eps_list):
-        errs = []
-        for trial in range(trials):
-            total += 1
-            e = one_trial(eps, i * trials + trial)
-            if e is None:
-                failed += 1
-            else:
-                errs.append(e)
-        for med, col in zip(meds, np.array(errs, dtype=float).reshape(-1, 3).T):
+        errs, bad = errors_at(eps, range(i * trials, (i + 1) * trials))
+        failed += bad
+        for med, col in zip(meds, errs.T):
             med.append(float(np.median(col)))
     if failed > 0.2 * total:
         raise RuntimeError("more than 20%% of trials failed (%d of %d)" % (failed, total))
@@ -216,18 +221,19 @@ def _study(eps_list, trials, one_trial, names, targets):
 
 
 def scaling_study(target, eps_list, trials, seed):
-    """One-step error scaling: median per-eps errors and their fit_slope slopes."""
+    """One-step error scaling: median per-eps errors and their fit_slope slopes.
+
+    All trials of one eps take their step as one stack.
+    """
     ref = target.vec_set
 
-    def one_trial(eps, trial):
-        t0 = perturbed_start(target, eps, seed, trial=trial)
-        try:
-            t1, _ = rqi.step(target.pair, t0)
-        except (NotIndefinite, RankCollapse):
-            return None
-        return ref.errors(t1.mu, t1.lam, t1.x)
+    def errors_at(eps, trials):
+        out = rqi.step_stack(target.pair, perturbed_starts(target, eps, seed, trials))
+        ok = np.array([f is None for f in out.failures])
+        t1 = out.triplets
+        return np.column_stack(ref.errors(t1.mu[ok], t1.lam[ok], t1.x[ok])), int(np.count_nonzero(~ok))
 
-    return _study(eps_list, trials, one_trial, ("mu", "lambda", "x"), (ref.mu, ref.lam, 1.0))
+    return _study(eps_list, trials, errors_at, ("mu", "lambda", "x"), (ref.mu, ref.lam, 1.0))
 
 
 def ritz_approx_study(target, eps_list, trials, seed):
@@ -235,7 +241,8 @@ def ritz_approx_study(target, eps_list, trials, seed):
 
     The ideal subspace is span{x_*, x'_*}; each trial perturbs it, rotates
     the basis so V^H C V is diagonal, solves the projected 2 x 2 problem
-    and records the best of the two Ritz triplets.
+    and records the best of the two Ritz triplets.  All trials of one eps
+    are extracted as one stack.
     """
     if target.regime != "simple":
         raise ValueError("ritz study requires a simple nonsingular target")
@@ -243,20 +250,20 @@ def ritz_approx_study(target, eps_list, trials, seed):
     xp = eigvec_derivative(pair, tgt.mu, tgt.lam, tgt.x)
     ideal = np.stack([tgt.x, xp / np.linalg.norm(xp)], axis=1)
 
-    def one_trial(eps, trial):
-        rng = _trial_rng(seed, trial)
-        g = rng.standard_normal((pair.n, 2)) + 1j * rng.standard_normal((pair.n, 2))
-        g /= np.linalg.norm(g, 2)
+    def errors_at(eps, trials):
+        g = np.empty((len(trials), pair.n, 2), dtype=complex)
+        for row, trial in enumerate(trials):
+            rng = _trial_rng(seed, trial)
+            g[row] = rng.standard_normal((pair.n, 2)) + 1j * rng.standard_normal((pair.n, 2))
+        g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
         v, ce = diagonalize_form(pair.c, orthonormalize(ideal + eps * g))
-        basis = rqi.ProjectionBasis(v, float(ce[0]), float(ce[1]))
-        try:
-            cands = rqi.solve_2x2(*rqi.form_rq(pair, basis))
-        except NotIndefinite:
-            return None
-        errs = [target.vec_set.errors(c.nu, c.theta, v @ c.z) for c in cands]
-        return min(errs, key=sum)
+        cands = rqi.solve_2x2(*rqi.form_rq(pair, rqi.ProjectionBasis(v, ce[:, 0], ce[:, 1])))
+        first, second = (np.column_stack(target.vec_set.errors(
+            cands.nu[:, c], cands.theta[:, c], (v @ cands.z[:, c, :, None])[..., 0])) for c in (0, 1))
+        best = np.where((first.sum(axis=1) <= second.sum(axis=1))[:, None], first, second)
+        return best[cands.indefinite], int(np.count_nonzero(~cands.indefinite))
 
-    return _study(eps_list, trials, one_trial, ("nu", "theta", "x"), (tgt.mu, tgt.lam, 1.0))
+    return _study(eps_list, trials, errors_at, ("nu", "theta", "x"), (tgt.mu, tgt.lam, 1.0))
 
 
 def conditioning_study(target, eps_list, trials, seed):
@@ -266,34 +273,32 @@ def conditioning_study(target, eps_list, trials, seed):
     the diagonal entries (c1, c2) of the projected C.  For each perturbed
     start, count violations of sigma_n >= sigma_*/2 and of the c-bracket
     inequalities (two-sided in the simple regime, one-sided in the
-    multiple regime).
+    multiple regime); a start whose basis collapses violates both.  The
+    starts of one eps form one stack, whose Jacobians give both the bases
+    and sigma_n.
     """
+    pair = target.pair
     eps_list = list(eps_list)
     _check_trials(trials)
-    basis_star = rqi.projection_basis(target.pair, target.triplet)
-    sigma_star = rqi.sigma_n_jhat(target.pair, target.triplet)
-    c1s, c2s = basis_star.c1, basis_star.c2
+
+    def bases_and_sigmas(starts):
+        j = jacobian(pair, starts)
+        basis, failures = rqi.projection_basis(pair, j)
+        collapsed = np.array([f is not None for f in failures])
+        return basis, collapsed, np.linalg.svd(j[:, : pair.n], compute_uv=False)[:, -1]
+
+    b, _, sigma = bases_and_sigmas(TripletStack.of([target.triplet]))
+    sigma_star, c1s, c2s = float(sigma[0]), float(b.c1[0]), float(b.c2[0])
     sigma_viol, c_viol = [], []
     for i, eps in enumerate(eps_list):
-        sv = cv = 0
-        for trial in range(trials):
-            t0 = perturbed_start(target, eps, seed, trial=i * trials + trial)
-            try:
-                b = rqi.projection_basis(target.pair, t0)
-            except RankCollapse:
-                sv += 1
-                cv += 1
-                continue
-            if rqi.sigma_n_jhat(target.pair, t0) < 0.5 * sigma_star:
-                sv += 1
-            if target.regime == "simple":
-                ok = (0.5 * c1s <= b.c1 <= 1.5 * c1s) and (1.5 * c2s <= b.c2 <= 0.5 * c2s)
-            else:
-                ok = (b.c1 >= 0.5 * c1s > 0.0) and (b.c2 <= 0.5 * c2s < 0.0)
-            if not ok:
-                cv += 1
-        sigma_viol.append(sv)
-        c_viol.append(cv)
+        starts = perturbed_starts(target, eps, seed, range(i * trials, (i + 1) * trials))
+        b, collapsed, sigma = bases_and_sigmas(starts)
+        if target.regime == "simple":
+            ok = (0.5 * c1s <= b.c1) & (b.c1 <= 1.5 * c1s) & (1.5 * c2s <= b.c2) & (b.c2 <= 0.5 * c2s)
+        else:
+            ok = (b.c1 >= 0.5 * c1s) & (0.5 * c1s > 0.0) & (b.c2 <= 0.5 * c2s) & (0.5 * c2s < 0.0)
+        sigma_viol.append(int(np.count_nonzero(collapsed | (sigma < 0.5 * sigma_star))))
+        c_viol.append(int(np.count_nonzero(collapsed | ~ok)))
     return ConditioningReport(eps_list, trials, sigma_viol, c_viol, sigma_star, (c1s, c2s))
 
 

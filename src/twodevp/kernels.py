@@ -41,7 +41,7 @@ def check_hermitian(m):
 
 
 def hermitian_eig(m):
-    """Eigendecomposition of an exactly Hermitian matrix.
+    """Eigendecomposition of an exactly Hermitian matrix, or of a stack of them.
 
     Returns (values, vectors) with values in descending order and vectors
     as the matching columns.  The input is not validated: callers pass
@@ -52,17 +52,23 @@ def hermitian_eig(m):
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise TwoDevpError(str(exc))
-    return w[::-1], v[:, ::-1]
+    return w[..., ::-1], v[..., ::-1]
+
+
+def conj_t(m):
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(m, -1, -2).conj()
 
 
 def diagonalize_form(c, basis):
     """Rotate an orthonormal basis so basis^H C basis is diagonal.
 
-    Returns (rotated basis, diagonal entries in descending order).  The
-    projected form is symmetrized before its eigendecomposition.
+    Returns (rotated basis, diagonal entries in descending order); on a
+    (k, n, m) stack of bases, a stack of each.  The projected form is
+    symmetrized before its eigendecomposition.
     """
-    m = basis.conj().T @ c @ basis
-    e, s = hermitian_eig(0.5 * (m + m.conj().T))
+    m = conj_t(basis) @ c @ basis
+    e, s = hermitian_eig(0.5 * (m + conj_t(m)))
     return basis @ s, e
 
 
@@ -70,21 +76,25 @@ def isotropic_weights(c1, c2):
     """Weights (t, s) with t^2 + s^2 = 1 and c1 t^2 + c2 s^2 = 0.
 
     t v1 + s v2 is then an isotropic unit vector for orthonormal v1, v2
-    with v1^H C v1 = c1, v2^H C v2 = c2 and v1^H C v2 = 0.
-    Requires c1 > 0 > c2.
+    with v1^H C v1 = c1, v2^H C v2 = c2 and v1^H C v2 = 0.  Works
+    elementwise on arrays.  Requires c1 > 0 > c2 throughout.
     """
-    if not (c1 > 0 > c2):
+    if not np.all((c1 > 0) & (c2 < 0)):
         raise NotIndefinite("projected C has entries (%r, %r), not indefinite" % (c1, c2))
     return np.sqrt(-c2 / (c1 - c2)), np.sqrt(c1 / (c1 - c2))
 
 
 def orthonormalize(m):
-    """Orthonormal basis for the column span of a full-column-rank matrix."""
-    m = as_matrix(m)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    scale = s[0] if s.size else 0.0
-    if s.size == 0 or s[-1] <= 1e-10 * scale:
-        raise RankCollapse("smallest singular value %.3e below rank tolerance" % (s[-1] if s.size else 0.0))
+    """Orthonormal basis for the column span of a full-column-rank matrix.
+
+    On a stack of matrices, the basis of each; RankCollapse when any of
+    them has lower rank.
+    """
+    u, s, _ = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
+    if s.shape[-1] == 0:
+        raise RankCollapse("an empty matrix has no basis")
+    if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
+        raise RankCollapse("smallest singular value %.3e below rank tolerance" % np.min(s[..., -1]))
     return u
 
 

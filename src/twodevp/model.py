@@ -50,10 +50,6 @@ class HermitianPair:
         object.__setattr__(self, "norm_a", float(norm_a))
         object.__setattr__(self, "norm_c", float(norm_c))
 
-    def shifted(self, mu, lam):
-        """The Hermitian matrix A - mu*C - lam*I."""
-        return self.a - mu * self.c - lam * np.eye(self.n)
-
     def scale(self, mu, lam):
         """Natural residual scale at (mu, lam)."""
         return self.norm_a + abs(mu) * self.norm_c + abs(lam) + 1.0
@@ -83,6 +79,31 @@ class Triplet:
         return cls(mu, lam, x / nrm)
 
 
+class TripletStack:
+    """k candidate solutions at once: mu and lam of shape (k,), x of shape (k, n).
+
+    Row i is the triplet (mu[i], lam[i], x[i]), which `stack[i]` returns.
+    A plain class: a frozen dataclass would cost about a millisecond more
+    at every import of the package.
+    """
+
+    __slots__ = ("mu", "lam", "x")
+
+    def __init__(self, mu, lam, x):
+        self.mu, self.lam, self.x = mu, lam, x
+
+    @classmethod
+    def of(cls, triplets):
+        return cls(np.array([t.mu for t in triplets]), np.array([t.lam for t in triplets]),
+                   np.array([t.x for t in triplets]))
+
+    def __len__(self):
+        return self.x.shape[0]
+
+    def __getitem__(self, i):
+        return Triplet(self.mu[i], self.lam[i], self.x[i])
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Stacked residual vector and its norm."""
@@ -91,34 +112,46 @@ class ResidualReport:
     norm: float
 
 
+def _check_length(pair, x):
+    if x.shape[-1] != pair.n:
+        raise TwoDevpError("triplet has length %d, pair has n=%d" % (x.shape[-1], pair.n))
+
+
 def residual(pair, t):
     """Evaluate the nonlinear residual F at a triplet."""
-    if t.x.shape[0] != pair.n:
-        raise TwoDevpError("triplet has length %d, pair has n=%d" % (t.x.shape[0], pair.n))
-    top = pair.shifted(t.mu, t.lam) @ t.x
-    iso = -0.5 * np.real(np.vdot(t.x, pair.c @ t.x))
+    _check_length(pair, t.x)
+    cx = pair.c @ t.x
+    top = pair.a @ t.x - t.mu * cx - t.lam * t.x
+    iso = -0.5 * np.real(np.vdot(t.x, cx))
     unit = 0.5 * (1.0 - np.real(np.vdot(t.x, t.x)))
     f = np.concatenate([top, [iso + 0j, unit + 0j]])
     return ResidualReport(f=f, norm=float(np.linalg.norm(f)))
 
 
 def jacobian(pair, t):
-    """The bordered (n+2) x (n+2) Jacobian of F; Hermitian by construction."""
-    if t.x.shape[0] != pair.n:
-        raise TwoDevpError("triplet has length %d, pair has n=%d" % (t.x.shape[0], pair.n))
-    cx = pair.c @ t.x
-    j = np.zeros((pair.n + 2, pair.n + 2), dtype=complex)
-    j[: pair.n, : pair.n] = pair.shifted(t.mu, t.lam)
-    j[: pair.n, pair.n] = -cx
-    j[: pair.n, pair.n + 1] = -t.x
-    j[pair.n, : pair.n] = -cx.conj()
-    j[pair.n + 1, : pair.n] = -t.x.conj()
+    """The bordered (n+2) x (n+2) Jacobian of F; Hermitian by construction.
+
+    For a TripletStack t of k triplets it is the (k, n+2, n+2) stack of
+    their Jacobians.  The leading block A - mu*C - lam*I is built in place.
+    """
+    _check_length(pair, t.x)
+    n, x = pair.n, t.x
+    cx = x @ pair.c.T  # row-wise C x, as C^T = conj(C)
+    j = np.zeros(x.shape[:-1] + (n + 2, n + 2), dtype=complex)
+    top = j[..., :n, :n]
+    np.multiply(np.asarray(t.mu)[..., None, None], pair.c, out=top)
+    np.subtract(pair.a, top, out=top)
+    np.einsum("...ii->...i", top)[...] -= np.asarray(t.lam)[..., None]  # the diagonal, as a view
+    j[..., :n, n] = -cx
+    j[..., :n, n + 1] = -x
+    j[..., n, :n] = -cx.conj()
+    j[..., n + 1, :n] = -x.conj()
     return j
 
 
 def jacobian_hat(pair, t):
     """First n rows of the Jacobian: [A - mu*C - lam*I, -Cx, -x]."""
-    return jacobian(pair, t)[: pair.n, :]
+    return jacobian(pair, t)[..., : pair.n, :]
 
 
 def complex_to_json(arr):

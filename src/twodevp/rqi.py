@@ -16,19 +16,26 @@ One step from the iterate (mu_k, lam_k, x_k):
      off-diagonal entry a12 of V^H A V is zero;
   4. pick the candidate closest to (mu_k, lam_k) in |d mu| + |d lam| and
      lift its 2-vector through V.
+
+`step_stack` takes this step from each of a stack of k iterates at once:
+every stage is one numpy call on the stack, or a few, and a member whose
+step fails gets its own failure.  `step`, and so `solve`, is its k = 1
+case.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .classify import eigvec_set
 from .errors import NotIndefinite, RankCollapse
-from .kernels import diagonalize_form, isotropic_weights
-from .model import Triplet, jacobian, jacobian_hat, residual
+from .kernels import conj_t, diagonalize_form, isotropic_weights
+from .model import Triplet, TripletStack, jacobian, jacobian_hat, residual
 
 DEFAULT_OPTS = {"tol_abs": 1e-12, "tol_rel": 1e-14, "max_iter": 50}
+_SIGNS = np.array([1.0, -1.0])  # of the two candidates of a projected problem
 
 
 class Status(Enum):
@@ -39,18 +46,26 @@ class Status(Enum):
     NON_FINITE = "NonFinite"
 
 
-@dataclass(frozen=True)
-class ProjectionBasis:
-    v: np.ndarray          # n x 2, orthonormal, V^H C V = diag(c1, c2)
-    c1: float
-    c2: float
+class ProjectionBasis(NamedTuple):
+    """Projection bases of a stack of k iterates."""
+
+    v: np.ndarray          # k x n x 2, orthonormal, V^H C V = diag(c1, c2)
+    c1: np.ndarray         # k
+    c2: np.ndarray         # k
 
 
-@dataclass(frozen=True)
-class RitzCandidate:
-    nu: float
-    theta: float
-    z: np.ndarray
+class RitzCandidates(NamedTuple):
+    """The two candidates of each of k projected 2 x 2 problems.
+
+    Candidate c of member i is (nu[i, c], theta[i, c]) with 2-vector
+    z[i, c].  Where indefinite[i] is False, the member's projected C is
+    not indefinite and its candidates are placeholders.
+    """
+
+    nu: np.ndarray         # k x 2
+    theta: np.ndarray      # k x 2
+    z: np.ndarray          # k x 2 x 2
+    indefinite: np.ndarray  # k
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,21 @@ class StepDiagnostics:
     c1: float
     c2: float
     abs_a12: float
+
+
+class StepStack(NamedTuple):
+    """One 2DRQI step from each of k iterates.
+
+    failures[i] is None, or the NotIndefinite or RankCollapse that stopped
+    member i; the next triplet and diagnostics of such a member are
+    placeholders.
+    """
+
+    triplets: TripletStack
+    c1: np.ndarray
+    c2: np.ndarray
+    abs_a12: np.ndarray
+    failures: tuple
 
 
 @dataclass
@@ -81,28 +111,46 @@ class RqiTrace:
         return self.iterates[-1].triplet
 
 
-def projection_basis(pair, t):
-    """Projection basis from the nullspace of the leading Jacobian block.
+def projection_basis(pair, j):
+    """Projection bases from the nullspaces of the leading Jacobian blocks.
 
-    The nullspace is spanned by the last two columns of J^-1.  RankCollapse
-    is raised for an exactly singular J, as at a zero x, and for a basis
+    j is a (k, n+2, n+2) stack of bordered Jacobians, and each nullspace
+    is spanned by the last two columns of J^-1.  Returns the bases and a
+    list that holds, per member, None or the RankCollapse that voids its
+    basis: for an exactly singular J, as at a zero x, and for a basis
     whose leading rows have rank < 2, as at an x that is an eigenvector of
     C, where the two border rows of J are parallel.
     """
-    e = np.zeros((pair.n + 2, 2))
-    e[pair.n, 0] = e[pair.n + 1, 1] = 1.0
+    n = pair.n
+    e = np.zeros((n + 2, 2))
+    e[n, 0] = e[n + 1, 1] = 1.0
+    failures = [None] * len(j)
     try:
-        null = np.linalg.solve(jacobian(pair, t), e)
+        # e as a stack of one matrix, which numpy < 2 would otherwise read
+        # as a stack of vectors
+        null = np.linalg.solve(j, e[None])
     except np.linalg.LinAlgError:
-        raise RankCollapse("bordered Jacobian is singular")
-    null, _ = np.linalg.qr(null)
-    # The rows of an orthonormal basis have singular values <= 1, so an
-    # absolute floor is the rank test; u is an orthonormal basis of them.
-    u, sv, _ = np.linalg.svd(null[: pair.n, :], full_matrices=False)
-    if sv[-1] <= 1e-10:
-        raise RankCollapse("leading rows of the nullspace basis have rank < 2")
+        # one singular J fails the whole stack, so redo it member by
+        # member; a singular member keeps [0; I_2], whose leading rows
+        # have rank 0
+        null = np.empty(j.shape[:1] + e.shape, dtype=complex)
+        for i, ji in enumerate(j):
+            try:
+                null[i] = np.linalg.solve(ji, e)
+            except np.linalg.LinAlgError:
+                null[i] = e
+                failures[i] = RankCollapse("bordered Jacobian is singular")
+    # An orthonormal basis of each nullspace: the left singular vectors,
+    # which cost less than numpy's QR at this size.  Its rows have singular
+    # values <= 1, so an absolute floor is the rank test; u is an
+    # orthonormal basis of the leading rows.
+    null = np.linalg.svd(null, full_matrices=False)[0]
+    u, sv, _ = np.linalg.svd(null[:, :n, :], full_matrices=False)
+    for i, low in enumerate((sv[:, -1] <= 1e-10).tolist()):
+        if low and failures[i] is None:
+            failures[i] = RankCollapse("leading rows of the nullspace basis have rank < 2")
     v, ce = diagonalize_form(pair.c, u)
-    return ProjectionBasis(v=v, c1=float(ce[0]), c2=float(ce[1]))
+    return ProjectionBasis(v, ce[:, 0], ce[:, 1]), failures
 
 
 def sigma_n_jhat(pair, t):
@@ -111,45 +159,76 @@ def sigma_n_jhat(pair, t):
 
 
 def form_rq(pair, basis):
-    """Entries of the projected pair (V^H A V, V^H C V)."""
-    ak = basis.v.conj().T @ pair.a @ basis.v
-    a11 = float(np.real(ak[0, 0]))
-    a22 = float(np.real(ak[1, 1]))
-    a12 = complex(ak[0, 1])
-    return a11, a12, a22, basis.c1, basis.c2
+    """Entries (a11, a12, a22, c1, c2) of the projected pairs (V^H A V, V^H C V)."""
+    ak = conj_t(basis.v) @ pair.a @ basis.v
+    return ak[:, 0, 0].real, ak[:, 0, 1], ak[:, 1, 1].real, basis.c1, basis.c2
 
 
 def solve_2x2(a11, a12, a22, c1, c2):
-    """Closed-form solution of the projected 2 x 2 problem.
+    """Closed-form solutions of projected 2 x 2 problems, elementwise.
 
-    Returns the two candidates z = [t, +-alpha s], where (t, s) are the
-    isotropic weights of (c1, c2) and alpha = conj(a12)/|a12|; at a12 == 0,
-    alpha = 1 and the two coincide.  Requires c1 > 0 > c2.
+    Each problem has the two candidates z = [t, +-alpha s], where (t, s)
+    are the isotropic weights of (c1, c2) and alpha = conj(a12)/|a12|; at
+    a12 == 0, alpha = 1 and the two coincide.  With d = c1 - c2 and
+    g = sqrt(-c1 c2) = t s d, their Rayleigh quotients are
+    theta = (c1 a22 - c2 a11 +- 2 g |a12|) / d and
+    nu = (a11 - a22 +- (c1 + c2) |a12| / g) / d.  A problem needs
+    c1 > 0 > c2; where it fails, `indefinite` is False.
     """
+    indefinite = (c1 > 0) & (c2 < 0)
+    c1 = np.where(indefinite, c1, 1.0)
+    c2 = np.where(indefinite, c2, -1.0)
     t, s = isotropic_weights(c1, c2)
-    r = abs(a12)
-    alpha = a12.conjugate() / r if a12 != 0 else 1.0 + 0j
-    den = c1 * c1 * t * t + c2 * c2 * s * s
-    out = []
-    for sign in (+1.0, -1.0):
-        theta = t * t * a11 + s * s * a22 + sign * 2.0 * t * s * r
-        num = c1 * t * t * a11 + c2 * s * s * a22 + sign * (c1 + c2) * t * s * r
-        out.append(RitzCandidate(nu=num / den, theta=theta, z=np.array([t, sign * alpha * s])))
-    return out
+    r = np.abs(a12)
+    zero = r == 0
+    alpha = (np.conj(a12) + zero) / (r + zero)  # 1 where a12 == 0
+    d = c1 - c2
+    g = t * s * d
+    pm = np.multiply.outer(r / d, _SIGNS)  # +-|a12| / d for the two candidates
+    theta = ((c1 * a22 - c2 * a11) / d)[..., None] + (2.0 * g)[..., None] * pm
+    nu = ((a11 - a22) / d)[..., None] + ((c1 + c2) / g)[..., None] * pm
+    z = np.empty(pm.shape + (2,), dtype=complex)
+    z[..., 0] = t[..., None]
+    z[..., 1] = np.multiply.outer(alpha * s, _SIGNS)
+    return RitzCandidates(nu, theta, z, indefinite)
 
 
 def select_ritz(t_prev, candidates, basis):
-    """Lift the candidate closest to the previous (mu, lam)."""
-    best = min(candidates, key=lambda c: abs(t_prev.mu - c.nu) + abs(t_prev.lam - c.theta))
-    return Triplet(best.nu, best.theta, basis.v @ best.z)
+    """Per member, lift the candidate closest to the previous (mu, lam)."""
+    gap = np.abs(t_prev.mu[:, None] - candidates.nu) + np.abs(t_prev.lam[:, None] - candidates.theta)
+    pick = (gap[:, 1] < gap[:, 0]).astype(int)  # the first on a tie
+    rows = np.arange(len(pick))
+    x = basis.v @ candidates.z[rows, pick, :, None]
+    return TripletStack(candidates.nu[rows, pick], candidates.theta[rows, pick], x[..., 0])
+
+
+def step_stack(pair, starts):
+    """One iteration of the 2DRQI from each triplet of the TripletStack `starts`.
+
+    Each stage runs once on the whole stack.  A member whose step fails
+    gets its NotIndefinite or RankCollapse in `failures`; nothing raises.
+    """
+    basis, failures = projection_basis(pair, jacobian(pair, starts))
+    a11, a12, a22, c1, c2 = form_rq(pair, basis)
+    cands = solve_2x2(a11, a12, a22, c1, c2)
+    for i, ok in enumerate(cands.indefinite.tolist()):
+        if not ok and failures[i] is None:
+            failures[i] = NotIndefinite(
+                "projected C has entries (%r, %r), not indefinite" % (float(c1[i]), float(c2[i])))
+    return StepStack(select_ritz(starts, cands, basis), c1, c2, np.abs(a12), tuple(failures))
 
 
 def step(pair, t):
-    """One iteration of the 2DRQI.  Returns (next triplet, diagnostics)."""
-    basis = projection_basis(pair, t)
-    a11, a12, a22, c1, c2 = form_rq(pair, basis)
-    t_next = select_ritz(t, solve_2x2(a11, a12, a22, c1, c2), basis)
-    return t_next, StepDiagnostics(c1, c2, abs(a12))
+    """One iteration of the 2DRQI.  Returns (next triplet, diagnostics).
+
+    The k = 1 case of step_stack; raises the member's NotIndefinite or
+    RankCollapse.
+    """
+    out = step_stack(pair, TripletStack.of([t]))
+    if out.failures[0] is not None:
+        raise out.failures[0]
+    diag = StepDiagnostics(float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0]))
+    return out.triplets[0], diag
 
 
 def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):

@@ -22,7 +22,7 @@ from twodevp.classify import Kind
 from twodevp.curves import branch_derivatives, eig_at, slopes
 from twodevp.harness import COMMUTING_WINDOWS, MULTIPLE_WINDOWS, RITZ_WINDOWS, SIMPLE_WINDOWS
 from twodevp.kernels import orthonormalize
-from twodevp.model import HermitianPair, save_pair
+from twodevp.model import HermitianPair, TripletStack, save_pair
 from twodevp.rqi import form_rq
 
 SQ2 = np.sqrt(2.0)
@@ -132,9 +132,9 @@ def _branch_miss_slopes(tgt, eps_list, trials, seed):
     med_x, med_xp = [], []
     for i, eps in enumerate(eps_list):
         mx, mxp = [], []
-        for trial in range(trials):
-            t0 = harness.perturbed_start(tgt, eps, seed, trial=i * trials + trial)
-            v = td.projection_basis(pair, t0).v
+        starts = harness.perturbed_starts(tgt, eps, seed, range(i * trials, (i + 1) * trials))
+        basis, _ = td.projection_basis(pair, td.jacobian(pair, starts))
+        for t0, v in zip(starts, basis.v):
             point = eig_at(pair, t0.mu)
             j = int(np.argmin(np.abs(point.values - trip.lam)))
             x = point.vectors[:, j]
@@ -276,13 +276,13 @@ def test_subspace_perturbation_bounds():
     # second-order accuracy of the constrained Rayleigh quotient
     pair, trip = refpairs.simple_pair_desk()
     tgt = harness.Target.at(pair, trip, "simple")
-    shift_norm = np.linalg.norm(pair.shifted(trip.mu, trip.lam), 2)
+    shift_norm = np.linalg.norm(pair.a - trip.mu * pair.c - trip.lam * np.eye(pair.n), 2)
     for trial in range(500):
         eps = 10.0 ** rng.uniform(-4, -1)
         t0 = harness.perturbed_start(tgt, eps, 49, trial=trial)
-        basis = td.projection_basis(pair, t0)
-        for cand in td.solve_2x2(*form_rq(pair, basis)):
-            xt = basis.v @ cand.z
+        basis, _ = td.projection_basis(pair, td.jacobian(pair, TripletStack.of([t0])))
+        for z in td.solve_2x2(*form_rq(pair, basis)).z[0]:
+            xt = basis.v[0] @ z
             ov = np.vdot(trip.x, xt)
             if abs(ov) > 0:
                 xt = xt * (ov.conj() / abs(ov))

@@ -5,6 +5,7 @@ from twodevp import refpairs
 from twodevp.angles import canonical_angles, dist_to_set, sin_theta_norm
 from twodevp.classify import eigvec_set
 from twodevp.errors import TwoDevpError
+from twodevp.harness import random_pair_with_crossing
 
 SQ2 = np.sqrt(2.0)
 
@@ -125,3 +126,32 @@ def test_dist_to_multiple_set_matches_grid_search():
     )
     assert got <= brute + 1e-12
     assert abs(got - brute) < 1e-3
+
+
+def _dist_per_member(x, s):
+    """The set distance of one vector, written out member by member."""
+    y = np.zeros_like(x)
+    for v, w in zip(s.v.T, s.w):
+        ov = np.vdot(v, x)
+        y = y + w * (ov / abs(ov) if abs(ov) > 0 else 1.0) * v
+    return np.linalg.norm(x - y)
+
+
+def test_dist_to_set_of_a_stack_matches_the_per_member_formula():
+    rng = np.random.default_rng(14)
+    crossing = random_pair_with_crossing(12, (6, 6), 0.4, -0.3, 11)
+    sets = [eigvec_set(crossing, 0.4, -0.3)]
+    for pair, trip in (refpairs.simple_pair_desk(), refpairs.multiple_pair_desk()):
+        sets.append(eigvec_set(pair, trip.mu, trip.lam))
+    for s in sets:
+        n = s.v.shape[0]
+        xs = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
+        xs[0] = s.representative()
+        xs[1] = 0.0  # v_i^H x = 0 for every i: each phase is taken as 1
+        xs[2] -= s.v[:, 0] * np.vdot(s.v[:, 0], xs[2])  # v_1^H x at roundoff
+        got = dist_to_set(xs, s)
+        assert got.shape == (20,)
+        for x, d in zip(xs, got):
+            assert abs(d - _dist_per_member(x, s)) <= 1e-15 * max(1.0, d)
+            assert abs(dist_to_set(x, s) - d) <= 1e-15 * max(1.0, d)
+        assert abs(got[1] - 1.0) <= 1e-15

@@ -103,6 +103,13 @@ def test_errors_gives_mu_lambda_and_set_distances():
         errs = s.errors(mu + 0.25, lam - 0.5, x)
         assert errs == (0.25, 0.5, dist_to_set(x, s))
         assert abs(errs[2] - np.sqrt(2.0 - SQ2)) < 1e-15
+        # a stack of k triplets gives k errors of each kind
+        xs = np.array([x, s.representative(), [0.6, 0.8j]])
+        stacked = s.errors(mu + np.array([0.25, 0.0, -1.0]), lam + np.array([-0.5, 0.0, 2.0]), xs)
+        assert [e.shape for e in stacked] == [(3,)] * 3
+        assert np.allclose(stacked[0], [0.25, 0.0, 1.0], rtol=0, atol=1e-15)
+        assert np.allclose(stacked[1], [0.5, 0.0, 2.0], rtol=0, atol=1e-15)
+        assert np.allclose(stacked[2], [dist_to_set(y, s) for y in xs], rtol=0, atol=1e-15)
 
 
 def test_multiple_representative_is_isotropic_unit():

@@ -18,13 +18,14 @@ from twodevp.harness import (
     convergence_order,
     fit_slope,
     perturbed_start,
+    perturbed_starts,
     random_pair,
     random_pair_with_crossing,
     ritz_approx_study,
     scaling_study,
     verdicts,
 )
-from twodevp.model import Triplet, residual
+from twodevp.model import Triplet, TripletStack, jacobian, residual
 from twodevp.rqi import projection_basis, sigma_n_jhat
 
 
@@ -112,6 +113,27 @@ def test_scaling_study_needs_a_decade():
         scaling_study(simple_target(), [1e-2, 5e-3], 5, 0)
 
 
+def test_studies_read_the_eps_list_in_either_order():
+    # each eps draws the same trials whichever order the list comes in
+    for study in (scaling_study, ritz_approx_study):
+        up = study(simple_target(), [1e-3, 1e-2], 5, 0)
+        down = study(simple_target(), [1e-2, 1e-3], 5, 0)
+        assert up.epsilons == down.epsilons == [1e-2, 1e-3]
+        assert up.fitted_slopes == down.fitted_slopes
+
+
+def test_perturbed_starts_are_the_single_starts_stacked():
+    for tgt in (simple_target(), multiple_target()):
+        for eps in (0.0, 1e-3, 0.3):
+            trials = [4, 0, 17, 3]
+            stack = perturbed_starts(tgt, eps, 3, trials)
+            assert len(stack) == len(trials) and stack.x.shape == (4, tgt.pair.n)
+            for i, trial in enumerate(trials):
+                one = perturbed_start(tgt, eps, 3, trial=trial)
+                assert abs(stack.mu[i] - one.mu) <= 1e-15 and abs(stack.lam[i] - one.lam) <= 1e-15
+                assert np.max(np.abs(stack.x[i] - one.x)) <= 1e-15
+
+
 def test_ritz_study_needs_a_decade():
     with pytest.raises(ValueError, match="decade"):
         ritz_approx_study(simple_target(), [1e-2, 5e-3], 5, 0)
@@ -190,9 +212,9 @@ def test_ritz_study_near_exact_at_tiny_eps():
 def test_conditioning_study_reports_reference_values():
     tgt = simple_target()
     rep = conditioning_study(tgt, [1e-3], 20, 0)
-    b = projection_basis(tgt.pair, tgt.triplet)
+    b, _ = projection_basis(tgt.pair, jacobian(tgt.pair, TripletStack.of([tgt.triplet])))
     assert np.isclose(rep.sigma_star, sigma_n_jhat(tgt.pair, tgt.triplet))
-    assert rep.c_star == (b.c1, b.c2)
+    assert rep.c_star == (b.c1[0], b.c2[0])
     assert rep.sigma_violations == [0] and rep.c_violations == [0]
 
 
@@ -205,10 +227,21 @@ def test_studies_reject_zero_trials():
 
 def test_conditioning_study_counts_large_eps_violations():
     rep = conditioning_study(simple_target(), [0.3], 50, 0)
-    # far outside the local regime violations may occur; only the counting
-    # contract is asserted
-    assert 0 <= rep.sigma_violations[0] <= 50
-    assert 0 <= rep.c_violations[0] <= 50
+    # far outside the local regime violations may occur; these 50 starts
+    # have none, as when the study took one start at a time
+    assert (rep.sigma_violations, rep.c_violations) == ([0], [0])
+
+
+def test_conditioning_counts_match_the_per_start_study():
+    # counts that the study gave when it took one start at a time; the
+    # crossings of random pairs give nonzero ones at large eps
+    for tgt in (simple_target(), multiple_target()):
+        rep = conditioning_study(tgt, [1e-2, 1e-3], 100, 0)
+        assert (rep.sigma_violations, rep.c_violations) == ([0, 0], [0, 0])
+    for n, seed, sigma, c in ((6, 10, [0, 5], [8, 5]), (4, 9, [5, 0], [15, 2])):
+        pair = random_pair_with_crossing(n, (n // 2, n - n // 2), 0.4, -0.3, seed)
+        rep = conditioning_study(Target(pair, eigvec_set(pair, 0.4, -0.3)), [0.3, 0.1], 40, 0)
+        assert (rep.sigma_violations, rep.c_violations) == (sigma, c)
 
 
 def test_random_pair_signature_and_reproducibility():

@@ -5,10 +5,16 @@ from twodevp import refpairs
 from twodevp.angles import canonical_angles
 from twodevp.classify import eigvec_set
 from twodevp.curves import eigvec_derivative
-from twodevp.errors import NotIndefinite, TwoDevpError
-from twodevp.harness import Target, perturbed_start, random_pair, random_pair_with_crossing
+from twodevp.errors import NotIndefinite, RankCollapse, TwoDevpError
+from twodevp.harness import (
+    Target,
+    perturbed_start,
+    perturbed_starts,
+    random_pair,
+    random_pair_with_crossing,
+)
 from twodevp.kernels import orthonormalize
-from twodevp.model import Triplet, jacobian_hat, residual
+from twodevp.model import Triplet, TripletStack, jacobian, jacobian_hat, residual
 from twodevp.rqi import (
     Status,
     form_rq,
@@ -17,6 +23,7 @@ from twodevp.rqi import (
     solve,
     solve_2x2,
     step,
+    step_stack,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -26,39 +33,47 @@ def projector(v):
     return v @ v.conj().T
 
 
+def basis_at(pair, t):
+    """The projection basis at one triplet, as a stack of one."""
+    basis, failures = projection_basis(pair, jacobian(pair, TripletStack.of([t])))
+    assert failures == [None]
+    return basis
+
+
 def test_projection_basis_spans_x_and_xprime():
     pair = refpairs.simple_pair_2x2()
     t = refpairs.simple_target_2x2()
-    b = projection_basis(pair, t)
+    b = basis_at(pair, t)
     xp = eigvec_derivative(pair, t.mu, t.lam, t.x)
     ideal = np.stack([t.x, xp / np.linalg.norm(xp)], axis=1)
     # the nullspace rows reproduce span{x, x'}
-    assert np.linalg.norm(projector(b.v) - projector(ideal), 2) < 1e-6
+    assert np.linalg.norm(projector(b.v[0]) - projector(ideal), 2) < 1e-6
 
 
 def test_projection_basis_n2_is_whole_space():
     pair = refpairs.simple_pair_2x2()
-    b = projection_basis(pair, Triplet(0.3, 0.8, np.array([0.6, 0.8])))
-    assert np.linalg.norm(b.v.conj().T @ b.v - np.eye(2), 2) < 1e-12
-    assert np.allclose(sorted([b.c1, b.c2]), [-1.0, 1.0], atol=1e-12)
-    assert b.c1 >= b.c2
+    b = basis_at(pair, Triplet(0.3, 0.8, np.array([0.6, 0.8])))
+    v = b.v[0]
+    assert np.linalg.norm(v.conj().T @ v - np.eye(2), 2) < 1e-12
+    assert np.allclose(sorted([b.c1[0], b.c2[0]]), [-1.0, 1.0], atol=1e-12)
+    assert b.c1[0] >= b.c2[0]
 
 
 def test_projection_basis_phase_invariant():
     pair = refpairs.simple_pair_2x2()
     t = refpairs.simple_target_2x2()
-    b1 = projection_basis(pair, t)
-    b2 = projection_basis(pair, Triplet(t.mu, t.lam, t.x * np.exp(0.7j)))
-    assert abs(b1.c1 - b2.c1) + abs(b1.c2 - b2.c2) < 1e-12
-    assert np.linalg.norm(projector(b1.v) - projector(b2.v), 2) < 1e-10
+    b1 = basis_at(pair, t)
+    b2 = basis_at(pair, Triplet(t.mu, t.lam, t.x * np.exp(0.7j)))
+    assert abs(b1.c1[0] - b2.c1[0]) + abs(b1.c2[0] - b2.c2[0]) < 1e-12
+    assert np.linalg.norm(projector(b1.v[0]) - projector(b2.v[0]), 2) < 1e-10
 
 
 def test_projection_basis_diagonalizes_c():
     pair, trip = refpairs.simple_pair_desk()
-    b = projection_basis(pair, trip)
-    cv = b.v.conj().T @ pair.c @ b.v
+    b = basis_at(pair, trip)
+    cv = b.v[0].conj().T @ pair.c @ b.v[0]
     assert abs(cv[0, 1]) < 1e-10
-    assert np.isclose(cv[0, 0].real, b.c1) and np.isclose(cv[1, 1].real, b.c2)
+    assert np.isclose(cv[0, 0].real, b.c1[0]) and np.isclose(cv[1, 1].real, b.c2[0])
 
 
 def _targets_for_basis_checks():
@@ -80,13 +95,16 @@ def test_projection_basis_matches_svd_nullspace():
             t0 = perturbed_start(target, eps, 5)
             _, _, vh = np.linalg.svd(jacobian_hat(target.pair, t0))
             ref = orthonormalize(vh.conj().T[:n, n:])
-            b = projection_basis(target.pair, t0)
-            assert np.sin(canonical_angles(b.v, ref)[-1]) <= 1e-12, (n, eps)
+            b = basis_at(target.pair, t0)
+            assert np.sin(canonical_angles(b.v[0], ref)[-1]) <= 1e-12, (n, eps)
 
 
 def test_step_makes_one_solve_and_no_large_svd(monkeypatch):
+    # one LU solve per stack of starts: a stack of one for step, of five
+    # for step_stack
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
-    t0 = perturbed_start(Target(pair, eigvec_set(pair, 0.4, -0.3)), 1e-3, 5)
+    target = Target(pair, eigvec_set(pair, 0.4, -0.3))
+    t0 = perturbed_start(target, 1e-3, 5)
     solves, svd_cols = [], []
     solve_, svd_ = np.linalg.solve, np.linalg.svd
 
@@ -101,8 +119,65 @@ def test_step_makes_one_solve_and_no_large_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     step(pair, t0)
-    assert solves == [(66, 66)]
+    assert solves == [(1, 66, 66)]
     assert svd_cols and max(svd_cols) <= 2
+    solves.clear()
+    step_stack(pair, perturbed_starts(target, 1e-3, 5, range(5)))
+    assert solves == [(5, 66, 66)]
+    assert max(svd_cols) <= 2
+
+
+def test_step_stack_matches_single_steps():
+    for regime, desk, eps in (("simple", refpairs.simple_pair_desk, 1e-2),
+                              ("multiple", refpairs.multiple_pair_desk, 3e-2)):
+        target = Target.at(*desk(), regime)
+        starts = perturbed_starts(target, eps, 21, range(50))
+        out = step_stack(target.pair, starts)
+        assert len(out.triplets) == len(out.failures) == 50
+        for i in range(50):
+            try:
+                t1, diag = step(target.pair, starts[i])
+            except (NotIndefinite, RankCollapse) as exc:
+                assert type(out.failures[i]) is type(exc)
+                continue
+            assert out.failures[i] is None
+            got = out.triplets[i]
+            assert abs(got.mu - t1.mu) <= 1e-12 and abs(got.lam - t1.lam) <= 1e-12
+            assert np.linalg.norm(got.x - t1.x) <= 1e-10
+            assert np.allclose([out.c1[i], out.c2[i], out.abs_a12[i]],
+                               [diag.c1, diag.c2, diag.abs_a12], rtol=1e-12, atol=1e-14)
+
+
+def test_step_stack_keeps_each_failure_to_its_member():
+    # a zero x makes J exactly singular, which fails the stacked solve and
+    # sends the stack through the member-by-member redo
+    pair = random_pair(8, (4, 4), 3)
+    rng = np.random.default_rng(5)
+    starts = []
+    for _ in range(9):
+        x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        starts.append(Triplet.normalized(rng.uniform(-1, 1), rng.uniform(-1, 1), x))
+    lost = starts.pop(4)  # its projected C is not indefinite
+    _, q = np.linalg.eigh(pair.c)
+    bad = {2: Triplet(0.3, 0.1, np.zeros(8)), 5: Triplet(0.3, 0.1, q[:, 0]), 7: lost}
+    mixed = list(starts)
+    for i in sorted(bad):
+        mixed.insert(i, bad[i])
+    out = step_stack(pair, TripletStack.of(mixed))
+    clean = step_stack(pair, TripletStack.of(starts))
+    assert clean.failures == (None,) * 8
+    assert [type(f) for f in out.failures] == [
+        type(None), type(None), RankCollapse, type(None), type(None), RankCollapse,
+        type(None), NotIndefinite, type(None), type(None), type(None)]
+    assert "singular" in str(out.failures[2])
+    kept = [i for i in range(len(mixed)) if i not in bad]
+    for k, i in enumerate(kept):
+        a, b = out.triplets[i], clean.triplets[k]
+        assert abs(a.mu - b.mu) <= 1e-12 and abs(a.lam - b.lam) <= 1e-12
+        assert np.linalg.norm(a.x - b.x) <= 1e-10
+    for i, t in bad.items():
+        with pytest.raises(type(out.failures[i])):
+            step(pair, t)
 
 
 def test_eigenvector_of_c_start_is_jacobian_near_singular():
@@ -120,73 +195,82 @@ def test_eigenvector_of_c_start_is_jacobian_near_singular():
 def test_form_rq_identity_basis():
     pair = refpairs.simple_pair_2x2()
     t = Triplet(0.3, 0.8, np.array([0.6, 0.8]))
-    b = projection_basis(pair, t)
+    b = basis_at(pair, t)
     a11, a12, a22, c1, c2 = form_rq(pair, b)
-    ak = b.v.conj().T @ pair.a @ b.v
-    assert np.isclose(a11, ak[0, 0].real) and np.isclose(a22, ak[1, 1].real)
-    assert np.isclose(abs(a12), abs(ak[0, 1]))
+    ak = b.v[0].conj().T @ pair.a @ b.v[0]
+    assert np.isclose(a11[0], ak[0, 0].real) and np.isclose(a22[0], ak[1, 1].real)
+    assert np.isclose(abs(a12[0]), abs(ak[0, 1]))
 
 
 def test_form_rq_offdiagonal_vanishes_at_multiple_target():
     pair = refpairs.multiple_pair_2x2()
-    b = projection_basis(pair, refpairs.multiple_target_2x2())
+    b = basis_at(pair, refpairs.multiple_target_2x2())
     _, a12, _, _, _ = form_rq(pair, b)
-    assert abs(a12) <= 1e-10
+    assert abs(a12[0]) <= 1e-10
 
 
 def test_solve_2x2_antisymmetric_example():
     cands = solve_2x2(0.0, 1.0 + 0j, 0.0, 1.0, -1.0)
-    assert len(cands) == 2
-    got = sorted((round(c.nu, 12), round(c.theta, 12)) for c in cands)
+    assert cands.nu.shape == cands.theta.shape == (2,) and cands.indefinite
+    got = sorted(zip(np.round(cands.nu, 12).tolist(), np.round(cands.theta, 12).tolist()))
     assert got == [(0.0, -1.0), (0.0, 1.0)]
-    for c in cands:
-        assert abs(np.linalg.norm(c.z) - 1.0) < 1e-12
-        assert abs(c.z.conj() @ (np.array([1.0, -1.0]) * c.z)) < 1e-12
+    for z in cands.z:
+        assert abs(np.linalg.norm(z) - 1.0) < 1e-12
+        assert abs(z.conj() @ (np.array([1.0, -1.0]) * z)) < 1e-12
 
 
 def test_solve_2x2_zero_a12_gives_two_candidates_at_one_point():
     # at a12 = 0 both candidates sit at (nu, theta) = (1, 0)
     cands = solve_2x2(1.0, 0.0 + 0j, -1.0, 1.0, -1.0)
-    assert len(cands) == 2
-    for c in cands:
-        assert np.isclose(c.nu, 1.0) and np.isclose(c.theta, 0.0)
+    assert cands.nu.shape == (2,)
+    assert np.allclose(cands.nu, 1.0) and np.allclose(cands.theta, 0.0)
 
 
 def test_solve_2x2_branch_continuity():
     eps = 1e-6
-    single = solve_2x2(0.3, 0.0 + 0j, -0.2, 1.0, -1.0)[0]
-    for c in solve_2x2(0.3, eps + 0j, -0.2, 1.0, -1.0):
-        assert abs(c.theta - single.theta) <= 2.0 * eps + 1e-12
+    single = solve_2x2(0.3, 0.0 + 0j, -0.2, 1.0, -1.0).theta[0]
+    for theta in solve_2x2(0.3, eps + 0j, -0.2, 1.0, -1.0).theta:
+        assert abs(theta - single) <= 2.0 * eps + 1e-12
 
 
 def test_solve_2x2_requires_indefinite():
-    with pytest.raises(NotIndefinite):
-        solve_2x2(0.0, 1.0 + 0j, 0.0, 1.0, 0.5)
+    # the failure is recorded per problem, so one stack can mix both
+    assert not solve_2x2(0.0, 1.0 + 0j, 0.0, 1.0, 0.5).indefinite
+    cands = solve_2x2(np.zeros(3), np.ones(3) + 0j, np.zeros(3),
+                      np.array([1.0, 1.0, 0.0]), np.array([-1.0, 0.5, -1.0]))
+    assert cands.indefinite.tolist() == [True, False, False]
+    assert np.all(np.isfinite(cands.nu)) and np.all(np.isfinite(cands.z))
 
 
 def test_solve_2x2_candidates_solve_projected_problem():
     # each candidate satisfies (A_k - nu C_k - theta I) z = 0, for a12 of
     # order one and for a tiny a12 at a random phase
+    # all 21 problems are solved as one stack
     rng = np.random.default_rng(12)
+    rows = []
     for k in range(21):
         a11, a22 = rng.standard_normal(2)
         a12 = rng.standard_normal() + 1j * rng.standard_normal()
         if k == 20:
             a12 = 1e-11 * a12 / abs(a12)
         c1, c2 = rng.uniform(0.2, 2.0), -rng.uniform(0.2, 2.0)
+        rows.append((a11, a12, a22, c1, c2))
+    cands = solve_2x2(*(np.array(col) for col in zip(*rows)))
+    assert cands.indefinite.all()
+    for (a11, a12, a22, c1, c2), nus, thetas, zs in zip(rows, cands.nu, cands.theta, cands.z):
         ak = np.array([[a11, a12], [np.conj(a12), a22]])
         ck = np.diag([c1, c2])
-        for c in solve_2x2(a11, a12, a22, c1, c2):
-            res = (ak - c.nu * ck - c.theta * np.eye(2)) @ c.z
+        for nu, theta, z in zip(nus, thetas, zs):
+            res = (ak - nu * ck - theta * np.eye(2)) @ z
             assert np.linalg.norm(res) < 1e-12 * (abs(a11) + abs(a22) + abs(a12) + 1)
 
 
 def test_select_ritz_picks_nearest():
     pair = refpairs.simple_pair_2x2()
     t_prev = Triplet.normalized(0.1, 0.9, np.array([1.0, 0.8]))
-    b = projection_basis(pair, t_prev)
+    b = basis_at(pair, t_prev)
     cands = solve_2x2(*form_rq(pair, b))
-    chosen = select_ritz(t_prev, cands, b)
+    chosen = select_ritz(TripletStack.of([t_prev]), cands, b)[0]
     assert abs(chosen.mu - 0.0) + abs(chosen.lam - 1.0) < 1e-12
     assert abs(np.vdot(chosen.x, pair.c @ chosen.x)) < 1e-10
     assert abs(np.linalg.norm(chosen.x) - 1.0) < 1e-12
