@@ -46,13 +46,20 @@ class EigvecSet:
     orthonormal columns and w holds k fixed weights.  At a simple
     2D-eigenvalue k = 1 and w = [1], so the set is the phase circle of one
     eigenvector; at a multiple one k = 2 and w = (t, s), the isotropic
-    weights of the cluster form of C, so the set is a torus.
+    weights of the cluster form of C, so the set is a torus.  v and w are
+    read-only private copies, as the set may be shared (see eigvec_set).
     """
 
     mu: float
     lam: float
     v: np.ndarray
     w: np.ndarray
+
+    def __post_init__(self):
+        for name in ("v", "w"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def kind(self):
@@ -138,8 +145,22 @@ def classify(pair, mu, lam):
 
 
 def eigvec_set(pair, mu, lam):
-    """The structured set of 2D-eigenvectors at a nonsingular (mu, lam)."""
+    """The structured set of 2D-eigenvectors at a nonsingular (mu, lam).
+
+    The pair keeps the last set returned for it, keyed by the exact
+    (mu, lam), so a call at the same point again, as every `rqi.solve`
+    against one reference makes, costs no eigendecomposition.  That is
+    sound because a pair's A and C are read-only private copies.  A
+    failure is not kept: TwoDevpError is raised anew on every call at a
+    point that is not a nonsingular 2D-eigenvalue.
+    """
+    key = (float(mu), float(lam))
+    kept = vars(pair).get("_eigvec_set")
+    if kept is not None and kept[0] == key:
+        return kept[1]
     cls, v, w = _classify(pair, mu, lam)
     if cls.kind is Kind.SINGULAR:
         raise TwoDevpError("eigvec_set is defined only for nonsingular classifications")
-    return EigvecSet(float(mu), float(lam), v, w)
+    vec_set = EigvecSet(key[0], key[1], v, w)
+    object.__setattr__(pair, "_eigvec_set", (key, vec_set))  # past the frozen dataclass
+    return vec_set

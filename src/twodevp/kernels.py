@@ -68,7 +68,9 @@ def diagonalize_form(c, basis):
     symmetrized before its eigendecomposition.
     """
     m = conj_t(basis) @ c @ basis
-    e, s = hermitian_eig(0.5 * (m + conj_t(m)))
+    m += conj_t(m)
+    m *= 0.5
+    e, s = hermitian_eig(m)
     return basis @ s, e
 
 
@@ -77,10 +79,16 @@ def isotropic_weights(c1, c2):
 
     t v1 + s v2 is then an isotropic unit vector for orthonormal v1, v2
     with v1^H C v1 = c1, v2^H C v2 = c2 and v1^H C v2 = 0.  Works
-    elementwise on arrays.  Requires c1 > 0 > c2 throughout.
+    elementwise on arrays.  Raises NotIndefinite unless c1 > 0 > c2
+    throughout.
     """
     if not np.all((c1 > 0) & (c2 < 0)):
         raise NotIndefinite("projected C has entries (%r, %r), not indefinite" % (c1, c2))
+    return unchecked_isotropic_weights(c1, c2)
+
+
+def unchecked_isotropic_weights(c1, c2):
+    """isotropic_weights without its check, for callers that already hold c1 > 0 > c2."""
     return np.sqrt(-c2 / (c1 - c2)), np.sqrt(c1 / (c1 - c2))
 
 

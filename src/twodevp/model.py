@@ -120,11 +120,12 @@ def _check_length(pair, x):
 def residual(pair, t):
     """Evaluate the nonlinear residual F at a triplet."""
     _check_length(pair, t.x)
-    cx = pair.c @ t.x
-    top = pair.a @ t.x - t.mu * cx - t.lam * t.x
-    iso = -0.5 * np.real(np.vdot(t.x, cx))
-    unit = 0.5 * (1.0 - np.real(np.vdot(t.x, t.x)))
-    f = np.concatenate([top, [iso + 0j, unit + 0j]])
+    n, x = pair.n, t.x
+    cx = pair.c @ x
+    f = np.empty(n + 2, dtype=complex)
+    np.subtract(pair.a @ x - t.mu * cx, t.lam * x, out=f[:n])
+    f[n] = -0.5 * np.vdot(x, cx).real
+    f[n + 1] = 0.5 * (1.0 - np.vdot(x, x).real)
     return ResidualReport(f=f, norm=float(np.linalg.norm(f)))
 
 

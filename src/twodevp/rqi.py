@@ -23,6 +23,7 @@ step fails gets its own failure.  `step`, and so `solve`, is its k = 1
 case.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -31,7 +32,7 @@ import numpy as np
 
 from .classify import eigvec_set
 from .errors import NotIndefinite, RankCollapse
-from .kernels import conj_t, diagonalize_form, isotropic_weights
+from .kernels import conj_t, diagonalize_form, unchecked_isotropic_weights
 from .model import Triplet, TripletStack, jacobian, jacobian_hat, residual
 
 DEFAULT_OPTS = {"tol_abs": 1e-12, "tol_rel": 1e-14, "max_iter": 50}
@@ -178,28 +179,29 @@ def solve_2x2(a11, a12, a22, c1, c2):
     indefinite = (c1 > 0) & (c2 < 0)
     c1 = np.where(indefinite, c1, 1.0)
     c2 = np.where(indefinite, c2, -1.0)
-    t, s = isotropic_weights(c1, c2)
+    t, s = unchecked_isotropic_weights(c1, c2)  # c1 > 0 > c2 once masked
     r = np.abs(a12)
     zero = r == 0
     alpha = (np.conj(a12) + zero) / (r + zero)  # 1 where a12 == 0
     d = c1 - c2
     g = t * s * d
-    pm = np.multiply.outer(r / d, _SIGNS)  # +-|a12| / d for the two candidates
+    pm = (r / d)[..., None] * _SIGNS  # +-|a12| / d for the two candidates
     theta = ((c1 * a22 - c2 * a11) / d)[..., None] + (2.0 * g)[..., None] * pm
     nu = ((a11 - a22) / d)[..., None] + ((c1 + c2) / g)[..., None] * pm
     z = np.empty(pm.shape + (2,), dtype=complex)
     z[..., 0] = t[..., None]
-    z[..., 1] = np.multiply.outer(alpha * s, _SIGNS)
+    z[..., 1] = (alpha * s)[..., None] * _SIGNS
     return RitzCandidates(nu, theta, z, indefinite)
 
 
 def select_ritz(t_prev, candidates, basis):
     """Per member, lift the candidate closest to the previous (mu, lam)."""
-    gap = np.abs(t_prev.mu[:, None] - candidates.nu) + np.abs(t_prev.lam[:, None] - candidates.theta)
-    pick = (gap[:, 1] < gap[:, 0]).astype(int)  # the first on a tie
-    rows = np.arange(len(pick))
-    x = basis.v @ candidates.z[rows, pick, :, None]
-    return TripletStack(candidates.nu[rows, pick], candidates.theta[rows, pick], x[..., 0])
+    nu, theta, z = candidates.nu, candidates.theta, candidates.z
+    gap = np.abs(t_prev.mu[:, None] - nu) + np.abs(t_prev.lam[:, None] - theta)
+    second = gap[:, 1] < gap[:, 0]  # the first on a tie
+    x = basis.v @ np.where(second[:, None], z[:, 1], z[:, 0])[..., None]
+    return TripletStack(np.where(second, nu[:, 1], nu[:, 0]),
+                        np.where(second, theta[:, 1], theta[:, 0]), x[..., 0])
 
 
 def step_stack(pair, starts):
@@ -224,7 +226,7 @@ def step(pair, t):
     The k = 1 case of step_stack; raises the member's NotIndefinite or
     RankCollapse.
     """
-    out = step_stack(pair, TripletStack.of([t]))
+    out = step_stack(pair, TripletStack(np.array([t.mu]), np.array([t.lam]), t.x[None]))
     if out.failures[0] is not None:
         raise out.failures[0]
     diag = StepDiagnostics(float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0]))
@@ -237,13 +239,15 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     The run converges once the residual norm is at most tol_abs +
     DEFAULT_OPTS["tol_rel"] * (|A| + |mu| |C| + |lam|).  Given a reference
     triplet, each iterate records its distances to the reference's
-    (mu, lam) and, as err_x, to the 2D-eigenvector set there.  Failures
+    (mu, lam) and, as err_x, to the 2D-eigenvector set there; that set
+    comes from `eigvec_set`, which the pair keeps, so repeated solves
+    against one reference classify it once per pair.  Failures
     that the local theory anticipates (projected C losing indefiniteness,
     nullspace rank collapse) end the run with the matching status instead
     of raising.  A non-finite start is recorded as iterate 0 and ends the
     run with NON_FINITE.  Raises ValueError when max_iter < 0 or tol_abs
     is negative or not finite, and TwoDevpError when the reference's
-    (mu, lam) is not a nonsingular 2D-eigenvalue.
+    (mu, lam) is not a nonsingular 2D-eigenvalue, on every call.
     """
     tol_abs = DEFAULT_OPTS["tol_abs"] if tol_abs is None else tol_abs
     max_iter = DEFAULT_OPTS["max_iter"] if max_iter is None else max_iter
@@ -252,7 +256,7 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     if not 0.0 <= tol_abs < np.inf:
         raise ValueError("need a finite tol_abs >= 0, got %r" % tol_abs)
     vec_set = None if reference is None else eigvec_set(pair, reference.mu, reference.lam)
-    if not np.all(np.isfinite(np.r_[t0.mu, t0.lam, t0.x])):
+    if not (math.isfinite(t0.mu) and math.isfinite(t0.lam) and np.isfinite(t0.x).all()):
         return RqiTrace([IterateRecord(k=0, triplet=t0, res_norm=float("nan"))], Status.NON_FINITE)
 
     trace = RqiTrace()

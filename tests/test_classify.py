@@ -154,24 +154,10 @@ def test_fix_phase_makes_largest_entry_real_positive():
     assert y[i].real > 0
 
 
-def _count_linalg(monkeypatch):
-    """Record the shape of every numpy.linalg.eigh and svd call."""
-    calls = []
-    for name in ("eigh", "svd"):
-        orig = getattr(np.linalg, name)
-
-        def counted(m, *args, _orig=orig, _name=name, **kwargs):
-            calls.append((_name, np.shape(m)))
-            return _orig(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-def test_eigvec_set_takes_one_decomposition_per_point(monkeypatch):
+def test_eigvec_set_takes_one_decomposition_per_point(count_linalg):
     # simple: one eigh of A - mu*C, which also gives lam''
     pair, trip = refpairs.simple_pair_desk()
-    calls = _count_linalg(monkeypatch)
+    calls = count_linalg()
     eigvec_set(pair, trip.mu, trip.lam)
     assert calls == [("eigh", (pair.n, pair.n))]
     # multiple: one eigh of A - mu*C, one of the 2 x 2 cluster form of C
@@ -179,6 +165,36 @@ def test_eigvec_set_takes_one_decomposition_per_point(monkeypatch):
     del calls[:]
     eigvec_set(pair, trip.mu, trip.lam)
     assert calls == [("eigh", (pair.n, pair.n)), ("eigh", (2, 2))]
+
+
+def test_eigvec_set_is_kept_for_one_point_per_pair(count_linalg):
+    pair = refpairs.simple_pair_2x2()
+    calls = count_linalg()
+    top = eigvec_set(pair, 0.0, 1.0)
+    assert eigvec_set(pair, 0.0, 1.0) is top
+    assert len(calls) == 1
+    # another (mu, lam) classifies again and takes the pair's one place
+    bottom = eigvec_set(pair, 0.0, -1.0)
+    assert bottom.lam == -1.0 and len(calls) == 2
+    assert eigvec_set(pair, 0.0, 1.0) is not top
+    assert len(calls) == 3
+
+
+def test_eigvec_set_failure_raises_on_every_call(count_linalg):
+    pair = k3_pair()
+    calls = count_linalg()
+    for k in (1, 2):
+        with pytest.raises(TwoDevpError, match="nonsingular"):
+            eigvec_set(pair, 0.0, 0.0)
+        assert calls.count(("eigh", (pair.n, pair.n))) == k
+
+
+def test_eigvec_set_arrays_are_read_only():
+    for pair, trip in (refpairs.simple_pair_desk(), refpairs.multiple_pair_desk()):
+        s = eigvec_set(pair, trip.mu, trip.lam)
+        for arr in (s.v, s.w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 def test_close_neighbour_outside_cluster_keeps_curvature():

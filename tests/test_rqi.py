@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twodevp import refpairs
+from twodevp import refpairs, rqi
 from twodevp.angles import canonical_angles
 from twodevp.classify import eigvec_set
 from twodevp.curves import eigvec_derivative
@@ -14,7 +14,7 @@ from twodevp.harness import (
     random_pair_with_crossing,
 )
 from twodevp.kernels import orthonormalize
-from twodevp.model import Triplet, TripletStack, jacobian, jacobian_hat, residual
+from twodevp.model import HermitianPair, Triplet, TripletStack, jacobian, jacobian_hat, residual
 from twodevp.rqi import (
     Status,
     form_rq,
@@ -99,32 +99,24 @@ def test_projection_basis_matches_svd_nullspace():
             assert np.sin(canonical_angles(b.v[0], ref)[-1]) <= 1e-12, (n, eps)
 
 
-def test_step_makes_one_solve_and_no_large_svd(monkeypatch):
-    # one LU solve per stack of starts: a stack of one for step, of five
-    # for step_stack
+def test_step_makes_one_solve_and_no_large_svd(count_linalg):
+    # the LAPACK budget of one step: one LU solve per stack of starts (a
+    # stack of one for step, of five for step_stack), one eigh of the
+    # stacked 2 x 2 forms, at most two SVDs of at most 2 columns, no QR
+    # and nothing else
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
     target = Target(pair, eigvec_set(pair, 0.4, -0.3))
     t0 = perturbed_start(target, 1e-3, 5)
-    solves, svd_cols = [], []
-    solve_, svd_ = np.linalg.solve, np.linalg.svd
-
-    def counted_solve(a, b):
-        solves.append(np.shape(a))
-        return solve_(a, b)
-
-    def counted_svd(a, *args, **kwargs):
-        svd_cols.append(np.shape(a)[-1])
-        return svd_(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    step(pair, t0)
-    assert solves == [(1, 66, 66)]
-    assert svd_cols and max(svd_cols) <= 2
-    solves.clear()
-    step_stack(pair, perturbed_starts(target, 1e-3, 5, range(5)))
-    assert solves == [(5, 66, 66)]
-    assert max(svd_cols) <= 2
+    starts = perturbed_starts(target, 1e-3, 5, range(5))
+    calls = count_linalg()
+    for k, run in ((1, lambda: step(pair, t0)), (5, lambda: step_stack(pair, starts))):
+        del calls[:]
+        run()
+        svds = [shape for name, shape in calls if name == "svd"]
+        assert [shape for name, shape in calls if name == "solve"] == [(k, 66, 66)]
+        assert [shape for name, shape in calls if name == "eigh"] == [(k, 2, 2)]
+        assert len(svds) <= 2 and all(shape[-1] <= 2 for shape in svds)
+        assert len(calls) == 2 + len(svds)
 
 
 def test_step_stack_matches_single_steps():
@@ -395,12 +387,41 @@ def test_solve_measures_err_x_to_the_eigenvector_set():
     assert converged > 0
 
 
+def test_solve_calls_step_once_per_step(monkeypatch):
+    target = Target.at(*refpairs.simple_pair_desk(), "simple")
+    steps = []
+    step_ = rqi.step
+
+    def counted_step(pair, t):
+        steps.append(t)
+        return step_(pair, t)
+
+    monkeypatch.setattr(rqi, "step", counted_step)
+    trace = solve(target.pair, perturbed_start(target, 0.05, 11, trial=3), tol_abs=1e-12)
+    assert trace.status is Status.CONVERGED
+    assert len(steps) == len(trace.iterates) - 1 >= 2
+
+
+def test_solve_classifies_its_reference_once_per_pair(count_linalg):
+    # ten solves against one reference: one n x n eigh in all, as the pair
+    # keeps the set that eigvec_set returned
+    target = Target.at(*refpairs.simple_pair_desk(), "simple")
+    starts = [perturbed_start(target, 0.05, 11, trial=k) for k in range(10)]
+    pair = HermitianPair(target.pair.a, target.pair.c)  # nothing kept yet
+    calls = count_linalg()
+    traces = [solve(pair, t0, tol_abs=1e-12, reference=target.triplet) for t0 in starts]
+    assert [shape for name, shape in calls if name == "eigh" and shape == (pair.n, pair.n)] == [(8, 8)]
+    assert all(trace.status is Status.CONVERGED for trace in traces)
+    assert traces[0].iterates[-1].err_x <= 1e-10
+
+
 def test_solve_rejects_a_reference_that_is_no_2d_eigenvalue():
     pair, trip = refpairs.simple_pair_desk()
     t0 = Triplet.normalized(trip.mu + 0.01, trip.lam + 0.01, trip.x)
-    # A - 0*C has no eigenvalue near 0.5
-    with pytest.raises(TwoDevpError, match="no eigenvalue"):
-        solve(pair, t0, reference=Triplet(0.0, 0.5, trip.x))
+    # A - 0*C has no eigenvalue near 0.5; a failure is not kept
+    for _ in range(2):
+        with pytest.raises(TwoDevpError, match="no eigenvalue"):
+            solve(pair, t0, reference=Triplet(0.0, 0.5, trip.x))
 
 
 def test_solve_reference_error_of_a_zero_start():
