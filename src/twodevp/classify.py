@@ -18,7 +18,7 @@ import numpy as np
 
 from . import curves
 from .angles import dist_to_set
-from .errors import NotIndefinite, TwoDevpError
+from .errors import TwoDevpError
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet, jacobian
 
@@ -126,10 +126,9 @@ def _classify(pair, mu, lam):
     v, c_eigs = diagonalize_form(pair.c, basis)
     c1, c2 = float(c_eigs[0]), float(c_eigs[-1])
     cls = Classification(Kind.SINGULAR, k, float("nan"), c_eigs, float("nan"))
-    try:
-        w = np.array(isotropic_weights(c1, c2))
-    except NotIndefinite:
+    if not c1 > 0.0 > c2:
         return cls, None, None
+    w = np.array(isotropic_weights(c1, c2))
     if k > 2 or not (c1 > tol_sing and c2 < -tol_sing):
         return cls, v[:, [0, -1]], w
     return replace(cls, kind=Kind.NONSINGULAR_MULTIPLE), v, w

@@ -40,14 +40,6 @@ class CurvePoint:
 class EigencurveGrid:
     points: list
 
-    @property
-    def mus(self):
-        return np.array([p.mu for p in self.points])
-
-    def curve(self, i):
-        """Samples (mu_j, lambda_i(mu_j)) of curve i."""
-        return self.mus, np.array([p.values[i] for p in self.points])
-
 
 def eig_at(pair, mu):
     """Eigen-decompose A - mu*C; values descending."""

@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Everything the package raises on bad input or an undefined quantity is a
-TwoDevpError.  A subclass exists only where a caller handles it by name:
-NotIndefinite (rqi.solve, oracle.scan, classify._classify and harness)
-and RankCollapse (rqi.solve and harness).
+TwoDevpError.  A subclass exists only where a caller catches it by name:
+NotIndefinite is caught by rqi.solve and oracle.scan, RankCollapse by
+rqi.solve.  Neither the harness nor classify catches either.
 """
 
 

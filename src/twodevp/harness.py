@@ -186,9 +186,16 @@ def fit_slope(eps, med, scale=1.0):
     return float(np.polyfit(np.log(used), np.log(med[keep]), 1)[0]), used.tolist()
 
 
-def _check_trials(trials):
+def _trial_blocks(eps_list, trials):
+    """The eps of eps_list largest first, each with its trial indices.
+
+    The i-th largest eps gets range(i * trials, (i + 1) * trials), so an
+    eps draws the same trials whatever order the caller lists it in.
+    """
     if trials < 1:
         raise ValueError("need trials >= 1, got %r" % trials)
+    return [(eps, range(i * trials, (i + 1) * trials))
+            for i, eps in enumerate(sorted(eps_list, reverse=True))]
 
 
 def _study(eps_list, trials, errors_at, names, targets):
@@ -197,18 +204,17 @@ def _study(eps_list, trials, errors_at, names, targets):
     errors_at(eps, trial indices) returns the (m, 3) errors of the trials
     whose step succeeded and the number of the others, which are excluded.
     names label the three error series and targets are the values they
-    are errors of.  eps_list is read in descending order, so each eps
-    draws the same trials whatever order it comes in, and must span at
-    least a decade.
+    are errors of.  eps_list must span at least a decade; it is read, and
+    reported, largest first, with the trials of _trial_blocks.
     """
-    eps_list = sorted(eps_list, reverse=True)
+    blocks = _trial_blocks(eps_list, trials)
+    eps_list = [eps for eps, _ in blocks]
     if len(eps_list) < 2 or np.log10(eps_list[0] / eps_list[-1]) < 1.0 - 1e-12:
         raise ValueError("eps_list must span at least a decade")
-    _check_trials(trials)
     meds = ([], [], [])
     failed, total = 0, len(eps_list) * trials
-    for i, eps in enumerate(eps_list):
-        errs, bad = errors_at(eps, range(i * trials, (i + 1) * trials))
+    for eps, block in blocks:
+        errs, bad = errors_at(eps, block)
         failed += bad
         for med, col in zip(meds, errs.T):
             med.append(float(np.median(col)))
@@ -274,12 +280,12 @@ def conditioning_study(target, eps_list, trials, seed):
     start, count violations of sigma_n >= sigma_*/2 and of the c-bracket
     inequalities (two-sided in the simple regime, one-sided in the
     multiple regime); a start whose basis collapses violates both.  The
-    starts of one eps form one stack, whose Jacobians give both the bases
-    and sigma_n.
+    eps are read, and reported, largest first, with the trials of
+    _trial_blocks.  The starts of one eps form one stack, whose Jacobians
+    give both the bases and sigma_n.
     """
     pair = target.pair
-    eps_list = list(eps_list)
-    _check_trials(trials)
+    blocks = _trial_blocks(eps_list, trials)
 
     def bases_and_sigmas(starts):
         j = jacobian(pair, starts)
@@ -290,8 +296,8 @@ def conditioning_study(target, eps_list, trials, seed):
     b, _, sigma = bases_and_sigmas(TripletStack.of([target.triplet]))
     sigma_star, c1s, c2s = float(sigma[0]), float(b.c1[0]), float(b.c2[0])
     sigma_viol, c_viol = [], []
-    for i, eps in enumerate(eps_list):
-        starts = perturbed_starts(target, eps, seed, range(i * trials, (i + 1) * trials))
+    for eps, block in blocks:
+        starts = perturbed_starts(target, eps, seed, block)
         b, collapsed, sigma = bases_and_sigmas(starts)
         if target.regime == "simple":
             ok = (0.5 * c1s <= b.c1) & (b.c1 <= 1.5 * c1s) & (1.5 * c2s <= b.c2) & (b.c2 <= 0.5 * c2s)
@@ -299,7 +305,8 @@ def conditioning_study(target, eps_list, trials, seed):
             ok = (b.c1 >= 0.5 * c1s) & (0.5 * c1s > 0.0) & (b.c2 <= 0.5 * c2s) & (0.5 * c2s < 0.0)
         sigma_viol.append(int(np.count_nonzero(collapsed | (sigma < 0.5 * sigma_star))))
         c_viol.append(int(np.count_nonzero(collapsed | ~ok)))
-    return ConditioningReport(eps_list, trials, sigma_viol, c_viol, sigma_star, (c1s, c2s))
+    return ConditioningReport([eps for eps, _ in blocks], trials, sigma_viol, c_viol,
+                              sigma_star, (c1s, c2s))
 
 
 def random_pair(n, signature, seed):

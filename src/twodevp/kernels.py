@@ -7,7 +7,7 @@ input validation and the convention the rest of the package relies on
 
 import numpy as np
 
-from .errors import NotIndefinite, RankCollapse, TwoDevpError
+from .errors import RankCollapse, TwoDevpError
 
 
 def as_matrix(m):
@@ -79,16 +79,10 @@ def isotropic_weights(c1, c2):
 
     t v1 + s v2 is then an isotropic unit vector for orthonormal v1, v2
     with v1^H C v1 = c1, v2^H C v2 = c2 and v1^H C v2 = 0.  Works
-    elementwise on arrays.  Raises NotIndefinite unless c1 > 0 > c2
-    throughout.
+    elementwise on arrays.  Precondition, not checked here: c1 > 0 > c2
+    throughout.  Callers that can meet a definite form test it where they
+    already branch on it.
     """
-    if not np.all((c1 > 0) & (c2 < 0)):
-        raise NotIndefinite("projected C has entries (%r, %r), not indefinite" % (c1, c2))
-    return unchecked_isotropic_weights(c1, c2)
-
-
-def unchecked_isotropic_weights(c1, c2):
-    """isotropic_weights without its check, for callers that already hold c1 > 0 > c2."""
     return np.sqrt(-c2 / (c1 - c2)), np.sqrt(c1 / (c1 - c2))
 
 

@@ -153,7 +153,10 @@ def refine_crossing(pair, point, members, bracket, width):
     when that form is not indefinite.
     """
     v, ce = diagonalize_form(pair.c, point.vectors[:, members])
-    t, s = isotropic_weights(ce[0], ce[-1])
+    c1, c2 = float(ce[0]), float(ce[-1])
+    if not c1 > 0.0 > c2:
+        raise NotIndefinite("cluster form of C has entries (%r, %r), not indefinite" % (c1, c2))
+    t, s = isotropic_weights(c1, c2)
     x = fix_phase(t * v[:, 0] + s * v[:, -1])
     trip = Triplet(point.mu, float(np.mean(point.values[members])), x)
     return OracleHit(trip, HitKind.CROSSING, tuple(int(k) for k in members), bracket, width)

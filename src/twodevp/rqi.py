@@ -32,7 +32,7 @@ import numpy as np
 
 from .classify import eigvec_set
 from .errors import NotIndefinite, RankCollapse
-from .kernels import conj_t, diagonalize_form, unchecked_isotropic_weights
+from .kernels import conj_t, diagonalize_form, isotropic_weights
 from .model import Triplet, TripletStack, jacobian, jacobian_hat, residual
 
 DEFAULT_OPTS = {"tol_abs": 1e-12, "tol_rel": 1e-14, "max_iter": 50}
@@ -179,7 +179,7 @@ def solve_2x2(a11, a12, a22, c1, c2):
     indefinite = (c1 > 0) & (c2 < 0)
     c1 = np.where(indefinite, c1, 1.0)
     c2 = np.where(indefinite, c2, -1.0)
-    t, s = unchecked_isotropic_weights(c1, c2)  # c1 > 0 > c2 once masked
+    t, s = isotropic_weights(c1, c2)  # c1 > 0 > c2 once masked
     r = np.abs(a12)
     zero = r == 0
     alpha = (np.conj(a12) + zero) / (r + zero)  # 1 where a12 == 0

@@ -30,26 +30,28 @@ def test_eig_at_multiple_pair_crossing():
     assert np.allclose(point.values, [0.0, 0.0])
 
 
+def _sorted_curves(grid):
+    """The grid's mus and the samples of sorted curves 0 and 1."""
+    values = np.array([p.values for p in grid.points])
+    return np.array([p.mu for p in grid.points]), values[:, 0], values[:, 1]
+
+
 def test_trace_curves_straight_lines_through_crossing():
-    grid = trace_curves(refpairs.multiple_pair_2x2(), 0.0, 2.0, 21)
-    mus, top = grid.curve(0)
-    _, bot = grid.curve(1)
+    mus, top, bot = _sorted_curves(trace_curves(refpairs.multiple_pair_2x2(), 0.0, 2.0, 21))
     # the sorted curves take the kink where the lines 1 - mu and mu - 1 cross
     assert np.allclose(top, np.abs(1.0 - mus), atol=1e-12)
     assert np.allclose(bot, -np.abs(1.0 - mus), atol=1e-12)
 
 
 def test_trace_curves_hyperbolas():
-    grid = trace_curves(refpairs.simple_pair_2x2(), -1.0, 1.0, 41)
-    mus, top = grid.curve(0)
-    _, bot = grid.curve(1)
+    mus, top, bot = _sorted_curves(trace_curves(refpairs.simple_pair_2x2(), -1.0, 1.0, 41))
     assert np.allclose(top, np.sqrt(1.0 + mus**2), atol=1e-12)
     assert np.allclose(bot, -np.sqrt(1.0 + mus**2), atol=1e-12)
 
 
 def test_trace_curves_two_point_grid():
     grid = trace_curves(refpairs.simple_pair_2x2(), 0.2, 0.4, 2)
-    assert np.array_equal(grid.mus, [0.2, 0.4])
+    assert [p.mu for p in grid.points] == [0.2, 0.4]
 
 
 def test_trace_curves_bad_arguments():

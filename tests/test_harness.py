@@ -26,6 +26,7 @@ from twodevp.harness import (
     verdicts,
 )
 from twodevp.model import Triplet, TripletStack, jacobian, residual
+from twodevp.oracle import HitKind, scan
 from twodevp.rqi import projection_basis, sigma_n_jhat
 
 
@@ -120,6 +121,13 @@ def test_studies_read_the_eps_list_in_either_order():
         down = study(simple_target(), [1e-2, 1e-3], 5, 0)
         assert up.epsilons == down.epsilons == [1e-2, 1e-3]
         assert up.fitted_slopes == down.fitted_slopes
+    # a critical point of a random pair where eps 0.3 has a sigma violation
+    pair = random_pair(8, (4, 4), 5)
+    hit = next(h for h in scan(pair, -3.0, 3.0, 96)[0] if h.kind is HitKind.CRITICAL_POINT)
+    tgt = Target(pair, eigvec_set(pair, hit.triplet.mu, hit.triplet.lam))
+    down = conditioning_study(tgt, [0.3, 0.1], 30, 1)
+    assert down == conditioning_study(tgt, [0.1, 0.3], 30, 1)
+    assert down.epsilons == [0.3, 0.1] and down.sigma_violations == [1, 0]
 
 
 def test_perturbed_starts_are_the_single_starts_stacked():

@@ -5,6 +5,7 @@ from twodevp.errors import RankCollapse
 from twodevp.kernels import (
     check_hermitian,
     hermitian_eig,
+    isotropic_weights,
     orthonormalize,
     pinv_apply,
 )
@@ -71,6 +72,16 @@ def test_orthonormalize_rank_deficient():
     col = np.ones((4, 1))
     with pytest.raises(RankCollapse):
         orthonormalize(np.hstack([col, col]))
+
+
+def test_isotropic_weights_give_unit_isotropic_mixes():
+    rng = np.random.default_rng(3)
+    c1 = rng.uniform(0.1, 2.0, size=(50, 4))
+    c2 = -rng.uniform(0.1, 2.0, size=(50, 4))
+    t, s = isotropic_weights(c1, c2)
+    assert t.shape == s.shape == c1.shape
+    assert np.max(np.abs(t**2 + s**2 - 1.0)) <= 1e-15
+    assert np.max(np.abs(c1 * t**2 + c2 * s**2)) <= 1e-15
 
 
 def test_pinv_apply_identity():

@@ -4,10 +4,10 @@ import pytest
 from twodevp import oracle, refpairs
 from twodevp.classify import Kind, classify
 from twodevp.curves import eig_at
-from twodevp.errors import TwoDevpError
+from twodevp.errors import NotIndefinite, TwoDevpError
 from twodevp.model import HermitianPair, residual
 from twodevp.harness import random_pair_with_crossing
-from twodevp.oracle import HitKind, refine_critical, scan
+from twodevp.oracle import HitKind, refine_critical, refine_crossing, scan
 
 SQ2 = np.sqrt(2.0)
 
@@ -147,6 +147,14 @@ def test_refine_crossing_takes_one_decomposition_per_midpoint(monkeypatch):
     assert abs(hit.triplet.mu - 0.4) < 1e-10 and abs(hit.triplet.lam + 0.3) < 1e-10
     midpoints = round(np.log2((hi - lo) / hit.refined_to))
     assert len(calls) <= midpoints + 1
+
+
+def test_refine_crossing_rejects_a_definite_cluster():
+    # at mu = 1, A - C = diag(-1, -1, 6): the cluster of -1 is sorted curves
+    # 1 and 2, on which C is diag(1, 2), so no cluster vector is isotropic
+    pair = HermitianPair(np.diag([0.0, 1.0, 5.0]), np.diag([1.0, 2.0, -1.0]))
+    with pytest.raises(NotIndefinite):
+        refine_crossing(pair, eig_at(pair, 1.0), np.array([1, 2]), (0.9, 1.1), 0.0)
 
 
 def _count_eig_at_per_hit(monkeypatch):
