@@ -76,7 +76,7 @@ class EigvecSet:
 
 
 def default_tol_sing(pair):
-    return 1e-8 * (1.0 + pair.norm_c)
+    return 1e-8 * (curves.floor_unit(pair) + pair.norm_c)
 
 
 def fix_phase(x):

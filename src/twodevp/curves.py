@@ -12,7 +12,11 @@ derivatives of the branch through (lam, x) as sums over the eigenpairs
     lam''(mu) = -2 sum_j |d_j|^2 / (w_j - lam)
 
 One tolerance, default_tol_mult, decides both that the branch is simple and
-which components the sums leave out.
+which components the sums leave out.  Its absolute floor is in units of
+floor_unit(pair), as are the floors of the oracle's flat-slope test and of
+classify's singularity test, so that (sA, sC), which has the
+2D-eigenvalues of (A, C) with lambda scaled by s, is scanned and
+classified as (A, C) is.
 """
 
 from dataclasses import dataclass
@@ -64,9 +68,14 @@ def slopes(pair, vectors):
     return -np.real(np.einsum("ij,ij->j", vectors.conj(), pair.c @ vectors))
 
 
+def floor_unit(pair):
+    """min(1, |A| + |C|): 1 for a pair of norm 1 or more, else its norm."""
+    return min(1.0, pair.norm_a + pair.norm_c)
+
+
 def default_tol_mult(pair, mu):
     """Distance within which two eigenvalues of A - mu*C count as one."""
-    return max(1e-8, 1e-12 * (pair.norm_a + abs(mu) * pair.norm_c))
+    return max(1e-8 * floor_unit(pair), 1e-12 * (pair.norm_a + abs(mu) * pair.norm_c))
 
 
 def cluster(pair, point, lam):

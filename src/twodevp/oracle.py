@@ -8,8 +8,12 @@ slopes cross, so that the slope of each sorted curve through it jumps across
 zero.  The scan brackets every sign change of a sorted slope between grid
 points and refines it with Newton steps on the slope, safeguarded by
 bisection (rtsafe, Press et al., Numerical Recipes, sec. 9.4), one eig_at
-per iterate.  A crossing's kink has no curvature, so it is bisected.  The
-cluster of the eigenvalue at the refined mu tells the two kinds apart.
+per iterate.  The first iterate is the root of the cubic Hermite
+interpolant of the slope over the bracket, accurate to O(h^4).  A
+crossing's kink has no curvature; there the step goes to where the
+tangents of the two sorted curves meet, as the two branches through the
+crossing are smooth.  The cluster of the eigenvalue at the refined mu tells
+the two kinds apart.
 """
 
 from dataclasses import dataclass
@@ -18,12 +22,12 @@ from enum import Enum
 import numpy as np
 
 from .classify import fix_phase
-from .curves import branch_derivatives, cluster, eig_at, slopes, trace_curves
+from .curves import branch_derivatives, cluster, eig_at, floor_unit, slopes, trace_curves
 from .errors import NotIndefinite, TwoDevpError
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet
 
-SUSPECT_SLOPE_TOL = 1e-8
+SUSPECT_SLOPE_TOL = 1e-8  # in units of floor_unit(pair)
 
 
 class HitKind(Enum):
@@ -53,7 +57,7 @@ def scan(pair, mu_lo, mu_hi, n_grid):
     s = np.array([slopes(pair, p.vectors) for p in points])  # (m, n)
     brackets = s[:-1] * s[1:] <= 0.0
     # a nearly flat point is suspect unless a cell it bounds has a bracket
-    flat = np.abs(s) < SUSPECT_SLOPE_TOL
+    flat = np.abs(s) < SUSPECT_SLOPE_TOL * floor_unit(pair)
     flat[:-1] &= ~brackets
     flat[1:] &= ~brackets
     suspects = [(points[j].mu, int(i)) for i, j in zip(*np.nonzero(flat.T))]
@@ -77,25 +81,32 @@ def scan(pair, mu_lo, mu_hi, n_grid):
 def refine_critical(pair, left, right, i):
     """Zero of sorted curve i's slope between two eig_at points.
 
-    rtsafe on the slope f = -x^H C x: from the bracket end with the smaller
-    |f|, take the Newton step mu - f/lam'' when it stays strictly inside the
-    bracket and is at most half the step before last; otherwise bisect.
-    lam'' comes from the same eig_at point; a cluster at values[i], as at
-    a crossing's kink, has none, so the step bisects.  Each new point
-    narrows the bracket by the sign of its slope.  A point is accepted once
-    |f/lam''| is within 1e-13 * (|mu| + min(1, |A|/|C|)), or 1e-13 * (|mu| + 1)
-    when A = 0; bisection stops once the bracket is that narrow or its
-    midpoint is no longer strictly inside it.
+    rtsafe on the slope f = -x^H C x, whose derivative is lam''.  The
+    iteration starts at the bracket end with the smaller |f|, and its first
+    iterate is the root in the bracket of the cubic Hermite interpolant of
+    f, from f and lam'' at both ends.  Each later iterate is the Newton step
+    mu - f/lam'' when it stays strictly inside the bracket and is at most
+    half the step before last.  When that step is refused, as at a
+    crossing's kink, where lam'' is not defined, the kink step goes to
+    where the tangents of curve i and of its nearer neighbour meet, under
+    the same two tests; when both are refused, the bracket is bisected.
+    lam'' comes from the same eig_at point and is NaN on a cluster at
+    values[i]; without lam'' at both ends, the first iterate is a plain
+    step.  Each new point narrows the bracket by the sign of its slope.  A
+    point is accepted once its Newton or kink step is within
+    1e-13 * (|mu| + min(1, |A|/|C|)), or 1e-13 * (|mu| + 1) when A = 0;
+    bisection stops once the bracket is that narrow or its midpoint is no
+    longer strictly inside it.
 
-    refined_to is the distance estimate to the zero: |f/lam''| at a point
-    Newton accepts, the final bracket width when bisection ends, and 0 at
-    an exactly zero slope.  A single eigenvalue at the refined mu is a
-    critical point; a cluster is a crossing, built by refine_crossing.
-    Raises TwoDevpError when the slope does not change sign between left
-    and right.
+    refined_to is the distance estimate to the zero: the length of the
+    Newton or kink step at the point accepted, the final bracket width when
+    bisection ends, and 0 at an exactly zero slope.  A single eigenvalue at
+    the refined mu is a critical point; a cluster is a crossing, built by
+    refine_crossing.  Raises TwoDevpError when the slope does not change
+    sign between left and right.
     """
-    def slope(point):
-        return float(slopes(pair, point.vectors[:, [i]])[0])
+    def slope(point, k=i):
+        return float(slopes(pair, point.vectors[:, [k]])[0])
 
     def curvature(point):
         lam = point.values[i]
@@ -103,36 +114,54 @@ def refine_critical(pair, left, right, i):
             return np.nan
         return branch_derivatives(pair, point, lam, point.vectors[:, i])[1]
 
+    def kink_step(point, f):
+        # the tangents of curve i and of its nearer neighbour j meet at mu + step
+        lam = point.values
+        j = min((k for k in (i - 1, i + 1) if 0 <= k < lam.size), key=lambda k: abs(lam[k] - lam[i]))
+        f_j = slope(point, j)
+        return float(lam[i] - lam[j]) / (f_j - f) if f_j != f else np.nan
+
     lo, hi = bracket = (left.mu, right.mu)
     f_lo, f_hi = slope(left), slope(right)
     if f_lo * f_hi > 0.0:
         raise TwoDevpError("slope of curve %d does not change sign over %r" % (i, bracket))
-    point, f = (left, f_lo) if abs(f_lo) <= abs(f_hi) else (right, f_hi)
+    d_lo, d_hi = curvature(left), curvature(right)
+    point, f, d2 = (left, f_lo, d_lo) if abs(f_lo) <= abs(f_hi) else (right, f_hi, d_hi)
     # the width follows a small |A| down, and is never looser than 1e-13 * (1 + |mu|);
     # A = 0 gives no scale to follow, and a width that vanished at mu = 0 would
     # let bisection run to subnormal numbers
     offset = min(1.0, pair.norm_a / pair.norm_c) or 1.0
     dx_old = dx = hi - lo
     refined_to = 0.0
+    hermite = _hermite_root(bracket, (f_lo, f_hi), (d_lo, d_hi), point.mu)
     while f != 0.0:
         tol = 1e-13 * (abs(point.mu) + offset)
-        d2 = curvature(point)
-        step = f / d2 if d2 else np.nan
+        newton = f / d2 if d2 else np.nan
         # accept before testing the step: at a zero hit to rounding, the
         # step rounds to nothing and mu - step would fall on a bracket end
-        if abs(step) <= tol:
-            refined_to = abs(step)
+        if abs(newton) <= tol:
+            refined_to = abs(newton)
             break
-        if lo < point.mu - step < hi and abs(2.0 * f) <= abs(dx_old * d2):
-            dx_old, dx, mu = dx, abs(step), point.mu - step
+        if hermite is not None:
+            mu, hermite = hermite, None
+            step = abs(mu - point.mu)
+        elif lo < point.mu - newton < hi and abs(2.0 * newton) <= dx_old:
+            mu, step = point.mu - newton, abs(newton)
         else:
-            mu = 0.5 * (lo + hi)
-            if hi - lo <= tol or not lo < mu < hi:
-                refined_to = hi - lo
+            kink = kink_step(point, f)
+            if abs(kink) <= tol:
+                refined_to = abs(kink)
                 break
-            dx_old, dx = dx, 0.5 * (hi - lo)
+            if lo < point.mu + kink < hi and abs(2.0 * kink) <= dx_old:
+                mu, step = point.mu + kink, abs(kink)
+            else:
+                mu, step = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                if hi - lo <= tol or not lo < mu < hi:
+                    refined_to = hi - lo
+                    break
+        dx_old, dx = dx, step
         point = eig_at(pair, mu)
-        f = slope(point)
+        f, d2 = slope(point), curvature(point)
         if (f > 0.0) == (f_lo > 0.0):
             lo = mu
         else:
@@ -142,6 +171,21 @@ def refine_critical(pair, left, right, i):
         return refine_crossing(pair, point, members, bracket, refined_to)
     trip = Triplet(point.mu, float(point.values[i]), fix_phase(point.vectors[:, i]))
     return OracleHit(trip, HitKind.CRITICAL_POINT, (i,), bracket, refined_to)
+
+
+def _hermite_root(bracket, f, d, near):
+    """Root nearest `near`, strictly inside the bracket, of the cubic Hermite
+    interpolant with values f and derivatives d at the two bracket ends;
+    None when a derivative is NaN or no root lies strictly inside."""
+    lo, hi = bracket
+    h = hi - lo
+    a, b = h * d[0], h * d[1]
+    if not (np.isfinite(a) and np.isfinite(b)):
+        return None
+    t = np.roots([2.0 * (f[0] - f[1]) + a + b, 3.0 * (f[1] - f[0]) - 2.0 * a - b, a, f[0]])
+    mus = [lo + h * float(r.real) for r in t if r.imag == 0.0]
+    mus = [mu for mu in mus if lo < mu < hi]
+    return min(mus, key=lambda mu: abs(mu - near)) if mus else None
 
 
 def refine_crossing(pair, point, members, bracket, width):

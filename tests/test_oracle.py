@@ -6,7 +6,7 @@ from twodevp.classify import Kind, classify
 from twodevp.curves import eig_at
 from twodevp.errors import NotIndefinite, TwoDevpError
 from twodevp.model import HermitianPair, residual
-from twodevp.harness import random_pair_with_crossing
+from twodevp.harness import random_pair, random_pair_with_crossing
 from twodevp.oracle import HitKind, refine_critical, refine_crossing, scan
 
 SQ2 = np.sqrt(2.0)
@@ -128,13 +128,15 @@ def test_scan_tells_crossing_from_nearby_critical_point():
     assert classify(pair, mu, lam).kind is Kind.NONSINGULAR_SIMPLE
 
 
-def test_refine_crossing_takes_one_decomposition_per_midpoint(monkeypatch):
-    # the kink has no curvature, so every step bisects: one eig_at per
-    # midpoint, the last of which is the refined mu; both bracket ends are
-    # points already in hand
-    pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
+@pytest.mark.parametrize("seed", [9, 10, 11, 14])
+def test_kink_steps_refine_a_crossing_in_few_decompositions(monkeypatch, seed):
+    # the kink has no curvature; the tangents of the two sorted curves meet
+    # at the crossing, where bisection alone takes about 40 calls.  Curve i
+    # is the first of the crossing's pair, the one scan refines.
+    pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, seed)
     lo, hi = _cell_at(0.4)
     left, right = eig_at(pair, lo), eig_at(pair, hi)
+    i = int(np.flatnonzero(np.abs(eig_at(pair, 0.4).values + 0.3) < 1e-8)[0])
     calls = []
 
     def counting(pair, mu):
@@ -142,11 +144,10 @@ def test_refine_crossing_takes_one_decomposition_per_midpoint(monkeypatch):
         return eig_at(pair, mu)
 
     monkeypatch.setattr(oracle, "eig_at", counting)
-    hit = refine_critical(pair, left, right, 31)
-    assert hit.kind is HitKind.CROSSING and hit.curves == (31, 32)
-    assert abs(hit.triplet.mu - 0.4) < 1e-10 and abs(hit.triplet.lam + 0.3) < 1e-10
-    midpoints = round(np.log2((hi - lo) / hit.refined_to))
-    assert len(calls) <= midpoints + 1
+    hit = refine_critical(pair, left, right, i)
+    assert hit.kind is HitKind.CROSSING and hit.curves == (i, i + 1)
+    assert abs(hit.triplet.mu - 0.4) <= 1e-12 and abs(hit.triplet.lam + 0.3) < 1e-10
+    assert len(calls) <= 12
 
 
 def test_refine_crossing_rejects_a_definite_cluster():
@@ -181,14 +182,17 @@ def _count_eig_at_per_hit(monkeypatch):
 
 
 def test_newton_refines_a_critical_point_in_few_decompositions(monkeypatch):
-    # bisection to 1e-13 takes about 40; an iterate that lands on the zero
-    # to rounding must be accepted before its Newton step is tested
+    # bisection to 1e-13 takes about 40, and Newton from one end of the cell
+    # 3.1 on average; the Hermite first iterate is accurate to O(h^4).  An
+    # iterate that lands on the zero to rounding must be accepted before its
+    # Newton step is tested
     per_hit = _count_eig_at_per_hit(monkeypatch)
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 13)
     hits, _ = scan(pair, -3.0, 3.0, 96)
     crit = [n for h, n in per_hit if h.kind is HitKind.CRITICAL_POINT]
     assert len(crit) == len([h for h in hits if h.kind is HitKind.CRITICAL_POINT]) > 90
-    assert max(crit) <= 6
+    assert max(crit) <= 4
+    assert np.mean(crit) <= 2.6
 
 
 def test_crossing_at_zero_with_a_zero_a_stops_in_few_decompositions(monkeypatch):
@@ -282,6 +286,22 @@ def test_scan_brackets_are_grid_cells():
     mus = np.linspace(0.0, 2.0, 21)
     cells = set(zip(mus, mus[1:]))
     assert hits and all(h.bracket in cells for h in hits)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10])
+def test_scan_and_classify_do_not_depend_on_the_scale_of_the_pair(s):
+    # (sA, sC) has the 2D-eigenvalues of (A, C), with lambda scaled by s, so
+    # no absolute tolerance floor may decide a hit, a suspect or a kind
+    pair = random_pair(6, (3, 3), 1)
+    scaled = HermitianPair(s * pair.a, s * pair.c)
+    want, _ = scan(pair, -3.0, 3.0, 40)
+    got, suspects = scan(scaled, -3.0, 3.0, 40)
+    assert suspects == []
+    assert [(h.kind, h.curves) for h in got] == [(h.kind, h.curves) for h in want]
+    assert max(abs(g.triplet.mu - w.triplet.mu) for g, w in zip(got, want)) <= 1e-12
+    kinds = [classify(pair, h.triplet.mu, h.triplet.lam).kind for h in want]
+    assert [classify(scaled, h.triplet.mu, h.triplet.lam).kind for h in got] == kinds
+    assert len(want) == 8 and set(kinds) == {Kind.NONSINGULAR_SIMPLE}
 
 
 def test_scan_rejects_an_infinite_window():
