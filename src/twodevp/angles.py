@@ -33,11 +33,6 @@ def canonical_angles(x, y):
     return np.sort(np.where(sin**2 < 0.5, np.arcsin(sin), np.arccos(cos)))
 
 
-def sin_theta_norm(x, y):
-    """Spectral-norm subspace distance: sin of the largest canonical angle."""
-    return float(np.sin(canonical_angles(x, y)[-1]))
-
-
 def dist_to_set(x, s):
     """Distance from a vector x to the 2D-eigenvector set s (classify.EigvecSet).
 

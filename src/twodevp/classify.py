@@ -125,13 +125,12 @@ def _classify(pair, mu, lam):
 
     v, c_eigs = diagonalize_form(pair.c, basis)
     c1, c2 = float(c_eigs[0]), float(c_eigs[-1])
-    cls = Classification(Kind.SINGULAR, k, float("nan"), c_eigs, float("nan"))
+    kind = Kind.NONSINGULAR_MULTIPLE if k == 2 and c1 > tol_sing and c2 < -tol_sing else Kind.SINGULAR
+    cls = Classification(kind, k, float("nan"), c_eigs, float("nan"))
     if not c1 > 0.0 > c2:
         return cls, None, None
-    w = np.array(isotropic_weights(c1, c2))
-    if k > 2 or not (c1 > tol_sing and c2 < -tol_sing):
-        return cls, v[:, [0, -1]], w
-    return replace(cls, kind=Kind.NONSINGULAR_MULTIPLE), v, w
+    # a view of columns 0 and k - 1: at k = 2, v in its own layout, which sets the bits of v @ w
+    return cls, v[:, :: k - 1], np.array(isotropic_weights(c1, c2))
 
 
 def classify(pair, mu, lam):

@@ -238,7 +238,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TwoDevpError, FileNotFoundError, ValueError) as exc:
+    except (TwoDevpError, OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rqi
 from .classify import EigvecSet, Kind, eigvec_set
-from .curves import eig_at, eigvec_derivative
+from .curves import branch_derivatives, eig_at
 from .errors import TwoDevpError
 from .kernels import diagonalize_form, orthonormalize
 from .model import HermitianPair, Triplet, TripletStack, jacobian
@@ -204,11 +204,13 @@ def _study(eps_list, trials, errors_at, names, targets):
     errors_at(eps, trial indices) returns the (m, 3) errors of the trials
     whose step succeeded and the number of the others, which are excluded.
     names label the three error series and targets are the values they
-    are errors of.  eps_list must span at least a decade; it is read, and
-    reported, largest first, with the trials of _trial_blocks.
+    are errors of.  eps_list must be positive and span at least a decade;
+    it is read, and reported, largest first, with the trials of _trial_blocks.
     """
     blocks = _trial_blocks(eps_list, trials)
     eps_list = [eps for eps, _ in blocks]
+    if not all(eps > 0.0 for eps in eps_list):
+        raise ValueError("every eps must be > 0, got %r" % eps_list)
     if len(eps_list) < 2 or np.log10(eps_list[0] / eps_list[-1]) < 1.0 - 1e-12:
         raise ValueError("eps_list must span at least a decade")
     meds = ([], [], [])
@@ -253,7 +255,7 @@ def ritz_approx_study(target, eps_list, trials, seed):
     if target.regime != "simple":
         raise ValueError("ritz study requires a simple nonsingular target")
     pair, tgt = target.pair, target.triplet
-    xp = eigvec_derivative(pair, tgt.mu, tgt.lam, tgt.x)
+    xp = branch_derivatives(pair, eig_at(pair, tgt.mu), tgt.lam, tgt.x)[0]
     ideal = np.stack([tgt.x, xp / np.linalg.norm(xp)], axis=1)
 
     def errors_at(eps, trials):
@@ -281,24 +283,19 @@ def conditioning_study(target, eps_list, trials, seed):
     inequalities (two-sided in the simple regime, one-sided in the
     multiple regime); a start whose basis collapses violates both.  The
     eps are read, and reported, largest first, with the trials of
-    _trial_blocks.  The starts of one eps form one stack, whose Jacobians
-    give both the bases and sigma_n.
+    _trial_blocks.  The starts of one eps form one stack.
     """
     pair = target.pair
     blocks = _trial_blocks(eps_list, trials)
-
-    def bases_and_sigmas(starts):
-        j = jacobian(pair, starts)
-        basis, failures = rqi.projection_basis(pair, j)
-        collapsed = np.array([f is not None for f in failures])
-        return basis, collapsed, np.linalg.svd(j[:, : pair.n], compute_uv=False)[:, -1]
-
-    b, _, sigma = bases_and_sigmas(TripletStack.of([target.triplet]))
-    sigma_star, c1s, c2s = float(sigma[0]), float(b.c1[0]), float(b.c2[0])
+    b, _ = rqi.projection_basis(pair, jacobian(pair, TripletStack.of([target.triplet])))
+    sigma_star = rqi.sigma_n_jhat(pair, target.triplet)
+    c1s, c2s = float(b.c1[0]), float(b.c2[0])
     sigma_viol, c_viol = [], []
     for eps, block in blocks:
         starts = perturbed_starts(target, eps, seed, block)
-        b, collapsed, sigma = bases_and_sigmas(starts)
+        b, failures = rqi.projection_basis(pair, jacobian(pair, starts))
+        collapsed = np.array([f is not None for f in failures])
+        sigma = rqi.sigma_n_jhat(pair, starts)
         if target.regime == "simple":
             ok = (0.5 * c1s <= b.c1) & (b.c1 <= 1.5 * c1s) & (1.5 * c2s <= b.c2) & (b.c2 <= 0.5 * c2s)
         else:

@@ -10,33 +10,24 @@ import numpy as np
 from .errors import RankCollapse, TwoDevpError
 
 
-def as_matrix(m):
-    """Coerce input to a finite complex 2-d array."""
+def check_hermitian(m):
+    """Validate a finite Hermitian matrix and return it symmetrized.
+
+    The symmetry tolerance scales with the largest entry.  Symmetrizing
+    as (M + M^H)/2 removes representation noise once the tolerance check
+    has passed.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array, got ndim=%d" % m.ndim)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    return m
-
-
-def herm_tol(m):
-    """Symmetry tolerance scaled to the largest entry."""
-    return 1e-12 * (1.0 + np.max(np.abs(m), initial=0.0))
-
-
-def check_hermitian(m):
-    """Validate Hermitian symmetry and return the symmetrized matrix.
-
-    Symmetrizing as (M + M^H)/2 removes representation noise once the
-    tolerance check has passed.
-    """
-    m = as_matrix(m)
     if m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise TwoDevpError("matrix is %dx%d, not square and nonempty" % m.shape)
     dev = np.max(np.abs(m - m.conj().T), initial=0.0)
-    if dev > herm_tol(m):
-        raise TwoDevpError("asymmetry %.3e exceeds tolerance %.3e" % (dev, herm_tol(m)))
+    tol = 1e-12 * (1.0 + np.max(np.abs(m), initial=0.0))
+    if dev > tol:
+        raise TwoDevpError("asymmetry %.3e exceeds tolerance %.3e" % (dev, tol))
     return 0.5 * (m + m.conj().T)
 
 

@@ -213,4 +213,6 @@ def save_triplet(t, path):
 
 def load_triplet(path):
     doc = _read_json(path, ("mu", "lambda", "x"))
+    if not all(type(doc[key]) in (int, float) for key in ("mu", "lambda")):  # bool is no number
+        raise TwoDevpError("fields 'mu' and 'lambda' in %s must be real numbers" % path)
     return Triplet(doc["mu"], doc["lambda"], complex_from_json(doc["x"], "x", 1))

@@ -155,8 +155,12 @@ def projection_basis(pair, j):
 
 
 def sigma_n_jhat(pair, t):
-    """Smallest singular value of the leading Jacobian block at t."""
-    return float(np.linalg.svd(jacobian_hat(pair, t), compute_uv=False)[-1])
+    """Smallest singular value of the leading Jacobian block at t.
+
+    A float for a Triplet; for a TripletStack, the array of each member's.
+    """
+    s = np.linalg.svd(jacobian_hat(pair, t), compute_uv=False)[..., -1]
+    return s if s.ndim else float(s)
 
 
 def form_rq(pair, basis):

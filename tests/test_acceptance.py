@@ -126,7 +126,8 @@ def _branch_miss_slopes(tgt, eps_list, trials, seed):
     """Log-log slopes of the step subspace's misses of x(mu_k) and x'(mu_k).
 
     The miss |(I - V V^H) y| / |y| is formed directly, so it stays
-    accurate far below the arccos floor of sin_theta_norm.
+    accurate far below the arccos floor of the sine of the largest
+    canonical angle.
     """
     pair, trip = tgt.pair, tgt.triplet
     med_x, med_xp = [], []
@@ -245,7 +246,7 @@ def test_subspace_perturbation_bounds():
         d = np.linalg.norm(u - v, 2)
         if d > 0.5:
             continue
-        assert td.sin_theta_norm(u, v) <= 2.0 * d + 1e-12
+        assert np.sin(td.canonical_angles(u, v)[-1]) <= 2.0 * d + 1e-12
 
     # vector formula sqrt(1 - |u^H v|^2)
     for _ in range(500):
@@ -254,7 +255,7 @@ def test_subspace_perturbation_bounds():
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        got = td.sin_theta_norm(u.reshape(-1, 1), v.reshape(-1, 1))
+        got = np.sin(td.canonical_angles(u.reshape(-1, 1), v.reshape(-1, 1))[-1])
         want = np.sqrt(max(0.0, 1.0 - abs(np.vdot(u, v)) ** 2))
         assert abs(got - want) <= 1e-10
 
@@ -271,7 +272,7 @@ def test_subspace_perturbation_bounds():
         e = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         e *= rng.uniform(0.0, 0.5) * smin / np.linalg.norm(e, 2)
         bound = 8.0 * np.linalg.norm(j, 2) * np.linalg.norm(e, 2) / smin**2
-        assert td.sin_theta_norm(nullbasis(j), nullbasis(j + e)) <= bound + 1e-12
+        assert np.sin(td.canonical_angles(nullbasis(j), nullbasis(j + e))[-1]) <= bound + 1e-12
 
     # second-order accuracy of the constrained Rayleigh quotient
     pair, trip = refpairs.simple_pair_desk()

@@ -245,11 +245,24 @@ def test_study_eps_under_a_decade_is_input_error(tmp_path):
         rc = main(["study", kind, "--pair", ppath, "--target-mu", "0", "--target-lambda", "1",
                    "--eps", "1e-2", "5e-3", "--out", str(out)])
         assert rc == 2 and not out.exists()
+    out = tmp_path / "zero.json"
+    rc = main(["study", "scaling", "--pair", ppath, "--target-mu", "0", "--target-lambda", "1",
+               "--eps", "1e-2", "0", "--out", str(out)])
+    assert rc == 2 and not out.exists()
 
 
 def test_missing_pair_file_is_input_error(tmp_path):
     rc = main(["classify", "--pair", str(tmp_path / "nope.json"), "--mu", "0", "--lambda", "0"])
     assert rc == 2
+
+
+def test_unreadable_path_is_input_error(tmp_path, capsys):
+    rc = main(["classify", "--pair", str(tmp_path), "--mu", "0", "--lambda", "0"])
+    assert rc == 2
+    ppath, _ = write_reference_files(tmp_path)
+    rc = main(["classify", "--pair", ppath, "--mu", "0", "--lambda", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_solve_negative_max_iter_is_input_error(tmp_path):
@@ -283,6 +296,19 @@ def test_solve_bad_reference_is_input_error(tmp_path):
     rc = main(["solve", "--pair", ppath, "--mu0", "0.05", "--lambda0", "0.95",
                "--reference", str(rpath), "--out", str(tmp_path / "trace.json")])
     assert rc == 2
+
+
+def test_solve_non_number_triplet_field_is_input_error(tmp_path):
+    ppath, _ = write_reference_files(tmp_path)
+    bad = tmp_path / "null_mu.json"
+    doc = json.loads((tmp_path / "ref.json").read_text())
+    doc["mu"] = None
+    bad.write_text(json.dumps(doc))
+    for flag in ("--x0", "--reference"):
+        out = tmp_path / "trace.json"
+        rc = main(["solve", "--pair", ppath, "--mu0", "0.05", "--lambda0", "0.95", flag, str(bad),
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
 
 
 def test_curves_vectors_without_csv_is_input_error(tmp_path):

@@ -114,6 +114,13 @@ def test_scaling_study_needs_a_decade():
         scaling_study(simple_target(), [1e-2, 5e-3], 5, 0)
 
 
+def test_studies_reject_a_non_positive_eps():
+    for study in (scaling_study, ritz_approx_study):
+        for eps_list in ([1e-2, 0.0], [1e-2, -1e-3]):
+            with pytest.raises(ValueError, match="> 0"):
+                study(simple_target(), eps_list, 5, 0)
+
+
 def test_studies_read_the_eps_list_in_either_order():
     # each eps draws the same trials whichever order the list comes in
     for study in (scaling_study, ritz_approx_study):

@@ -184,6 +184,24 @@ def test_eigenvector_of_c_start_is_jacobian_near_singular():
         assert len(trace.iterates) == 1
 
 
+def test_sigma_n_jhat_of_a_stack_matches_each_member():
+    for regime, desk in (("simple", refpairs.simple_pair_desk), ("multiple", refpairs.multiple_pair_desk)):
+        target = Target.at(*desk(), regime)
+        pair = target.pair
+        starts = perturbed_starts(target, 1e-2, 0, range(20))
+        got = rqi.sigma_n_jhat(pair, starts)
+        assert got.shape == (20,)
+        jh = jacobian_hat(pair, starts)
+        for i in range(20):
+            one = rqi.sigma_n_jhat(pair, starts[i])
+            assert type(one) is float
+            # exact per member of the stacked Jacobian; a member's own
+            # Jacobian forms C x by a matrix-vector product, which may round
+            # differently from the stack's matrix product
+            assert got[i] == np.linalg.svd(jh[i], compute_uv=False)[-1]
+            assert abs(got[i] - one) <= 1e-12 * one
+
+
 def test_form_rq_identity_basis():
     pair = refpairs.simple_pair_2x2()
     t = Triplet(0.3, 0.8, np.array([0.6, 0.8]))
