@@ -14,7 +14,7 @@ from .model import load_pair, save_pair, load_triplet, save_triplet
 from .curves import eig_at, trace_curves, lambda_double_prime, eigvec_derivative
 from .classify import classify, multiplicity, eigvec_set, Kind
 from .angles import canonical_angles, dist_to_set
-from .rqi import step, step_stack, solve, projection_basis, solve_2x2, Status
+from .rqi import step, solve, projection_basis, solve_2x2, Status
 from .oracle import scan, HitKind
 from .harness import (
     Target,
@@ -34,7 +34,7 @@ __all__ = [
     "eig_at", "trace_curves", "lambda_double_prime", "eigvec_derivative",
     "classify", "multiplicity", "eigvec_set", "Kind",
     "canonical_angles", "dist_to_set",
-    "step", "step_stack", "solve", "projection_basis", "solve_2x2", "Status",
+    "step", "solve", "projection_basis", "solve_2x2", "Status",
     "scan", "HitKind",
     "Target", "convergence_order", "perturbed_start", "perturbed_starts", "scaling_study",
     "ritz_approx_study", "conditioning_study", "random_pair", "random_pair_with_crossing",

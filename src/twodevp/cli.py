@@ -86,8 +86,12 @@ def _auto_x0(pair, mu0, lam0):
 
 
 def cmd_solve(args):
+    if not (math.isfinite(args.mu0) and math.isfinite(args.lambda0)):
+        raise ValueError("--mu0 and --lambda0 must be finite")
     pair = load_pair(args.pair)
     x0 = load_triplet(args.x0).x if args.x0 else _auto_x0(pair, args.mu0, args.lambda0)
+    if not np.isfinite(x0).all():
+        raise ValueError("x in %s must be finite" % args.x0)
     t0 = Triplet.normalized(args.mu0, args.lambda0, x0)
     reference = load_triplet(args.reference) if args.reference else None
     trace = rqi.solve(pair, t0, tol_abs=args.tol_abs, max_iter=args.max_iter, reference=reference)

@@ -236,7 +236,7 @@ def scaling_study(target, eps_list, trials, seed):
     ref = target.vec_set
 
     def errors_at(eps, trials):
-        out = rqi.step_stack(target.pair, perturbed_starts(target, eps, seed, trials))
+        out = rqi.step(target.pair, perturbed_starts(target, eps, seed, trials))
         ok = np.array([f is None for f in out.failures])
         t1 = out.triplets
         return np.column_stack(ref.errors(t1.mu[ok], t1.lam[ok], t1.x[ok])), int(np.count_nonzero(~ok))

@@ -7,7 +7,7 @@ input validation and the convention the rest of the package relies on
 
 import numpy as np
 
-from .errors import RankCollapse, TwoDevpError
+from .errors import TwoDevpError
 
 
 def check_hermitian(m):
@@ -80,14 +80,14 @@ def isotropic_weights(c1, c2):
 def orthonormalize(m):
     """Orthonormal basis for the column span of a full-column-rank matrix.
 
-    On a stack of matrices, the basis of each; RankCollapse when any of
+    On a stack of matrices, the basis of each; TwoDevpError when any of
     them has lower rank.
     """
     u, s, _ = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
     if s.shape[-1] == 0:
-        raise RankCollapse("an empty matrix has no basis")
+        raise TwoDevpError("an empty matrix has no basis")
     if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
-        raise RankCollapse("smallest singular value %.3e below rank tolerance" % np.min(s[..., -1]))
+        raise TwoDevpError("smallest singular value %.3e below rank tolerance" % np.min(s[..., -1]))
     return u
 
 

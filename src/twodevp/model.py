@@ -11,6 +11,7 @@ whose roots are the solutions of the two-parameter problem, its bordered
 """
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,6 +214,8 @@ def save_triplet(t, path):
 
 def load_triplet(path):
     doc = _read_json(path, ("mu", "lambda", "x"))
-    if not all(type(doc[key]) in (int, float) for key in ("mu", "lambda")):  # bool is no number
-        raise TwoDevpError("fields 'mu' and 'lambda' in %s must be real numbers" % path)
-    return Triplet(doc["mu"], doc["lambda"], complex_from_json(doc["x"], "x", 1))
+    mu, lam = doc["mu"], doc["lambda"]
+    # bool is no number, and an int past the largest float does not convert
+    if not all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in (mu, lam)):
+        raise TwoDevpError("fields 'mu' and 'lambda' in %s must be real numbers in float range" % path)
+    return Triplet(mu, lam, complex_from_json(doc["x"], "x", 1))

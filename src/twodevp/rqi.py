@@ -17,10 +17,9 @@ One step from the iterate (mu_k, lam_k, x_k):
   4. pick the candidate closest to (mu_k, lam_k) in |d mu| + |d lam| and
      lift its 2-vector through V.
 
-`step_stack` takes this step from each of a stack of k iterates at once:
+`step` takes this step from each of a stack of k iterates at once:
 every stage is one numpy call on the stack, or a few, and a member whose
-step fails gets its own failure.  `step`, and so `solve`, is its k = 1
-case.
+step fails gets the Status that stopped it.  `solve` steps stacks of one.
 """
 
 import math
@@ -31,7 +30,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import eigvec_set
-from .errors import NotIndefinite, RankCollapse
 from .kernels import conj_t, diagonalize_form, isotropic_weights
 from .model import Triplet, TripletStack, jacobian, jacobian_hat, residual
 
@@ -79,9 +77,9 @@ class StepDiagnostics:
 class StepStack(NamedTuple):
     """One 2DRQI step from each of k iterates.
 
-    failures[i] is None, or the NotIndefinite or RankCollapse that stopped
-    member i; the next triplet and diagnostics of such a member are
-    placeholders.
+    failures[i] is None, or the Status that stopped member i
+    (JACOBIAN_NEAR_SINGULAR or INDEFINITENESS_LOST); the next triplet and
+    diagnostics of such a member are placeholders.
     """
 
     triplets: TripletStack
@@ -117,15 +115,14 @@ def projection_basis(pair, j):
 
     j is a (k, n+2, n+2) stack of bordered Jacobians, and each nullspace
     is spanned by the last two columns of J^-1.  Returns the bases and a
-    list that holds, per member, None or the RankCollapse that voids its
-    basis: for an exactly singular J, as at a zero x, and for a basis
-    whose leading rows have rank < 2, as at an x that is an eigenvector of
-    C, where the two border rows of J are parallel.
+    list that holds, per member, None or JACOBIAN_NEAR_SINGULAR where the
+    leading rows of its basis have rank < 2: as at an x that is an
+    eigenvector of C, where the two border rows of J are parallel, and for
+    an exactly singular J, as at a zero x.
     """
     n = pair.n
     e = np.zeros((n + 2, 2))
     e[n, 0] = e[n + 1, 1] = 1.0
-    failures = [None] * len(j)
     try:
         # e as a stack of one matrix, which numpy < 2 would otherwise read
         # as a stack of vectors
@@ -140,16 +137,13 @@ def projection_basis(pair, j):
                 null[i] = np.linalg.solve(ji, e)
             except np.linalg.LinAlgError:
                 null[i] = e
-                failures[i] = RankCollapse("bordered Jacobian is singular")
     # An orthonormal basis of each nullspace: the left singular vectors,
     # which cost less than numpy's QR at this size.  Its rows have singular
     # values <= 1, so an absolute floor is the rank test; u is an
     # orthonormal basis of the leading rows.
     null = np.linalg.svd(null, full_matrices=False)[0]
     u, sv, _ = np.linalg.svd(null[:, :n, :], full_matrices=False)
-    for i, low in enumerate((sv[:, -1] <= 1e-10).tolist()):
-        if low and failures[i] is None:
-            failures[i] = RankCollapse("leading rows of the nullspace basis have rank < 2")
+    failures = [Status.JACOBIAN_NEAR_SINGULAR if low else None for low in (sv[:, -1] <= 1e-10).tolist()]
     v, ce = diagonalize_form(pair.c, u)
     return ProjectionBasis(v, ce[:, 0], ce[:, 1]), failures
 
@@ -208,33 +202,19 @@ def select_ritz(t_prev, candidates, basis):
                         np.where(second, theta[:, 1], theta[:, 0]), x[..., 0])
 
 
-def step_stack(pair, starts):
+def step(pair, starts):
     """One iteration of the 2DRQI from each triplet of the TripletStack `starts`.
 
     Each stage runs once on the whole stack.  A member whose step fails
-    gets its NotIndefinite or RankCollapse in `failures`; nothing raises.
+    gets its Status in `failures`; nothing raises.
     """
     basis, failures = projection_basis(pair, jacobian(pair, starts))
     a11, a12, a22, c1, c2 = form_rq(pair, basis)
     cands = solve_2x2(a11, a12, a22, c1, c2)
     for i, ok in enumerate(cands.indefinite.tolist()):
         if not ok and failures[i] is None:
-            failures[i] = NotIndefinite(
-                "projected C has entries (%r, %r), not indefinite" % (float(c1[i]), float(c2[i])))
+            failures[i] = Status.INDEFINITENESS_LOST
     return StepStack(select_ritz(starts, cands, basis), c1, c2, np.abs(a12), tuple(failures))
-
-
-def step(pair, t):
-    """One iteration of the 2DRQI.  Returns (next triplet, diagnostics).
-
-    The k = 1 case of step_stack; raises the member's NotIndefinite or
-    RankCollapse.
-    """
-    out = step_stack(pair, TripletStack(np.array([t.mu]), np.array([t.lam]), t.x[None]))
-    if out.failures[0] is not None:
-        raise out.failures[0]
-    diag = StepDiagnostics(float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0]))
-    return out.triplets[0], diag
 
 
 def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
@@ -247,9 +227,9 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     comes from `eigvec_set`, which the pair keeps, so repeated solves
     against one reference classify it once per pair.  Failures
     that the local theory anticipates (projected C losing indefiniteness,
-    nullspace rank collapse) end the run with the matching status instead
-    of raising.  A non-finite start is recorded as iterate 0 and ends the
-    run with NON_FINITE.  Raises ValueError when max_iter < 0 or tol_abs
+    nullspace rank collapse) end the run with the Status that `step`
+    gives the member.  A non-finite start is recorded as iterate 0 and
+    ends the run with NON_FINITE.  Raises ValueError when max_iter < 0 or tol_abs
     is negative or not finite, and TwoDevpError when the reference's
     (mu, lam) is not a nonsingular 2D-eigenvalue, on every call.
     """
@@ -278,13 +258,9 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         if k == max_iter:
             trace.status = Status.MAX_ITERATIONS
             return trace
-        try:
-            t, diag = step(pair, t)
-        except NotIndefinite:
-            trace.status = Status.INDEFINITENESS_LOST
+        out = step(pair, TripletStack(np.array([t.mu]), np.array([t.lam]), t.x[None]))
+        if out.failures[0] is not None:
+            trace.status = out.failures[0]
             return trace
-        except RankCollapse:
-            trace.status = Status.JACOBIAN_NEAR_SINGULAR
-            return trace
-        trace.iterates[-1].diagnostics = diag
-    return trace
+        t = out.triplets[0]
+        rec.diagnostics = StepDiagnostics(float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0]))

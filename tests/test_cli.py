@@ -298,17 +298,37 @@ def test_solve_bad_reference_is_input_error(tmp_path):
     assert rc == 2
 
 
-def test_solve_non_number_triplet_field_is_input_error(tmp_path):
+def test_solve_non_number_triplet_field_is_input_error(tmp_path, capsys):
+    # null is no number, and 10**400 no float
     ppath, _ = write_reference_files(tmp_path)
-    bad = tmp_path / "null_mu.json"
     doc = json.loads((tmp_path / "ref.json").read_text())
-    doc["mu"] = None
-    bad.write_text(json.dumps(doc))
-    for flag in ("--x0", "--reference"):
-        out = tmp_path / "trace.json"
-        rc = main(["solve", "--pair", ppath, "--mu0", "0.05", "--lambda0", "0.95", flag, str(bad),
-                   "--out", str(out)])
+    out = tmp_path / "trace.json"
+    for key, value in (("mu", None), ("mu", 10**400), ("lambda", 10**400)):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(doc, **{key: value})))
+        for flag in ("--x0", "--reference"):
+            rc = main(["solve", "--pair", ppath, "--mu0", "0.05", "--lambda0", "0.95", flag, str(bad),
+                       "--out", str(out)])
+            assert rc == 2 and not out.exists()
+            assert capsys.readouterr().err.count("error:") == 1
+
+
+def test_solve_non_finite_start_is_input_error(tmp_path, capsys):
+    # with or without --x0, whichever of mu0, lambda0 and x0 it is
+    ppath, tpath = write_reference_files(tmp_path)
+    nan_x = tmp_path / "nan_x.json"
+    doc = json.loads((tmp_path / "ref.json").read_text())
+    doc["x"][0][0] = float("nan")
+    nan_x.write_text(json.dumps(doc))
+    out = tmp_path / "trace.json"
+    for start in (["--mu0", "nan", "--lambda0", "0.95"],
+                  ["--mu0", "nan", "--lambda0", "0.95", "--x0", tpath],
+                  ["--mu0", "0.05", "--lambda0", "nan"],
+                  ["--mu0", "0.05", "--lambda0", "inf"],
+                  ["--mu0", "0.05", "--lambda0", "0.95", "--x0", str(nan_x)]):
+        rc = main(["solve", "--pair", ppath, "--out", str(out)] + start)
         assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err.count("error:") == 1
 
 
 def test_curves_vectors_without_csv_is_input_error(tmp_path):
@@ -331,16 +351,17 @@ def _reject_constant(token):
 
 
 def test_solve_writes_strict_json_and_fails_unless_converged(tmp_path):
-    ppath, tpath = write_reference_files(tmp_path)
-    out = tmp_path / "nan.json"
-    rc = main(["solve", "--pair", ppath, "--mu0", "nan", "--lambda0", "0", "--x0", tpath,
-               "--out", str(out)])
-    assert rc == 1
-    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
-    assert doc["status"] == "NonFinite"
-    assert doc["iterates"][0]["mu"] is None and doc["iterates"][0]["res_norm"] is None
+    ppath, _ = write_reference_files(tmp_path)
     out = tmp_path / "short.json"
     rc = main(["solve", "--pair", ppath, "--mu0", "3", "--lambda0", "-2", "--max-iter", "1",
                "--out", str(out)])
     assert rc == 1
-    assert json.loads(out.read_text())["status"] != "Converged"
+    assert json.loads(out.read_text(), parse_constant=_reject_constant)["status"] != "Converged"
+    # a non-finite start is an input error, so a NaN comes from a study:
+    # every error at the rounding floor leaves no slope to fit
+    out = tmp_path / "floor.json"
+    rc = main(["study", "scaling", "--pair", ppath, "--target-mu", "0", "--target-lambda", "1",
+               "--eps", "1e-9", "1e-10", "--trials", "3", "--out", str(out)])
+    assert rc == 1
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert doc["fitted_slopes"] == {"mu": None, "lambda": None, "x": None}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twodevp.errors import RankCollapse
+from twodevp.errors import TwoDevpError
 from twodevp.kernels import (
     check_hermitian,
     hermitian_eig,
@@ -70,7 +70,7 @@ def test_orthonormalize_output_is_orthonormal():
 
 def test_orthonormalize_rank_deficient():
     col = np.ones((4, 1))
-    with pytest.raises(RankCollapse):
+    with pytest.raises(TwoDevpError, match="rank tolerance"):
         orthonormalize(np.hstack([col, col]))
 
 

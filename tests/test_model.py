@@ -179,7 +179,9 @@ def test_load_pair_rejects_malformed(tmp_path):
 
 def test_load_triplet_rejects_a_non_number_mu_or_lambda(tmp_path):
     path = tmp_path / "bad.json"
-    for mu, lam in (("null", "0.5"), ("0.5", "[1]"), ('{"re": 1}', "0.5"), ("true", "0.5")):
+    huge = "1" + "0" * 400  # an int that no float holds
+    for mu, lam in (("null", "0.5"), ("0.5", "[1]"), ('{"re": 1}', "0.5"), ("true", "0.5"),
+                    (huge, "0.5"), ("0.5", huge)):
         path.write_text('{"mu": %s, "lambda": %s, "x": [[1, 0], [0, 0]]}' % (mu, lam))
         with pytest.raises(TwoDevpError, match="real numbers"):
             load_triplet(path)

@@ -5,13 +5,14 @@ from twodevp import refpairs, rqi
 from twodevp.angles import canonical_angles
 from twodevp.classify import eigvec_set
 from twodevp.curves import eigvec_derivative
-from twodevp.errors import NotIndefinite, RankCollapse, TwoDevpError
+from twodevp.errors import TwoDevpError
 from twodevp.harness import (
     Target,
     perturbed_start,
     perturbed_starts,
     random_pair,
     random_pair_with_crossing,
+    scaling_study,
 )
 from twodevp.kernels import orthonormalize
 from twodevp.model import HermitianPair, Triplet, TripletStack, jacobian, jacobian_hat, residual
@@ -23,7 +24,6 @@ from twodevp.rqi import (
     solve,
     solve_2x2,
     step,
-    step_stack,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -38,6 +38,13 @@ def basis_at(pair, t):
     basis, failures = projection_basis(pair, jacobian(pair, TripletStack.of([t])))
     assert failures == [None]
     return basis
+
+
+def step_one(pair, t):
+    """One step from t, as a stack of one that must not fail."""
+    out = step(pair, TripletStack.of([t]))
+    assert out.failures == (None,)
+    return out
 
 
 def test_projection_basis_spans_x_and_xprime():
@@ -101,7 +108,7 @@ def test_projection_basis_matches_svd_nullspace():
 
 def test_step_makes_one_solve_and_no_large_svd(count_linalg):
     # the LAPACK budget of one step: one LU solve per stack of starts (a
-    # stack of one for step, of five for step_stack), one eigh of the
+    # stack of one as solve steps, of five as the studies do), one eigh of the
     # stacked 2 x 2 forms, at most two SVDs of at most 2 columns, no QR
     # and nothing else
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
@@ -109,7 +116,7 @@ def test_step_makes_one_solve_and_no_large_svd(count_linalg):
     t0 = perturbed_start(target, 1e-3, 5)
     starts = perturbed_starts(target, 1e-3, 5, range(5))
     calls = count_linalg()
-    for k, run in ((1, lambda: step(pair, t0)), (5, lambda: step_stack(pair, starts))):
+    for k, run in ((1, lambda: step(pair, TripletStack.of([t0]))), (5, lambda: step(pair, starts))):
         del calls[:]
         run()
         svds = [shape for name, shape in calls if name == "svd"]
@@ -124,20 +131,18 @@ def test_step_stack_matches_single_steps():
                               ("multiple", refpairs.multiple_pair_desk, 3e-2)):
         target = Target.at(*desk(), regime)
         starts = perturbed_starts(target, eps, 21, range(50))
-        out = step_stack(target.pair, starts)
+        out = step(target.pair, starts)
         assert len(out.triplets) == len(out.failures) == 50
         for i in range(50):
-            try:
-                t1, diag = step(target.pair, starts[i])
-            except (NotIndefinite, RankCollapse) as exc:
-                assert type(out.failures[i]) is type(exc)
+            one = step(target.pair, TripletStack.of([starts[i]]))
+            assert out.failures[i] is one.failures[0]
+            if one.failures[0] is not None:
                 continue
-            assert out.failures[i] is None
-            got = out.triplets[i]
+            got, t1 = out.triplets[i], one.triplets[0]
             assert abs(got.mu - t1.mu) <= 1e-12 and abs(got.lam - t1.lam) <= 1e-12
             assert np.linalg.norm(got.x - t1.x) <= 1e-10
             assert np.allclose([out.c1[i], out.c2[i], out.abs_a12[i]],
-                               [diag.c1, diag.c2, diag.abs_a12], rtol=1e-12, atol=1e-14)
+                               [one.c1[0], one.c2[0], one.abs_a12[0]], rtol=1e-12, atol=1e-14)
 
 
 def test_step_stack_keeps_each_failure_to_its_member():
@@ -155,21 +160,19 @@ def test_step_stack_keeps_each_failure_to_its_member():
     mixed = list(starts)
     for i in sorted(bad):
         mixed.insert(i, bad[i])
-    out = step_stack(pair, TripletStack.of(mixed))
-    clean = step_stack(pair, TripletStack.of(starts))
+    out = step(pair, TripletStack.of(mixed))
+    clean = step(pair, TripletStack.of(starts))
     assert clean.failures == (None,) * 8
-    assert [type(f) for f in out.failures] == [
-        type(None), type(None), RankCollapse, type(None), type(None), RankCollapse,
-        type(None), NotIndefinite, type(None), type(None), type(None)]
-    assert "singular" in str(out.failures[2])
+    near_singular, lost = Status.JACOBIAN_NEAR_SINGULAR, Status.INDEFINITENESS_LOST
+    assert out.failures == (None, None, near_singular, None, None, near_singular,
+                            None, lost, None, None, None)
     kept = [i for i in range(len(mixed)) if i not in bad]
     for k, i in enumerate(kept):
         a, b = out.triplets[i], clean.triplets[k]
         assert abs(a.mu - b.mu) <= 1e-12 and abs(a.lam - b.lam) <= 1e-12
         assert np.linalg.norm(a.x - b.x) <= 1e-10
     for i, t in bad.items():
-        with pytest.raises(type(out.failures[i])):
-            step(pair, t)
+        assert step(pair, TripletStack.of([t])).failures == (out.failures[i],)
 
 
 def test_eigenvector_of_c_start_is_jacobian_near_singular():
@@ -290,16 +293,17 @@ def test_step_contracts_near_simple_target():
     pair = refpairs.simple_pair_2x2()
     x0 = np.array([1.0, 1.0]) / SQ2 + 0.05 * np.array([1.0, -1.0]) / SQ2
     t0 = Triplet.normalized(0.1, 0.9, x0)
-    t1, diag = step(pair, t0)
+    out = step_one(pair, t0)
+    t1 = out.triplets[0]
     e0 = abs(t0.mu) + abs(t0.lam - 1.0)
     e1 = abs(t1.mu) + abs(t1.lam - 1.0)
     assert e1 <= e0 / 10.0
-    assert diag.abs_a12 > 0.0
+    assert out.abs_a12[0] > 0.0
 
 
 def test_step_fixed_point_at_target():
     pair = refpairs.simple_pair_2x2()
-    t1, _ = step(pair, refpairs.simple_target_2x2())
+    t1 = step_one(pair, refpairs.simple_target_2x2()).triplets[0]
     assert abs(t1.mu) + abs(t1.lam - 1.0) <= 1e-12
 
 
@@ -308,8 +312,8 @@ def test_step_phase_invariance():
     rng = np.random.default_rng(7)
     w = rng.standard_normal(pair.n) + 1j * rng.standard_normal(pair.n)
     t0 = Triplet.normalized(trip.mu + 0.01, trip.lam - 0.02, trip.x + 0.05 * w)
-    ta, _ = step(pair, t0)
-    tb, _ = step(pair, Triplet(t0.mu, t0.lam, t0.x * np.exp(1.1j)))
+    ta = step_one(pair, t0).triplets[0]
+    tb = step_one(pair, Triplet(t0.mu, t0.lam, t0.x * np.exp(1.1j))).triplets[0]
     assert abs(ta.mu - tb.mu) + abs(ta.lam - tb.lam) < 1e-12
 
 
@@ -319,7 +323,7 @@ def test_step_iterates_stay_feasible():
     w = rng.standard_normal(pair.n) + 1j * rng.standard_normal(pair.n)
     t = Triplet.normalized(trip.mu + 0.02, trip.lam + 0.02, trip.x + 0.05 * w)
     for _ in range(4):
-        t, _ = step(pair, t)
+        t = step_one(pair, t).triplets[0]
         assert abs(np.vdot(t.x, pair.c @ t.x)) < 1e-10
         assert abs(np.linalg.norm(t.x) - 1.0) < 1e-10
 
@@ -410,14 +414,18 @@ def test_solve_calls_step_once_per_step(monkeypatch):
     steps = []
     step_ = rqi.step
 
-    def counted_step(pair, t):
-        steps.append(t)
-        return step_(pair, t)
+    def counted_step(pair, starts):
+        steps.append(len(starts))
+        return step_(pair, starts)
 
     monkeypatch.setattr(rqi, "step", counted_step)
     trace = solve(target.pair, perturbed_start(target, 0.05, 11, trial=3), tol_abs=1e-12)
     assert trace.status is Status.CONVERGED
-    assert len(steps) == len(trace.iterates) - 1 >= 2
+    assert steps == [1] * (len(trace.iterates) - 1) and len(steps) >= 2
+    # the studies step all trials of one eps as one stack
+    del steps[:]
+    scaling_study(target, [1e-2, 1e-3, 1e-4], 7, 0)
+    assert steps == [7, 7, 7]
 
 
 def test_solve_classifies_its_reference_once_per_pair(count_linalg):
