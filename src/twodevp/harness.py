@@ -204,13 +204,14 @@ def _study(eps_list, trials, errors_at, names, targets):
     errors_at(eps, trial indices) returns the (m, 3) errors of the trials
     whose step succeeded and the number of the others, which are excluded.
     names label the three error series and targets are the values they
-    are errors of.  eps_list must be positive and span at least a decade;
-    it is read, and reported, largest first, with the trials of _trial_blocks.
+    are errors of.  eps_list must be finite, positive and span at least a
+    decade; it is read, and reported, largest first, with the trials of
+    _trial_blocks.
     """
     blocks = _trial_blocks(eps_list, trials)
     eps_list = [eps for eps, _ in blocks]
-    if not all(eps > 0.0 for eps in eps_list):
-        raise ValueError("every eps must be > 0, got %r" % eps_list)
+    if not all(0.0 < eps < np.inf for eps in eps_list):
+        raise ValueError("every eps must be finite and > 0, got %r" % eps_list)
     if len(eps_list) < 2 or np.log10(eps_list[0] / eps_list[-1]) < 1.0 - 1e-12:
         raise ValueError("eps_list must span at least a decade")
     meds = ([], [], [])

@@ -11,6 +11,7 @@ whose roots are the solutions of the two-parameter problem, its bordered
 """
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -73,7 +74,10 @@ class Triplet:
 
     @classmethod
     def normalized(cls, mu, lam, x):
+        """The triplet (mu, lam, x / |x|); ValueError for a non-finite or zero start."""
         x = np.asarray(x, dtype=complex).reshape(-1)
+        if not (math.isfinite(mu) and math.isfinite(lam) and np.isfinite(x).all()):
+            raise ValueError("mu, lambda and x must be finite")
         nrm = np.linalg.norm(x)
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -105,21 +109,13 @@ class TripletStack:
         return Triplet(self.mu[i], self.lam[i], self.x[i])
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Stacked residual vector and its norm."""
-
-    f: np.ndarray
-    norm: float
-
-
 def _check_length(pair, x):
     if x.shape[-1] != pair.n:
         raise TwoDevpError("triplet has length %d, pair has n=%d" % (x.shape[-1], pair.n))
 
 
 def residual(pair, t):
-    """Evaluate the nonlinear residual F at a triplet."""
+    """The (n+2)-vector F at a triplet."""
     _check_length(pair, t.x)
     n, x = pair.n, t.x
     cx = pair.c @ x
@@ -127,7 +123,7 @@ def residual(pair, t):
     np.subtract(pair.a @ x - t.mu * cx, t.lam * x, out=f[:n])
     f[n] = -0.5 * np.vdot(x, cx).real
     f[n + 1] = 0.5 * (1.0 - np.vdot(x, x).real)
-    return ResidualReport(f=f, norm=float(np.linalg.norm(f)))
+    return f
 
 
 def jacobian(pair, t):

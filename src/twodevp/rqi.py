@@ -67,19 +67,12 @@ class RitzCandidates(NamedTuple):
     indefinite: np.ndarray  # k
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    c1: float
-    c2: float
-    abs_a12: float
-
-
 class StepStack(NamedTuple):
     """One 2DRQI step from each of k iterates.
 
     failures[i] is None, or the Status that stopped member i
-    (JACOBIAN_NEAR_SINGULAR or INDEFINITENESS_LOST); the next triplet and
-    diagnostics of such a member are placeholders.
+    (JACOBIAN_NEAR_SINGULAR or INDEFINITENESS_LOST); the next triplet,
+    c1, c2 and abs_a12 of such a member are placeholders.
     """
 
     triplets: TripletStack
@@ -91,10 +84,14 @@ class StepStack(NamedTuple):
 
 @dataclass
 class IterateRecord:
+    """Iterate k; c1, c2 and abs_a12 are those of the step from it to iterate k + 1, None on the last."""
+
     k: int
     triplet: Triplet
     res_norm: float
-    diagnostics: StepDiagnostics = None
+    c1: float = None
+    c2: float = None
+    abs_a12: float = None
     err_mu: float = None
     err_lambda: float = None
     err_x: float = None
@@ -246,13 +243,13 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     trace = RqiTrace()
     t = t0
     for k in range(max_iter + 1):
-        res = residual(pair, t)
-        rec = IterateRecord(k=k, triplet=t, res_norm=res.norm)
+        res_norm = float(np.linalg.norm(residual(pair, t)))
+        rec = IterateRecord(k=k, triplet=t, res_norm=res_norm)
         if vec_set is not None:
             rec.err_mu, rec.err_lambda, rec.err_x = vec_set.errors(t.mu, t.lam, t.x)
         trace.iterates.append(rec)
         tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
-        if res.norm <= tol:
+        if res_norm <= tol:
             trace.status = Status.CONVERGED
             return trace
         if k == max_iter:
@@ -263,4 +260,4 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
             trace.status = out.failures[0]
             return trace
         t = out.triplets[0]
-        rec.diagnostics = StepDiagnostics(float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0]))
+        rec.c1, rec.c2, rec.abs_a12 = float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0])

@@ -238,7 +238,7 @@ def test_study_scaling_passes_on_commuting_pair(tmp_path):
     assert doc["regime"] == "multiple"
 
 
-def test_study_eps_under_a_decade_is_input_error(tmp_path):
+def test_study_eps_under_a_decade_is_input_error(tmp_path, capsys):
     ppath, _ = write_reference_files(tmp_path)
     for kind in ("scaling", "ritz"):
         out = tmp_path / (kind + ".json")
@@ -249,6 +249,13 @@ def test_study_eps_under_a_decade_is_input_error(tmp_path):
     rc = main(["study", "scaling", "--pair", ppath, "--target-mu", "0", "--target-lambda", "1",
                "--eps", "1e-2", "0", "--out", str(out)])
     assert rc == 2 and not out.exists()
+    # an infinite eps spans every decade, and is no perturbation size
+    capsys.readouterr()
+    out = tmp_path / "inf.json"
+    rc = main(["study", "ritz", "--pair", ppath, "--target-mu", "0", "--target-lambda", "1",
+               "--eps", "inf", "1e-3", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.count("error:") == 1
 
 
 def test_missing_pair_file_is_input_error(tmp_path):

@@ -116,7 +116,7 @@ def test_scaling_study_needs_a_decade():
 
 def test_studies_reject_a_non_positive_eps():
     for study in (scaling_study, ritz_approx_study):
-        for eps_list in ([1e-2, 0.0], [1e-2, -1e-3]):
+        for eps_list in ([1e-2, 0.0], [1e-2, -1e-3], [np.inf, 1e-3]):
             with pytest.raises(ValueError, match="> 0"):
                 study(simple_target(), eps_list, 5, 0)
 
@@ -283,7 +283,7 @@ def test_random_pair_with_crossing_plants_multiple_eigenvalue():
 
 def test_target_at_builds_consistent_triplet():
     tgt = multiple_target()
-    assert residual(tgt.pair, tgt.triplet).norm < 1e-12
+    assert np.linalg.norm(residual(tgt.pair, tgt.triplet)) < 1e-12
     assert dist_to_set(tgt.triplet.x, tgt.vec_set) < 1e-12
 
 

@@ -87,7 +87,7 @@ def test_hits_have_small_residuals():
         assert hits
         for h in hits:
             scale = pair.scale(h.triplet.mu, h.triplet.lam)
-            assert residual(pair, h.triplet).norm <= 1e-9 * scale
+            assert np.linalg.norm(residual(pair, h.triplet)) <= 1e-9 * scale
 
 
 def test_hits_classify_cleanly():
@@ -269,7 +269,7 @@ def test_scan_files_triple_crossing_as_crossing():
     assert hits
     assert all(h.kind is HitKind.CROSSING for h in hits)
     for h in hits:
-        assert residual(pair, h.triplet).norm <= 1e-10 * pair.scale(h.triplet.mu, h.triplet.lam)
+        assert np.linalg.norm(residual(pair, h.triplet)) <= 1e-10 * pair.scale(h.triplet.mu, h.triplet.lam)
 
 
 def test_scan_returns_a_crossing_on_a_grid_point_once():

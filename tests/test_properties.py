@@ -49,4 +49,4 @@ def test_scan_returns_or_raises_twodevp_error(pair, lo, width, n_grid):
         return
     assert all(isinstance(h.kind, oracle.HitKind) for h in hits)
     for h in hits:
-        assert residual(pair, h.triplet).norm <= 1e-10 * pair.scale(h.triplet.mu, h.triplet.lam)
+        assert np.linalg.norm(residual(pair, h.triplet)) <= 1e-10 * pair.scale(h.triplet.mu, h.triplet.lam)

@@ -462,4 +462,18 @@ def test_solve_final_residual_consistent():
     pair, trip = refpairs.simple_pair_desk()
     t0 = Triplet.normalized(trip.mu + 0.01, trip.lam + 0.01, trip.x)
     trace = solve(pair, t0)
-    assert residual(pair, trace.final).norm == trace.iterates[-1].res_norm
+    assert np.linalg.norm(residual(pair, trace.final)) == trace.iterates[-1].res_norm
+
+
+def test_solve_records_the_c1_c2_and_abs_a12_of_each_step():
+    # each record but the last carries the projected pair of the step taken
+    # from it; no step is taken from the last
+    target = Target.at(*refpairs.simple_pair_desk(), "simple")
+    trace = solve(target.pair, perturbed_start(target, 0.05, 11, trial=3), tol_abs=1e-12)
+    assert trace.status is Status.CONVERGED and len(trace.iterates) >= 3
+    for rec in trace.iterates[:-1]:
+        out = step_one(target.pair, rec.triplet)
+        for got, want in ((rec.c1, out.c1[0]), (rec.c2, out.c2[0]), (rec.abs_a12, out.abs_a12[0])):
+            assert type(got) is float and abs(got - want) <= 1e-14
+    last = trace.iterates[-1]
+    assert last.c1 is None and last.c2 is None and last.abs_a12 is None
