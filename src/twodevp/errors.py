@@ -1,14 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""The one exception type of the package.
 
 Everything the package raises on bad input or an undefined quantity is a
-TwoDevpError.  A subclass exists only where a caller catches it by name:
-NotIndefinite is caught by oracle.scan.
+TwoDevpError, apart from ValueError for an out-of-range argument.  A
+subclass is added only where a caller catches it by name.
 """
 
 
 class TwoDevpError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class NotIndefinite(TwoDevpError):
-    """A form of C that must be indefinite is not."""

@@ -202,7 +202,8 @@ def _study(eps_list, trials, errors_at, names, targets):
     """Median per-eps errors of `trials` trials and their fit_slope slopes.
 
     errors_at(eps, trial indices) returns the (m, 3) errors of the trials
-    whose step succeeded and the number of the others, which are excluded.
+    whose step succeeded and the number of the others, which are excluded;
+    an eps whose trials all fail has NaN medians, which fit_slope drops.
     names label the three error series and targets are the values they
     are errors of.  eps_list must be finite, positive and span at least a
     decade; it is read, and reported, largest first, with the trials of
@@ -220,9 +221,9 @@ def _study(eps_list, trials, errors_at, names, targets):
         errs, bad = errors_at(eps, block)
         failed += bad
         for med, col in zip(meds, errs.T):
-            med.append(float(np.median(col)))
+            med.append(float(np.median(col)) if col.size else float("nan"))
     if failed > 0.2 * total:
-        raise RuntimeError("more than 20%% of trials failed (%d of %d)" % (failed, total))
+        raise TwoDevpError("more than 20%% of trials failed (%d of %d)" % (failed, total))
     fits = {k: fit_slope(eps_list, med, scale) for k, med, scale in zip(names, meds, targets)}
     slopes = {k: f[0] for k, f in fits.items()}
     used = {k: f[1] for k, f in fits.items()}
@@ -340,4 +341,4 @@ def random_pair_with_crossing(n, signature, mu_star, lam_star, seed):
                 w2[[i, j]] = lam_star
                 a = v @ np.diag(w2) @ v.conj().T + mu_star * base.c
                 return HermitianPair(a, base.c)
-    raise RuntimeError("no eigenvector pair with indefinite cluster form found")
+    raise TwoDevpError("no eigenvector pair with indefinite cluster form found")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotIndefinite, TwoDevpError
+from .errors import TwoDevpError
 from .kernels import check_hermitian
 
 
@@ -43,7 +43,7 @@ class HermitianPair:
         norm_a, norm_c = max(-wa[0], wa[-1]), max(-wc[0], wc[-1])
         thr = 1e-12 * max(norm_c, 1e-300)
         if not (wc[-1] > thr and wc[0] < -thr):
-            raise NotIndefinite("C must have both positive and negative eigenvalues")
+            raise TwoDevpError("C must have both positive and negative eigenvalues")
         a.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "a", a)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .classify import fix_phase
 from .curves import branch_derivatives, cluster, eig_at, floor_unit, slopes, trace_curves
-from .errors import NotIndefinite, TwoDevpError
+from .errors import TwoDevpError
 from .kernels import diagonalize_form, isotropic_weights
 from .model import Triplet
 
@@ -48,8 +48,8 @@ def scan(pair, mu_lo, mu_hi, n_grid):
     """Bracket and refine every sign change of a sorted eigencurve's slope.
 
     Returns (hits, suspects): refined OracleHit records plus unrefined
-    suspects (mu, i), grid points where the slope of sorted curve i merely
-    comes close to zero and brackets whose crossing has no isotropic vector.
+    suspects (mu, i): grid points where sorted curve i's slope merely nears
+    zero, and the midpoints of brackets where refine_critical gives None.
     """
     if n_grid < 8:
         raise ValueError("need n_grid >= 8")
@@ -65,15 +65,15 @@ def scan(pair, mu_lo, mu_hi, n_grid):
     for i, j in zip(*np.nonzero(brackets.T)):
         if (j, i) in taken:  # a crossing changes the sign of every member
             continue
-        try:
-            hit = refine_critical(pair, points[j], points[j + 1], int(i))
-        except NotIndefinite:
+        hit = refine_critical(pair, points[j], points[j + 1], int(i))
+        if hit is None:
             suspects.append((0.5 * (points[j].mu + points[j + 1].mu), int(i)))
             continue
         hits.append(hit)
-        # a hit on a grid point also closes the bracket of the cell past it
+        # a hit on a grid point, to refine_critical's width, also closes
+        # the bracket of the cell past it
         cells = [j] + [c for c, g in ((j - 1, j), (j + 1, j + 1)) if 0 <= c < len(brackets)
-                       and abs(points[g].mu - hit.triplet.mu) <= hit.refined_to]
+                       and abs(points[g].mu - hit.triplet.mu) <= _width(pair, hit.triplet.mu)]
         taken.update((c, k) for c in cells for k in hit.curves)
     return hits, suspects
 
@@ -102,8 +102,8 @@ def refine_critical(pair, left, right, i):
     Newton or kink step at the point accepted, the final bracket width when
     bisection ends, and 0 at an exactly zero slope.  A single eigenvalue at
     the refined mu is a critical point; a cluster is a crossing, built by
-    refine_crossing.  Raises TwoDevpError when the slope does not change
-    sign between left and right.
+    refine_crossing, or None where its C-form is not indefinite.  Raises
+    TwoDevpError when the slope does not change sign between left and right.
     """
     def slope(point, k=i):
         return float(slopes(pair, point.vectors[:, [k]])[0])
@@ -127,15 +127,11 @@ def refine_critical(pair, left, right, i):
         raise TwoDevpError("slope of curve %d does not change sign over %r" % (i, bracket))
     d_lo, d_hi = curvature(left), curvature(right)
     point, f, d2 = (left, f_lo, d_lo) if abs(f_lo) <= abs(f_hi) else (right, f_hi, d_hi)
-    # the width follows a small |A| down, and is never looser than 1e-13 * (1 + |mu|);
-    # A = 0 gives no scale to follow, and a width that vanished at mu = 0 would
-    # let bisection run to subnormal numbers
-    offset = min(1.0, pair.norm_a / pair.norm_c) or 1.0
     dx_old = dx = hi - lo
     refined_to = 0.0
     hermite = _hermite_root(bracket, (f_lo, f_hi), (d_lo, d_hi), point.mu)
     while f != 0.0:
-        tol = 1e-13 * (abs(point.mu) + offset)
+        tol = _width(pair, point.mu)
         newton = f / d2 if d2 else np.nan
         # accept before testing the step: at a zero hit to rounding, the
         # step rounds to nothing and mu - step would fall on a bracket end
@@ -173,6 +169,16 @@ def refine_critical(pair, left, right, i):
     return OracleHit(trip, HitKind.CRITICAL_POINT, (i,), bracket, refined_to)
 
 
+def _width(pair, mu):
+    """refine_critical's acceptance width at mu.
+
+    It follows a small |A| down, and is never looser than
+    1e-13 * (1 + |mu|); A = 0 gives no scale to follow, and a width that
+    vanished at mu = 0 would let bisection run to subnormal numbers.
+    """
+    return 1e-13 * (abs(mu) + (min(1.0, pair.norm_a / pair.norm_c) or 1.0))
+
+
 def _hermite_root(bracket, f, d, near):
     """Root nearest `near`, strictly inside the bracket, of the cubic Hermite
     interpolant with values f and derivatives d at the two bracket ends;
@@ -193,13 +199,13 @@ def refine_crossing(pair, point, members, bracket, width):
 
     `members` are the sorted indices of the cluster.  The directions where
     the cluster's C-form is largest and smallest are mixed into a unit x
-    with x^H C x = 0, and lam is the cluster mean.  Raises NotIndefinite
-    when that form is not indefinite.
+    with x^H C x = 0, and lam is the cluster mean.  None when that form is
+    not indefinite, as no such x exists.
     """
     v, ce = diagonalize_form(pair.c, point.vectors[:, members])
     c1, c2 = float(ce[0]), float(ce[-1])
     if not c1 > 0.0 > c2:
-        raise NotIndefinite("cluster form of C has entries (%r, %r), not indefinite" % (c1, c2))
+        return None
     t, s = isotropic_weights(c1, c2)
     x = fix_phase(t * v[:, 0] + s * v[:, -1])
     trip = Triplet(point.mu, float(np.mean(point.values[members])), x)

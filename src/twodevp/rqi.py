@@ -115,30 +115,30 @@ def projection_basis(pair, j):
     list that holds, per member, None or JACOBIAN_NEAR_SINGULAR where the
     leading rows of its basis have rank < 2: as at an x that is an
     eigenvector of C, where the two border rows of J are parallel, and for
-    an exactly singular J, as at a zero x.
+    an exactly singular J, as at a zero x, or one whose entries overflow,
+    so that its basis is not finite.
     """
     n = pair.n
     e = np.zeros((n + 2, 2))
     e[n, 0] = e[n + 1, 1] = 1.0
-    try:
-        # e as a stack of one matrix, which numpy < 2 would otherwise read
-        # as a stack of vectors
-        null = np.linalg.solve(j, e[None])
-    except np.linalg.LinAlgError:
-        # one singular J fails the whole stack, so redo it member by
-        # member; a singular member keeps [0; I_2], whose leading rows
-        # have rank 0
-        null = np.empty(j.shape[:1] + e.shape, dtype=complex)
-        for i, ji in enumerate(j):
-            try:
-                null[i] = np.linalg.solve(ji, e)
-            except np.linalg.LinAlgError:
-                null[i] = e
     # An orthonormal basis of each nullspace: the left singular vectors,
     # which cost less than numpy's QR at this size.  Its rows have singular
     # values <= 1, so an absolute floor is the rank test; u is an
     # orthonormal basis of the leading rows.
-    null = np.linalg.svd(null, full_matrices=False)[0]
+    try:
+        # e as a stack of one matrix, which numpy < 2 would otherwise read
+        # as a stack of vectors
+        null = np.linalg.svd(np.linalg.solve(j, e[None]), full_matrices=False)[0]
+    except np.linalg.LinAlgError:
+        # one singular J fails the whole stack's solve, and one whose
+        # entries overflow its SVD, so redo it member by member; a failed
+        # member keeps [0; I_2], whose leading rows have rank 0
+        null = np.empty(j.shape[:1] + e.shape, dtype=complex)
+        for i, ji in enumerate(j):
+            try:
+                null[i] = np.linalg.svd(np.linalg.solve(ji, e), full_matrices=False)[0]
+            except np.linalg.LinAlgError:
+                null[i] = e
     u, sv, _ = np.linalg.svd(null[:, :n, :], full_matrices=False)
     failures = [Status.JACOBIAN_NEAR_SINGULAR if low else None for low in (sv[:, -1] <= 1e-10).tolist()]
     v, ce = diagonalize_form(pair.c, u)
@@ -225,10 +225,11 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     against one reference classify it once per pair.  Failures
     that the local theory anticipates (projected C losing indefiniteness,
     nullspace rank collapse) end the run with the Status that `step`
-    gives the member.  A non-finite start is recorded as iterate 0 and
-    ends the run with NON_FINITE.  Raises ValueError when max_iter < 0 or tol_abs
-    is negative or not finite, and TwoDevpError when the reference's
-    (mu, lam) is not a nonsingular 2D-eigenvalue, on every call.
+    gives the member.  An iterate whose residual norm is not finite, as at
+    a start that is not finite or one so large that the norm overflows,
+    ends the run with NON_FINITE.  Raises ValueError when max_iter < 0 or
+    tol_abs is negative or not finite, and TwoDevpError when the
+    reference's (mu, lam) is not a nonsingular 2D-eigenvalue, on every call.
     """
     tol_abs = DEFAULT_OPTS["tol_abs"] if tol_abs is None else tol_abs
     max_iter = DEFAULT_OPTS["max_iter"] if max_iter is None else max_iter
@@ -237,17 +238,20 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     if not 0.0 <= tol_abs < np.inf:
         raise ValueError("need a finite tol_abs >= 0, got %r" % tol_abs)
     vec_set = None if reference is None else eigvec_set(pair, reference.mu, reference.lam)
-    if not (math.isfinite(t0.mu) and math.isfinite(t0.lam) and np.isfinite(t0.x).all()):
-        return RqiTrace([IterateRecord(k=0, triplet=t0, res_norm=float("nan"))], Status.NON_FINITE)
+    # a start past overflow gives an infinite or NaN norm here, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_norm = float(np.linalg.norm(residual(pair, t0)))
 
     trace = RqiTrace()
     t = t0
     for k in range(max_iter + 1):
-        res_norm = float(np.linalg.norm(residual(pair, t)))
         rec = IterateRecord(k=k, triplet=t, res_norm=res_norm)
+        trace.iterates.append(rec)
+        if not math.isfinite(res_norm):
+            trace.status = Status.NON_FINITE
+            return trace
         if vec_set is not None:
             rec.err_mu, rec.err_lambda, rec.err_x = vec_set.errors(t.mu, t.lam, t.x)
-        trace.iterates.append(rec)
         tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
         if res_norm <= tol:
             trace.status = Status.CONVERGED
@@ -261,3 +265,4 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
             return trace
         t = out.triplets[0]
         rec.c1, rec.c2, rec.abs_a12 = float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0])
+        res_norm = float(np.linalg.norm(residual(pair, t)))

@@ -258,6 +258,16 @@ def test_study_eps_under_a_decade_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 1
 
 
+def test_study_that_loses_its_trials_is_one_error_line(tmp_path, capsys):
+    ppath, _ = write_reference_files(tmp_path)
+    out = tmp_path / "ritz.json"
+    rc = main(["study", "ritz", "--pair", ppath, "--target-mu", "0", "--target-lambda", "1",
+               "--eps", "100", "10", "--trials", "2", "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and not out.exists()
+    assert err.count("error:") == 1 and "more than 20%" in err and "Traceback" not in err
+
+
 def test_missing_pair_file_is_input_error(tmp_path):
     rc = main(["classify", "--pair", str(tmp_path / "nope.json"), "--mu", "0", "--lambda", "0"])
     assert rc == 2

@@ -26,11 +26,11 @@ def _caught_names(handler_type):
 def test_every_error_subclass_is_caught_by_name():
     errors = ast.parse((SRC / "errors.py").read_text())
     defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    assert "TwoDevpError" in defined
     defined.discard("TwoDevpError")
     caught = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ExceptHandler):
                 caught |= _caught_names(node.type)
-    assert defined
     assert sorted(defined - caught) == []

@@ -218,6 +218,24 @@ def test_ritz_study_requires_simple_target():
         ritz_approx_study(multiple_target(), [1e-2, 1e-3], 5, 0)
 
 
+def test_a_study_that_loses_over_a_fifth_of_its_trials_raises():
+    # at eps = 100 one of the 4 perturbed subspaces has a definite C-form
+    with pytest.raises(TwoDevpError, match="more than 20% of trials failed"):
+        ritz_approx_study(simple_target(), [100.0, 10.0], 2, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 9, 12, 14])
+def test_an_eps_whose_trials_all_fail_has_nan_medians(seed):
+    # one trial per eps; at these seeds the trial of one eps fails, and as
+    # 1 of 5 is within a fifth, the study reports that eps with NaN medians
+    eps = [100.0, 10.0, 1.0, 0.1, 0.01]
+    st = ritz_approx_study(simple_target(), eps, 1, seed)
+    assert (st.failed, st.total) == (1, 5)
+    (k,) = np.flatnonzero(np.isnan(st.errors_mu))
+    assert np.isnan(st.errors_lambda[k]) and np.isnan(st.errors_x[k])
+    assert all(eps[k] not in used for used in st.fit_epsilons.values())
+
+
 def test_ritz_study_near_exact_at_tiny_eps():
     st = ritz_approx_study(simple_target(), [1e-12, 1e-13], 5, 0)
     assert st.errors_mu[0] < 1e-10

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twodevp import refpairs
-from twodevp.errors import NotIndefinite, TwoDevpError
+from twodevp.errors import TwoDevpError
 from twodevp.model import (
     HermitianPair,
     Triplet,
@@ -21,7 +21,7 @@ SQ2 = np.sqrt(2.0)
 
 
 def test_pair_requires_indefinite_c():
-    with pytest.raises(NotIndefinite):
+    with pytest.raises(TwoDevpError, match="both positive and negative"):
         HermitianPair(np.eye(2), np.eye(2))
 
 
@@ -163,7 +163,7 @@ def test_load_pair_rejects_definite_c(tmp_path):
         '{"n": 2, "a": [[[0,0],[0,0]],[[0,0],[0,0]]],'
         ' "c": [[[1,0],[0,0]],[[0,0],[2,0]]]}'
     )
-    with pytest.raises(NotIndefinite):
+    with pytest.raises(TwoDevpError, match="both positive and negative"):
         load_pair(path)
 
 

@@ -4,7 +4,7 @@ import pytest
 from twodevp import oracle, refpairs
 from twodevp.classify import Kind, classify
 from twodevp.curves import eig_at
-from twodevp.errors import NotIndefinite, TwoDevpError
+from twodevp.errors import TwoDevpError
 from twodevp.model import HermitianPair, residual
 from twodevp.harness import random_pair, random_pair_with_crossing
 from twodevp.oracle import HitKind, refine_critical, refine_crossing, scan
@@ -154,8 +154,17 @@ def test_refine_crossing_rejects_a_definite_cluster():
     # at mu = 1, A - C = diag(-1, -1, 6): the cluster of -1 is sorted curves
     # 1 and 2, on which C is diag(1, 2), so no cluster vector is isotropic
     pair = HermitianPair(np.diag([0.0, 1.0, 5.0]), np.diag([1.0, 2.0, -1.0]))
-    with pytest.raises(NotIndefinite):
-        refine_crossing(pair, eig_at(pair, 1.0), np.array([1, 2]), (0.9, 1.1), 0.0)
+    assert refine_crossing(pair, eig_at(pair, 1.0), np.array([1, 2]), (0.9, 1.1), 0.0) is None
+
+
+def test_scan_files_a_bracket_without_an_isotropic_vector_as_suspect(monkeypatch):
+    # a crossing refined to a definite cluster leaves its bracket's midpoint
+    monkeypatch.setattr(oracle, "refine_crossing", lambda *args: None)
+    hits, suspects = scan(refpairs.multiple_pair_2x2(), 0.0, 2.0, 64)
+    assert [h for h in hits if h.kind is HitKind.CROSSING] == []
+    mus = np.linspace(0.0, 2.0, 64)
+    cell = np.searchsorted(mus, 1.0)
+    assert suspects and all(mu == 0.5 * (mus[cell - 1] + mus[cell]) for mu, _ in suspects)
 
 
 def _count_eig_at_per_hit(monkeypatch):
@@ -278,6 +287,18 @@ def test_scan_returns_a_crossing_on_a_grid_point_once():
     crossings = [h for h in hits if h.kind is HitKind.CROSSING]
     assert len(crossings) == 1
     assert abs(crossings[0].triplet.mu - 1.0) <= 1e-12
+
+
+def test_scan_returns_a_crossing_refined_off_a_grid_point_once():
+    # the crossing of sorted curves 0 and 1 is at the grid point mu = 0;
+    # refining the cell right of it lands 4e-17 away at an exactly zero
+    # slope, which must still close the cell on its left
+    pair = HermitianPair(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                         np.diag([1.0, -1.0, 1.0]))
+    hits, _ = scan(pair, -1.0, 1.0, 9)
+    crossings = [h for h in hits if h.kind is HitKind.CROSSING]
+    assert [h.curves for h in crossings] == [(0, 1)]
+    assert abs(crossings[0].triplet.mu) <= 1e-15
 
 
 def test_scan_brackets_are_grid_cells():

@@ -368,17 +368,32 @@ def test_solve_rejects_a_tolerance_it_cannot_meet():
 
 
 def test_solve_non_finite_start_is_a_status():
+    # so is a start whose residual norm overflows, from |mu| = 1e155 on,
+    # with no warning and no raw numpy error
+    for pair, trip in (refpairs.simple_pair_desk(), refpairs.multiple_pair_desk()):
+        x_inf = np.array(trip.x)
+        x_inf[0] = np.inf
+        huge = [Triplet(mu, lam, trip.x) for mu in (1e155, 1e200, 1e308, -1e308) for lam in (0.0, 1e308)]
+        for t0 in [
+            Triplet(np.nan, trip.lam, trip.x),
+            Triplet(trip.mu, np.nan, trip.x),
+            Triplet(trip.mu, trip.lam, x_inf),
+        ] + huge:
+            trace = solve(pair, t0)
+            assert trace.status is Status.NON_FINITE
+            assert len(trace.iterates) == 1 and trace.final is t0
+
+
+def test_step_from_an_overflowing_start_is_near_singular():
+    # J has entries past overflow, and the SVD of its solve does not converge
     pair, trip = refpairs.simple_pair_desk()
-    x_inf = np.array(trip.x)
-    x_inf[0] = np.inf
-    for t0 in (
-        Triplet(np.nan, trip.lam, trip.x),
-        Triplet(trip.mu, np.nan, trip.x),
-        Triplet(trip.mu, trip.lam, x_inf),
-    ):
-        trace = solve(pair, t0)
-        assert trace.status is Status.NON_FINITE
-        assert len(trace.iterates) == 1 and trace.final is t0
+    t = Triplet.normalized(trip.mu + 0.01, trip.lam - 0.01, trip.x + 0.01)
+    out = step(pair, TripletStack.of([Triplet(1e308, 0.0, trip.x), t, Triplet(-1e308, 0.0, trip.x)]))
+    assert out.failures == (Status.JACOBIAN_NEAR_SINGULAR, None, Status.JACOBIAN_NEAR_SINGULAR)
+    # the member between them takes its own step, to rounding
+    alone = step(pair, TripletStack.of([t])).triplets[0]
+    assert abs(out.triplets.mu[1] - alone.mu) <= 1e-14 and abs(out.triplets.lam[1] - alone.lam) <= 1e-14
+    assert np.linalg.norm(out.triplets.x[1] - alone.x) <= 1e-13
 
 
 def test_solve_records_reference_errors():
