@@ -34,7 +34,7 @@ def canonical_angles(x, y):
 
 
 def dist_to_set(x, s):
-    """Distance from a vector x to the 2D-eigenvector set s (classify.EigvecSet).
+    """Distance from a vector x to the 2D-eigenvector set of s (a classify.Target).
 
     The set is {sum_i g_i w_i v_i : |g_i| = 1} over the columns v_i of s.v
     and the weights w_i of s.w.  The phases optimize independently, so the

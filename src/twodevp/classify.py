@@ -13,6 +13,7 @@ zero) are conservatively classified singular.
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import curves
 from .angles import dist_to_set
 from .errors import TwoDevpError
 from .kernels import diagonalize_form, isotropic_weights
-from .model import Triplet, jacobian
+from .model import HermitianPair, Triplet, jacobian
 
 
 class Kind(Enum):
@@ -39,17 +40,18 @@ class Classification:
 
 
 @dataclass(frozen=True)
-class EigvecSet:
-    """The set of unit 2D-eigenvectors at a nonsingular (mu, lam).
+class Target:
+    """A nonsingular 2D-eigenvalue (mu, lam) of `pair` with its set of unit 2D-eigenvectors.
 
-    Its members are v @ diag(g) @ w with |g_i| = 1: v is n x k with
+    The set's members are v @ diag(g) @ w with |g_i| = 1: v is n x k with
     orthonormal columns and w holds k fixed weights.  At a simple
     2D-eigenvalue k = 1 and w = [1], so the set is the phase circle of one
     eigenvector; at a multiple one k = 2 and w = (t, s), the isotropic
     weights of the cluster form of C, so the set is a torus.  v and w are
-    read-only private copies, as the set may be shared (see eigvec_set).
+    read-only private copies, as the target may be shared (see eigvec_set).
     """
 
+    pair: HermitianPair
     mu: float
     lam: float
     v: np.ndarray
@@ -61,18 +63,27 @@ class EigvecSet:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def kind(self):
-        """NONSINGULAR_SIMPLE when v has one column, else NONSINGULAR_MULTIPLE."""
-        return Kind.NONSINGULAR_SIMPLE if self.v.shape[1] == 1 else Kind.NONSINGULAR_MULTIPLE
+    @cached_property
+    def triplet(self):
+        """(mu, lam) with the member v @ w of the set as x."""
+        return Triplet(self.mu, self.lam, self.v @ self.w)
 
-    def representative(self):
-        """One concrete unit 2D-eigenvector from the set."""
-        return self.v @ self.w
+    @property
+    def regime(self):
+        """"simple" at a simple 2D-eigenvalue (v has one column), "multiple" at a multiple one."""
+        return "simple" if self.v.shape[1] == 1 else "multiple"
 
     def errors(self, mu, lam, x):
         """(|mu - mu_*|, |lam - lam_*|, distance from x to the set)."""
         return abs(mu - self.mu), abs(lam - self.lam), dist_to_set(x, self)
+
+    @staticmethod
+    def at(pair, triplet, regime):
+        """eigvec_set at (triplet.mu, triplet.lam); ValueError unless its regime is `regime`."""
+        target = eigvec_set(pair, triplet.mu, triplet.lam)
+        if target.regime != regime:
+            raise ValueError("(%r, %r) is %s, not %s" % (triplet.mu, triplet.lam, target.regime, regime))
+        return target
 
 
 def default_tol_sing(pair):
@@ -103,7 +114,7 @@ def _classify(pair, mu, lam):
     """Classify (mu, lam) from one eigendecomposition of A - mu*C.
 
     Returns (classification without sigma_min_j, v, w) where v @ w is an
-    isotropic unit vector as in EigvecSet, or v = w = None when there is
+    isotropic unit vector as in Target, or v = w = None when there is
     none.
     """
     tol_sing = default_tol_sing(pair)
@@ -143,9 +154,9 @@ def classify(pair, mu, lam):
 
 
 def eigvec_set(pair, mu, lam):
-    """The structured set of 2D-eigenvectors at a nonsingular (mu, lam).
+    """The Target at a nonsingular 2D-eigenvalue (mu, lam) of pair.
 
-    The pair keeps the last set returned for it, keyed by the exact
+    The pair keeps the last target returned for it, keyed by the exact
     (mu, lam), so a call at the same point again, as every `rqi.solve`
     against one reference makes, costs no eigendecomposition.  That is
     sound because a pair's A and C are read-only private copies.  A
@@ -159,6 +170,6 @@ def eigvec_set(pair, mu, lam):
     cls, v, w = _classify(pair, mu, lam)
     if cls.kind is Kind.SINGULAR:
         raise TwoDevpError("eigvec_set is defined only for nonsingular classifications")
-    vec_set = EigvecSet(key[0], key[1], v, w)
-    object.__setattr__(pair, "_eigvec_set", (key, vec_set))  # past the frozen dataclass
-    return vec_set
+    target = Target(pair, key[0], key[1], v, w)
+    object.__setattr__(pair, "_eigvec_set", (key, target))  # past the frozen dataclass
+    return target

@@ -160,7 +160,7 @@ def cmd_oracle(args):
 
 def cmd_study(args):
     pair = load_pair(args.pair)
-    target = harness.Target(pair, eigvec_set(pair, args.target_mu, args.target_lambda))
+    target = eigvec_set(pair, args.target_mu, args.target_lambda)
     report = STUDIES[args.kind](target, [float(e) for e in args.eps], args.trials, args.seed)
     verdicts = harness.verdicts(args.kind, target, report)
     _emit(dict(asdict(report), seed=args.seed, regime=target.regime, verdicts=verdicts), args.out)

@@ -6,16 +6,15 @@ byte-for-byte and trials could run in any order.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import rqi
-from .classify import EigvecSet, Kind, eigvec_set
+from .classify import Target  # noqa: F401  re-exported: the studies take a Target
 from .curves import branch_derivatives, eig_at
 from .errors import TwoDevpError
 from .kernels import diagonalize_form, orthonormalize
-from .model import HermitianPair, Triplet, TripletStack, jacobian
+from .model import HermitianPair, TripletStack
 from .refpairs import haar_unitary
 
 NOISE_FLOOR = 1e-13
@@ -53,37 +52,6 @@ def verdicts(kind, target, report):
     # a NaN slope, from too few points above roundoff, fails its window
     return [{"check": "slope_%s" % key, "value": report.fitted_slopes[key], "window": [lo, hi],
              "pass": lo <= report.fitted_slopes[key] <= hi} for key, (lo, hi) in windows.items()]
-
-
-@dataclass(frozen=True)
-class Target:
-    """A known nonsingular 2D-eigenvalue of `pair`, held as its 2D-eigenvector set."""
-
-    pair: HermitianPair
-    vec_set: EigvecSet
-
-    @cached_property
-    def triplet(self):
-        """(mu, lam) of the set with its representative as x."""
-        s = self.vec_set
-        return Triplet(s.mu, s.lam, s.representative())
-
-    @property
-    def regime(self):
-        """"simple" at a simple 2D-eigenvalue, "multiple" at a multiple one."""
-        return "simple" if self.vec_set.kind is Kind.NONSINGULAR_SIMPLE else "multiple"
-
-    @classmethod
-    def at(cls, pair, triplet, regime):
-        """Target at the triplet's (mu, lam); ValueError unless its regime is `regime`.
-
-        Only triplet.mu and triplet.lam are read: the 2D-eigenvectors come
-        from eigvec_set, in both regimes.
-        """
-        target = cls(pair, eigvec_set(pair, triplet.mu, triplet.lam))
-        if target.regime != regime:
-            raise ValueError("(%r, %r) is %s, not %s" % (triplet.mu, triplet.lam, target.regime, regime))
-        return target
 
 
 @dataclass
@@ -138,10 +106,10 @@ def _trial_rng(seed, trial):
 def perturbed_starts(target, eps, seed, trials):
     """Seeded starts at controlled distance eps from the target, one per trial index.
 
-    The vector is the set's representative perturbed at O(eps) in both
-    regimes.  The scalars are perturbed at O(eps) in the simple regime and
-    at O(eps^2) in the multiple regime, matching the hypothesis under
-    which the multiple-case one-step bounds hold.  Each trial draws from
+    The vector is the target's x perturbed at O(eps) in both regimes.
+    The scalars are perturbed at O(eps) in the simple regime and at
+    O(eps^2) in the multiple regime, matching the hypothesis under which
+    the multiple-case one-step bounds hold.  Each trial draws from
     its own RNG, seeded by (seed, trial index), so a start does not depend
     on which other trials share its stack.  Returns a TripletStack.
     """
@@ -235,15 +203,13 @@ def scaling_study(target, eps_list, trials, seed):
 
     All trials of one eps take their step as one stack.
     """
-    ref = target.vec_set
-
     def errors_at(eps, trials):
         out = rqi.step(target.pair, perturbed_starts(target, eps, seed, trials))
         ok = np.array([f is None for f in out.failures])
         t1 = out.triplets
-        return np.column_stack(ref.errors(t1.mu[ok], t1.lam[ok], t1.x[ok])), int(np.count_nonzero(~ok))
+        return np.column_stack(target.errors(t1.mu[ok], t1.lam[ok], t1.x[ok])), int(np.count_nonzero(~ok))
 
-    return _study(eps_list, trials, errors_at, ("mu", "lambda", "x"), (ref.mu, ref.lam, 1.0))
+    return _study(eps_list, trials, errors_at, ("mu", "lambda", "x"), (target.mu, target.lam, 1.0))
 
 
 def ritz_approx_study(target, eps_list, trials, seed):
@@ -267,8 +233,8 @@ def ritz_approx_study(target, eps_list, trials, seed):
             g[row] = rng.standard_normal((pair.n, 2)) + 1j * rng.standard_normal((pair.n, 2))
         g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
         v, ce = diagonalize_form(pair.c, orthonormalize(ideal + eps * g))
-        cands = rqi.solve_2x2(*rqi.form_rq(pair, rqi.ProjectionBasis(v, ce[:, 0], ce[:, 1])))
-        first, second = (np.column_stack(target.vec_set.errors(
+        cands = rqi.solve_2x2(*rqi.form_rq(pair, v), *ce.T)
+        first, second = (np.column_stack(target.errors(
             cands.nu[:, c], cands.theta[:, c], (v @ cands.z[:, c, :, None])[..., 0])) for c in (0, 1))
         best = np.where((first.sum(axis=1) <= second.sum(axis=1))[:, None], first, second)
         return best[cands.indefinite], int(np.count_nonzero(~cands.indefinite))
@@ -289,19 +255,20 @@ def conditioning_study(target, eps_list, trials, seed):
     """
     pair = target.pair
     blocks = _trial_blocks(eps_list, trials)
-    b, _ = rqi.projection_basis(pair, jacobian(pair, TripletStack.of([target.triplet])))
+    _, c, _ = rqi.projection_basis(pair, TripletStack.of([target.triplet]))
     sigma_star = rqi.sigma_n_jhat(pair, target.triplet)
-    c1s, c2s = float(b.c1[0]), float(b.c2[0])
+    c1s, c2s = float(c[0, 0]), float(c[0, 1])
     sigma_viol, c_viol = [], []
     for eps, block in blocks:
         starts = perturbed_starts(target, eps, seed, block)
-        b, failures = rqi.projection_basis(pair, jacobian(pair, starts))
+        _, c, failures = rqi.projection_basis(pair, starts)
+        c1, c2 = c.T
         collapsed = np.array([f is not None for f in failures])
         sigma = rqi.sigma_n_jhat(pair, starts)
         if target.regime == "simple":
-            ok = (0.5 * c1s <= b.c1) & (b.c1 <= 1.5 * c1s) & (1.5 * c2s <= b.c2) & (b.c2 <= 0.5 * c2s)
+            ok = (0.5 * c1s <= c1) & (c1 <= 1.5 * c1s) & (1.5 * c2s <= c2) & (c2 <= 0.5 * c2s)
         else:
-            ok = (b.c1 >= 0.5 * c1s) & (0.5 * c1s > 0.0) & (b.c2 <= 0.5 * c2s) & (0.5 * c2s < 0.0)
+            ok = (c1 >= 0.5 * c1s) & (0.5 * c1s > 0.0) & (c2 <= 0.5 * c2s) & (0.5 * c2s < 0.0)
         sigma_viol.append(int(np.count_nonzero(collapsed | (sigma < 0.5 * sigma_star))))
         c_viol.append(int(np.count_nonzero(collapsed | ~ok)))
     return ConditioningReport([eps for eps, _ in blocks], trials, sigma_viol, c_viol,

@@ -45,14 +45,6 @@ class Status(Enum):
     NON_FINITE = "NonFinite"
 
 
-class ProjectionBasis(NamedTuple):
-    """Projection bases of a stack of k iterates."""
-
-    v: np.ndarray          # k x n x 2, orthonormal, V^H C V = diag(c1, c2)
-    c1: np.ndarray         # k
-    c2: np.ndarray         # k
-
-
 class RitzCandidates(NamedTuple):
     """The two candidates of each of k projected 2 x 2 problems.
 
@@ -107,18 +99,22 @@ class RqiTrace:
         return self.iterates[-1].triplet
 
 
-def projection_basis(pair, j):
+def projection_basis(pair, starts):
     """Projection bases from the nullspaces of the leading Jacobian blocks.
 
-    j is a (k, n+2, n+2) stack of bordered Jacobians, and each nullspace
-    is spanned by the last two columns of J^-1.  Returns the bases and a
-    list that holds, per member, None or JACOBIAN_NEAR_SINGULAR where the
-    leading rows of its basis have rank < 2: as at an x that is an
-    eigenvector of C, where the two border rows of J are parallel, and for
-    an exactly singular J, as at a zero x, or one whose entries overflow,
-    so that its basis is not finite.
+    Each member of the TripletStack `starts` has its bordered Jacobian J
+    from `model.jacobian`, and the nullspace of its leading block is
+    spanned by the last two columns of J^-1.  Returns (v, c, failures):
+    the (k, n, 2) orthonormal bases v with V^H C V = diag(c1, c2), the
+    (k, 2) entries (c1, c2), c1 >= c2, as `diagonalize_form` gives them,
+    and a list that holds, per member, None or JACOBIAN_NEAR_SINGULAR
+    where the leading rows of its basis have rank < 2: as at an x that is
+    an eigenvector of C, where the two border rows of J are parallel, and
+    for an exactly singular J, as at a zero x, or one whose entries
+    overflow, so that its basis is not finite.
     """
     n = pair.n
+    j = jacobian(pair, starts)
     e = np.zeros((n + 2, 2))
     e[n, 0] = e[n + 1, 1] = 1.0
     # An orthonormal basis of each nullspace: the left singular vectors,
@@ -141,8 +137,8 @@ def projection_basis(pair, j):
                 null[i] = e
     u, sv, _ = np.linalg.svd(null[:, :n, :], full_matrices=False)
     failures = [Status.JACOBIAN_NEAR_SINGULAR if low else None for low in (sv[:, -1] <= 1e-10).tolist()]
-    v, ce = diagonalize_form(pair.c, u)
-    return ProjectionBasis(v, ce[:, 0], ce[:, 1]), failures
+    v, c = diagonalize_form(pair.c, u)
+    return v, c, failures
 
 
 def sigma_n_jhat(pair, t):
@@ -154,10 +150,10 @@ def sigma_n_jhat(pair, t):
     return s if s.ndim else float(s)
 
 
-def form_rq(pair, basis):
-    """Entries (a11, a12, a22, c1, c2) of the projected pairs (V^H A V, V^H C V)."""
-    ak = conj_t(basis.v) @ pair.a @ basis.v
-    return ak[:, 0, 0].real, ak[:, 0, 1], ak[:, 1, 1].real, basis.c1, basis.c2
+def form_rq(pair, v):
+    """Entries (a11, a12, a22) of the projected matrices V^H A V of a (k, n, 2) stack of bases."""
+    ak = conj_t(v) @ pair.a @ v
+    return ak[:, 0, 0].real, ak[:, 0, 1], ak[:, 1, 1].real
 
 
 def solve_2x2(a11, a12, a22, c1, c2):
@@ -189,12 +185,12 @@ def solve_2x2(a11, a12, a22, c1, c2):
     return RitzCandidates(nu, theta, z, indefinite)
 
 
-def select_ritz(t_prev, candidates, basis):
-    """Per member, lift the candidate closest to the previous (mu, lam)."""
+def select_ritz(t_prev, candidates, v):
+    """Per member, lift the candidate closest to the previous (mu, lam) through its basis in v."""
     nu, theta, z = candidates.nu, candidates.theta, candidates.z
     gap = np.abs(t_prev.mu[:, None] - nu) + np.abs(t_prev.lam[:, None] - theta)
     second = gap[:, 1] < gap[:, 0]  # the first on a tie
-    x = basis.v @ np.where(second[:, None], z[:, 1], z[:, 0])[..., None]
+    x = v @ np.where(second[:, None], z[:, 1], z[:, 0])[..., None]
     return TripletStack(np.where(second, nu[:, 1], nu[:, 0]),
                         np.where(second, theta[:, 1], theta[:, 0]), x[..., 0])
 
@@ -203,15 +199,18 @@ def step(pair, starts):
     """One iteration of the 2DRQI from each triplet of the TripletStack `starts`.
 
     Each stage runs once on the whole stack.  A member whose step fails
-    gets its Status in `failures`; nothing raises.
+    gets its Status in `failures`; nothing raises, and a start past
+    overflow warns nothing: its basis fails the rank test.
     """
-    basis, failures = projection_basis(pair, jacobian(pair, starts))
-    a11, a12, a22, c1, c2 = form_rq(pair, basis)
-    cands = solve_2x2(a11, a12, a22, c1, c2)
-    for i, ok in enumerate(cands.indefinite.tolist()):
-        if not ok and failures[i] is None:
-            failures[i] = Status.INDEFINITENESS_LOST
-    return StepStack(select_ritz(starts, cands, basis), c1, c2, np.abs(a12), tuple(failures))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, c, failures = projection_basis(pair, starts)
+        a11, a12, a22 = form_rq(pair, v)
+        c1, c2 = c.T
+        cands = solve_2x2(a11, a12, a22, c1, c2)
+        for i, ok in enumerate(cands.indefinite.tolist()):
+            if not ok and failures[i] is None:
+                failures[i] = Status.INDEFINITENESS_LOST
+        return StepStack(select_ritz(starts, cands, v), c1, c2, np.abs(a12), tuple(failures))
 
 
 def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
@@ -220,12 +219,12 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     The run converges once the residual norm is at most tol_abs +
     DEFAULT_OPTS["tol_rel"] * (|A| + |mu| |C| + |lam|).  Given a reference
     triplet, each iterate records its distances to the reference's
-    (mu, lam) and, as err_x, to the 2D-eigenvector set there; that set
-    comes from `eigvec_set`, which the pair keeps, so repeated solves
-    against one reference classify it once per pair.  Failures
-    that the local theory anticipates (projected C losing indefiniteness,
-    nullspace rank collapse) end the run with the Status that `step`
-    gives the member.  An iterate whose residual norm is not finite, as at
+    (mu, lam) and, as err_x, to the 2D-eigenvector set there: the
+    `errors` of the Target that `eigvec_set` gives, which the pair keeps,
+    so repeated solves against one reference classify it once per pair.
+    Failures that the local theory anticipates (projected C losing
+    indefiniteness, nullspace rank collapse) end the run with the Status
+    that `step` gives the member.  An iterate whose residual norm is not finite, as at
     a start that is not finite or one so large that the norm overflows,
     ends the run with NON_FINITE.  Raises ValueError when max_iter < 0 or
     tol_abs is negative or not finite, and TwoDevpError when the
@@ -237,7 +236,7 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         raise ValueError("need max_iter >= 0")
     if not 0.0 <= tol_abs < np.inf:
         raise ValueError("need a finite tol_abs >= 0, got %r" % tol_abs)
-    vec_set = None if reference is None else eigvec_set(pair, reference.mu, reference.lam)
+    ref = None if reference is None else eigvec_set(pair, reference.mu, reference.lam)
     # a start past overflow gives an infinite or NaN norm here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         res_norm = float(np.linalg.norm(residual(pair, t0)))
@@ -250,8 +249,8 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         if not math.isfinite(res_norm):
             trace.status = Status.NON_FINITE
             return trace
-        if vec_set is not None:
-            rec.err_mu, rec.err_lambda, rec.err_x = vec_set.errors(t.mu, t.lam, t.x)
+        if ref is not None:
+            rec.err_mu, rec.err_lambda, rec.err_x = ref.errors(t.mu, t.lam, t.x)
         tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
         if res_norm <= tol:
             trace.status = Status.CONVERGED

@@ -113,8 +113,7 @@ def test_one_step_error_scaling_multiple():
     cross = [h for h in hits if h.kind is td.HitKind.CROSSING]
     assert len(cross) == 1
     h = cross[0]
-    s = td.eigvec_set(pair2, h.triplet.mu, h.triplet.lam)
-    tgt2 = harness.Target(pair2, s)
+    tgt2 = td.eigvec_set(pair2, h.triplet.mu, h.triplet.lam)
     assert tgt2.regime == "multiple"
     study2 = harness.scaling_study(tgt2, eps_list, 50, 0)
     bad += window_violations(study2.fitted_slopes, MULTIPLE_WINDOWS, "random-crossing")
@@ -134,8 +133,8 @@ def _branch_miss_slopes(tgt, eps_list, trials, seed):
     for i, eps in enumerate(eps_list):
         mx, mxp = [], []
         starts = harness.perturbed_starts(tgt, eps, seed, range(i * trials, (i + 1) * trials))
-        basis, _ = td.projection_basis(pair, td.jacobian(pair, starts))
-        for t0, v in zip(starts, basis.v):
+        vs, _, _ = td.projection_basis(pair, starts)
+        for t0, v in zip(starts, vs):
             point = eig_at(pair, t0.mu)
             j = int(np.argmin(np.abs(point.values - trip.lam)))
             x = point.vectors[:, j]
@@ -281,9 +280,9 @@ def test_subspace_perturbation_bounds():
     for trial in range(500):
         eps = 10.0 ** rng.uniform(-4, -1)
         t0 = harness.perturbed_start(tgt, eps, 49, trial=trial)
-        basis, _ = td.projection_basis(pair, td.jacobian(pair, TripletStack.of([t0])))
-        for z in td.solve_2x2(*form_rq(pair, basis)).z[0]:
-            xt = basis.v[0] @ z
+        v, c, _ = td.projection_basis(pair, TripletStack.of([t0]))
+        for z in td.solve_2x2(*form_rq(pair, v), c[:, 0], c[:, 1]).z[0]:
+            xt = v[0] @ z
             ov = np.vdot(trip.x, xt)
             if abs(ov) > 0:
                 xt = xt * (ov.conj() / abs(ov))
@@ -309,8 +308,7 @@ def test_oracle_solver_closure_on_random_pairs():
             c = td.classify(pair, h.triplet.mu, h.triplet.lam)
             if c.kind is Kind.SINGULAR:
                 continue
-            s = td.eigvec_set(pair, h.triplet.mu, h.triplet.lam)
-            tgt = harness.Target(pair, s)
+            tgt = td.eigvec_set(pair, h.triplet.mu, h.triplet.lam)
             t0 = harness.perturbed_start(tgt, 1e-3, seed, trial=0)
             trace = td.solve(pair, t0)
             assert trace.status is td.Status.CONVERGED

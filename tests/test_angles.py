@@ -86,7 +86,7 @@ def test_sin_theta_matches_vector_closed_form_random():
 
 def test_dist_to_simple_set():
     s = eigvec_set(refpairs.simple_pair_2x2(), 0.0, 1.0)
-    x = s.representative()
+    x = s.triplet.x
     assert dist_to_set(x, s) < 1e-15
     assert dist_to_set(x * np.exp(2.1j), s) < 1e-15
     perp = np.array([1.0, -1.0]) / SQ2
@@ -107,7 +107,7 @@ def test_dist_to_simple_set_matches_grid_search():
     x /= np.linalg.norm(x)
     got = dist_to_set(x, s)
     phases = np.exp(1j * np.arange(0.0, 2 * np.pi, 1e-4))
-    brute = min(np.linalg.norm(x - g * s.representative()) for g in phases)
+    brute = min(np.linalg.norm(x - g * s.triplet.x) for g in phases)
     assert abs(got - brute) < 1e-7
 
 
@@ -115,7 +115,7 @@ def test_dist_to_multiple_set_matches_grid_search():
     rng = np.random.default_rng(6)
     pair, trip = refpairs.multiple_pair_desk()
     s = eigvec_set(pair, trip.mu, trip.lam)
-    x = s.representative() + 0.3 * (rng.standard_normal(pair.n) + 1j * rng.standard_normal(pair.n))
+    x = s.triplet.x + 0.3 * (rng.standard_normal(pair.n) + 1j * rng.standard_normal(pair.n))
     x /= np.linalg.norm(x)
     got = dist_to_set(x, s)
     phases = np.exp(1j * np.arange(0.0, 2 * np.pi, 1e-3))
@@ -146,7 +146,7 @@ def test_dist_to_set_of_a_stack_matches_the_per_member_formula():
     for s in sets:
         n = s.v.shape[0]
         xs = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
-        xs[0] = s.representative()
+        xs[0] = s.triplet.x
         xs[1] = 0.0  # v_i^H x = 0 for every i: each phase is taken as 1
         xs[2] -= s.v[:, 0] * np.vdot(s.v[:, 0], xs[2])  # v_1^H x at roundoff
         got = dist_to_set(xs, s)

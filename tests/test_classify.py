@@ -81,15 +81,15 @@ def test_classify_definite_cluster_is_singular():
 
 def test_eigvec_set_simple():
     s = eigvec_set(refpairs.simple_pair_2x2(), 0.0, 1.0)
-    assert s.kind is Kind.NONSINGULAR_SIMPLE
+    assert s.regime == "simple"
     assert (s.mu, s.lam) == (0.0, 1.0)
     assert s.v.shape == (2, 1) and np.array_equal(s.w, [1.0])
-    assert np.allclose(s.representative(), np.array([1.0, 1.0]) / SQ2)
+    assert np.allclose(s.triplet.x, np.array([1.0, 1.0]) / SQ2)
 
 
 def test_eigvec_set_multiple():
     s = eigvec_set(refpairs.multiple_pair_2x2(), 1.0, 0.0)
-    assert s.kind is Kind.NONSINGULAR_MULTIPLE
+    assert s.regime == "multiple"
     assert s.v.shape == (2, 2) and np.allclose(s.w, [1.0 / SQ2, 1.0 / SQ2])
     # columns are e1, e2 up to phase
     mags = np.abs(s.v)
@@ -104,7 +104,7 @@ def test_errors_gives_mu_lambda_and_set_distances():
         assert errs == (0.25, 0.5, dist_to_set(x, s))
         assert abs(errs[2] - np.sqrt(2.0 - SQ2)) < 1e-15
         # a stack of k triplets gives k errors of each kind
-        xs = np.array([x, s.representative(), [0.6, 0.8j]])
+        xs = np.array([x, s.triplet.x, [0.6, 0.8j]])
         stacked = s.errors(mu + np.array([0.25, 0.0, -1.0]), lam + np.array([-0.5, 0.0, 2.0]), xs)
         assert [e.shape for e in stacked] == [(3,)] * 3
         assert np.allclose(stacked[0], [0.25, 0.0, 1.0], rtol=0, atol=1e-15)
@@ -115,7 +115,7 @@ def test_errors_gives_mu_lambda_and_set_distances():
 def test_multiple_representative_is_isotropic_unit():
     pair, trip = refpairs.multiple_pair_desk()
     s = eigvec_set(pair, trip.mu, trip.lam)
-    x = s.representative()
+    x = s.triplet.x
     assert abs(np.linalg.norm(x) - 1.0) < 1e-12
     assert abs(np.vdot(x, pair.c @ x)) < 1e-12
 
@@ -208,4 +208,4 @@ def test_close_neighbour_outside_cluster_keeps_curvature():
     lam, x = float(point.values[1]), point.vectors[:, 1]
     assert classify(pair, 1.0, lam).kind is Kind.NONSINGULAR_SIMPLE
     assert abs(lambda_double_prime(pair, 1.0, lam, x) * delta - 1.0) <= 1e-6
-    assert eigvec_set(pair, 1.0, lam).kind is Kind.NONSINGULAR_SIMPLE
+    assert eigvec_set(pair, 1.0, lam).regime == "simple"

@@ -152,6 +152,29 @@ def test_curves_subcommand_csv_to_stdout(tmp_path, capsys):
     assert len(lines) == 1 + 2 * len(grid.points)
 
 
+def test_curves_vectors_rows_hold_unit_eigenvectors(tmp_path):
+    # one column per real and imaginary part of each of the n entries, and
+    # each row's x solves (A - mu C) x = lambda x
+    pair, _ = refpairs.simple_pair_desk()
+    ppath, out = tmp_path / "p.json", tmp_path / "grid.csv"
+    save_pair(pair, ppath)
+    rc = main(["curves", "--pair", str(ppath), "--mu-lo", "-1", "--mu-hi", "1", "--grid", "5",
+               "--format", "csv", "--vectors", "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+        header = reader.fieldnames
+    assert header[:3] == ["mu", "curve_index", "lambda"]
+    assert set(header[3:]) == {"x%d_%s" % (k, part) for k in range(pair.n) for part in ("re", "im")}
+    assert len(rows) == 5 * pair.n
+    for row in rows:
+        x = np.array([float(row["x%d_re" % k]) + 1j * float(row["x%d_im" % k]) for k in range(pair.n)])
+        mu, lam = float(row["mu"]), float(row["lambda"])
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        assert np.linalg.norm((pair.a - mu * pair.c) @ x - lam * x) <= 1e-12
+
+
 def test_oracle_subcommand(tmp_path):
     pair = refpairs.simple_pair_2x2()
     ppath = tmp_path / "p.json"
@@ -361,6 +384,33 @@ def test_bad_pair_schema_is_input_error(tmp_path):
     bad.write_text('{"n": 2}')
     rc = main(["oracle", "--pair", str(bad), "--mu-lo", "0", "--mu-hi", "1"])
     assert rc == 2
+
+
+def test_malformed_pair_file_is_one_error_line(tmp_path, capsys):
+    # each input stops at its own check, on load or in HermitianPair
+    pair, _ = refpairs.simple_pair_desk()
+    ppath = tmp_path / "p.json"
+    save_pair(pair, ppath)
+    doc = json.loads(ppath.read_text())
+    not_pairs = json.loads(ppath.read_text())
+    not_pairs["a"][0][0] = ["re", "im"]
+    nan_entry = json.loads(ppath.read_text())
+    nan_entry["c"][1][1][0] = float("nan")
+    cases = [
+        ("invalid JSON", '{"n": %d, "a": [' % pair.n),
+        ("not an array of [re, im] pairs", json.dumps(not_pairs)),
+        ("must be a 2-d array", json.dumps(dict(doc, c=doc["c"][0]))),
+        ("do not match n", json.dumps(dict(doc, n=pair.n + 1))),
+        ("non-finite", json.dumps(nan_entry)),
+    ]
+    out = tmp_path / "cls.json"
+    for message, text in cases:
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["classify", "--pair", str(bad), "--mu", "0", "--lambda", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err.count("error:") == 1 and message in err and "Traceback" not in err, err
 
 
 def _reject_constant(token):

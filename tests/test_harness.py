@@ -25,7 +25,7 @@ from twodevp.harness import (
     scaling_study,
     verdicts,
 )
-from twodevp.model import Triplet, TripletStack, jacobian, residual
+from twodevp.model import Triplet, TripletStack, residual
 from twodevp.oracle import HitKind, scan
 from twodevp.rqi import projection_basis, sigma_n_jhat
 
@@ -65,7 +65,7 @@ def test_perturbed_start_simple_scaling():
     for trial in range(10):
         eps = 0.01
         t0 = perturbed_start(tgt, eps, 0, trial=trial)
-        err = max(tgt.vec_set.errors(t0.mu, t0.lam, t0.x))
+        err = max(tgt.errors(t0.mu, t0.lam, t0.x))
         assert 0.1 * eps <= err <= 1.5 * eps
 
 
@@ -81,7 +81,7 @@ def test_perturbed_start_zero_eps_is_exact():
     tgt = simple_target()
     t0 = perturbed_start(tgt, 0.0, 0)
     assert t0.mu == tgt.triplet.mu and t0.lam == tgt.triplet.lam
-    assert dist_to_set(t0.x, tgt.vec_set) < 1e-12
+    assert dist_to_set(t0.x, tgt) < 1e-12
 
 
 def test_perturbed_start_multiple_scales_scalars_quadratically():
@@ -90,16 +90,16 @@ def test_perturbed_start_multiple_scales_scalars_quadratically():
     t0 = perturbed_start(tgt, eps, 0, trial=1)
     assert abs(t0.mu - tgt.triplet.mu) <= eps * eps
     assert abs(t0.lam - tgt.triplet.lam) <= eps * eps
-    assert dist_to_set(t0.x, tgt.vec_set) <= 1.5 * eps
+    assert dist_to_set(t0.x, tgt) <= 1.5 * eps
 
 
 def test_simple_target_reads_no_caller_vector():
     pair, _ = refpairs.simple_pair_desk()
     tgt = Target.at(pair, Triplet(0.0, 1.0, np.eye(pair.n)[0]), "simple")
-    assert dist_to_set(tgt.triplet.x, tgt.vec_set) < 1e-14
+    assert dist_to_set(tgt.triplet.x, tgt) < 1e-14
     for trial in range(10):
         t0 = perturbed_start(tgt, 1e-3, 0, trial=trial)
-        assert dist_to_set(t0.x, tgt.vec_set) <= 1.5e-3
+        assert dist_to_set(t0.x, tgt) <= 1.5e-3
 
 
 def test_perturbed_start_range_check():
@@ -131,7 +131,7 @@ def test_studies_read_the_eps_list_in_either_order():
     # a critical point of a random pair where eps 0.3 has a sigma violation
     pair = random_pair(8, (4, 4), 5)
     hit = next(h for h in scan(pair, -3.0, 3.0, 96)[0] if h.kind is HitKind.CRITICAL_POINT)
-    tgt = Target(pair, eigvec_set(pair, hit.triplet.mu, hit.triplet.lam))
+    tgt = eigvec_set(pair, hit.triplet.mu, hit.triplet.lam)
     down = conditioning_study(tgt, [0.3, 0.1], 30, 1)
     assert down == conditioning_study(tgt, [0.1, 0.3], 30, 1)
     assert down.epsilons == [0.3, 0.1] and down.sigma_violations == [1, 0]
@@ -159,7 +159,7 @@ def test_verdicts_judge_each_case_by_its_windows():
     cases = [
         ("scaling", simple_target(), SIMPLE_WINDOWS),
         ("scaling", multiple_target(), COMMUTING_WINDOWS),  # A and C both diagonal
-        ("scaling", Target(crossing, eigvec_set(crossing, 0.4, -0.3)), MULTIPLE_WINDOWS),
+        ("scaling", eigvec_set(crossing, 0.4, -0.3), MULTIPLE_WINDOWS),
         ("ritz", simple_target(), RITZ_WINDOWS),
     ]
     for kind, tgt, windows in cases:
@@ -245,9 +245,9 @@ def test_ritz_study_near_exact_at_tiny_eps():
 def test_conditioning_study_reports_reference_values():
     tgt = simple_target()
     rep = conditioning_study(tgt, [1e-3], 20, 0)
-    b, _ = projection_basis(tgt.pair, jacobian(tgt.pair, TripletStack.of([tgt.triplet])))
+    _, c, _ = projection_basis(tgt.pair, TripletStack.of([tgt.triplet]))
     assert np.isclose(rep.sigma_star, sigma_n_jhat(tgt.pair, tgt.triplet))
-    assert rep.c_star == (b.c1[0], b.c2[0])
+    assert rep.c_star == (c[0, 0], c[0, 1])
     assert rep.sigma_violations == [0] and rep.c_violations == [0]
 
 
@@ -273,7 +273,7 @@ def test_conditioning_counts_match_the_per_start_study():
         assert (rep.sigma_violations, rep.c_violations) == ([0, 0], [0, 0])
     for n, seed, sigma, c in ((6, 10, [0, 5], [8, 5]), (4, 9, [5, 0], [15, 2])):
         pair = random_pair_with_crossing(n, (n // 2, n - n // 2), 0.4, -0.3, seed)
-        rep = conditioning_study(Target(pair, eigvec_set(pair, 0.4, -0.3)), [0.3, 0.1], 40, 0)
+        rep = conditioning_study(eigvec_set(pair, 0.4, -0.3), [0.3, 0.1], 40, 0)
         assert (rep.sigma_violations, rep.c_violations) == (sigma, c)
 
 
@@ -302,7 +302,7 @@ def test_random_pair_with_crossing_plants_multiple_eigenvalue():
 def test_target_at_builds_consistent_triplet():
     tgt = multiple_target()
     assert np.linalg.norm(residual(tgt.pair, tgt.triplet)) < 1e-12
-    assert dist_to_set(tgt.triplet.x, tgt.vec_set) < 1e-12
+    assert dist_to_set(tgt.triplet.x, tgt) < 1e-12
 
 
 def test_target_regime_comes_from_its_eigenvector_set():

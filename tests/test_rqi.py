@@ -15,7 +15,7 @@ from twodevp.harness import (
     scaling_study,
 )
 from twodevp.kernels import orthonormalize
-from twodevp.model import HermitianPair, Triplet, TripletStack, jacobian, jacobian_hat, residual
+from twodevp.model import HermitianPair, Triplet, TripletStack, jacobian_hat, residual
 from twodevp.rqi import (
     Status,
     form_rq,
@@ -34,10 +34,10 @@ def projector(v):
 
 
 def basis_at(pair, t):
-    """The projection basis at one triplet, as a stack of one."""
-    basis, failures = projection_basis(pair, jacobian(pair, TripletStack.of([t])))
+    """The projection basis v and its (c1, c2) at one triplet, as stacks of one."""
+    v, c, failures = projection_basis(pair, TripletStack.of([t]))
     assert failures == [None]
-    return basis
+    return v, c
 
 
 def step_one(pair, t):
@@ -50,37 +50,37 @@ def step_one(pair, t):
 def test_projection_basis_spans_x_and_xprime():
     pair = refpairs.simple_pair_2x2()
     t = refpairs.simple_target_2x2()
-    b = basis_at(pair, t)
+    v, _ = basis_at(pair, t)
     xp = eigvec_derivative(pair, t.mu, t.lam, t.x)
     ideal = np.stack([t.x, xp / np.linalg.norm(xp)], axis=1)
     # the nullspace rows reproduce span{x, x'}
-    assert np.linalg.norm(projector(b.v[0]) - projector(ideal), 2) < 1e-6
+    assert np.linalg.norm(projector(v[0]) - projector(ideal), 2) < 1e-6
 
 
 def test_projection_basis_n2_is_whole_space():
     pair = refpairs.simple_pair_2x2()
-    b = basis_at(pair, Triplet(0.3, 0.8, np.array([0.6, 0.8])))
-    v = b.v[0]
+    v, c = basis_at(pair, Triplet(0.3, 0.8, np.array([0.6, 0.8])))
+    v = v[0]
     assert np.linalg.norm(v.conj().T @ v - np.eye(2), 2) < 1e-12
-    assert np.allclose(sorted([b.c1[0], b.c2[0]]), [-1.0, 1.0], atol=1e-12)
-    assert b.c1[0] >= b.c2[0]
+    assert np.allclose(sorted([c[0, 0], c[0, 1]]), [-1.0, 1.0], atol=1e-12)
+    assert c[0, 0] >= c[0, 1]
 
 
 def test_projection_basis_phase_invariant():
     pair = refpairs.simple_pair_2x2()
     t = refpairs.simple_target_2x2()
-    b1 = basis_at(pair, t)
-    b2 = basis_at(pair, Triplet(t.mu, t.lam, t.x * np.exp(0.7j)))
-    assert abs(b1.c1[0] - b2.c1[0]) + abs(b1.c2[0] - b2.c2[0]) < 1e-12
-    assert np.linalg.norm(projector(b1.v[0]) - projector(b2.v[0]), 2) < 1e-10
+    v1, c1 = basis_at(pair, t)
+    v2, c2 = basis_at(pair, Triplet(t.mu, t.lam, t.x * np.exp(0.7j)))
+    assert abs(c1[0, 0] - c2[0, 0]) + abs(c1[0, 1] - c2[0, 1]) < 1e-12
+    assert np.linalg.norm(projector(v1[0]) - projector(v2[0]), 2) < 1e-10
 
 
 def test_projection_basis_diagonalizes_c():
     pair, trip = refpairs.simple_pair_desk()
-    b = basis_at(pair, trip)
-    cv = b.v[0].conj().T @ pair.c @ b.v[0]
+    v, c = basis_at(pair, trip)
+    cv = v[0].conj().T @ pair.c @ v[0]
     assert abs(cv[0, 1]) < 1e-10
-    assert np.isclose(cv[0, 0].real, b.c1[0]) and np.isclose(cv[1, 1].real, b.c2[0])
+    assert np.isclose(cv[0, 0].real, c[0, 0]) and np.isclose(cv[1, 1].real, c[0, 1])
 
 
 def _targets_for_basis_checks():
@@ -90,7 +90,7 @@ def _targets_for_basis_checks():
     yield Target.at(pair, trip, "multiple")
     for n in (12, 64):
         pair = random_pair_with_crossing(n, (n // 2, n // 2), 0.4, -0.3, 11)
-        yield Target(pair, eigvec_set(pair, 0.4, -0.3))
+        yield eigvec_set(pair, 0.4, -0.3)
 
 
 def test_projection_basis_matches_svd_nullspace():
@@ -102,8 +102,8 @@ def test_projection_basis_matches_svd_nullspace():
             t0 = perturbed_start(target, eps, 5)
             _, _, vh = np.linalg.svd(jacobian_hat(target.pair, t0))
             ref = orthonormalize(vh.conj().T[:n, n:])
-            b = basis_at(target.pair, t0)
-            assert np.sin(canonical_angles(b.v[0], ref)[-1]) <= 1e-12, (n, eps)
+            v, _ = basis_at(target.pair, t0)
+            assert np.sin(canonical_angles(v[0], ref)[-1]) <= 1e-12, (n, eps)
 
 
 def test_step_makes_one_solve_and_no_large_svd(count_linalg):
@@ -112,7 +112,7 @@ def test_step_makes_one_solve_and_no_large_svd(count_linalg):
     # stacked 2 x 2 forms, at most two SVDs of at most 2 columns, no QR
     # and nothing else
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
-    target = Target(pair, eigvec_set(pair, 0.4, -0.3))
+    target = eigvec_set(pair, 0.4, -0.3)
     t0 = perturbed_start(target, 1e-3, 5)
     starts = perturbed_starts(target, 1e-3, 5, range(5))
     calls = count_linalg()
@@ -208,17 +208,17 @@ def test_sigma_n_jhat_of_a_stack_matches_each_member():
 def test_form_rq_identity_basis():
     pair = refpairs.simple_pair_2x2()
     t = Triplet(0.3, 0.8, np.array([0.6, 0.8]))
-    b = basis_at(pair, t)
-    a11, a12, a22, c1, c2 = form_rq(pair, b)
-    ak = b.v[0].conj().T @ pair.a @ b.v[0]
+    v, _ = basis_at(pair, t)
+    a11, a12, a22 = form_rq(pair, v)
+    ak = v[0].conj().T @ pair.a @ v[0]
     assert np.isclose(a11[0], ak[0, 0].real) and np.isclose(a22[0], ak[1, 1].real)
     assert np.isclose(abs(a12[0]), abs(ak[0, 1]))
 
 
 def test_form_rq_offdiagonal_vanishes_at_multiple_target():
     pair = refpairs.multiple_pair_2x2()
-    b = basis_at(pair, refpairs.multiple_target_2x2())
-    _, a12, _, _, _ = form_rq(pair, b)
+    v, _ = basis_at(pair, refpairs.multiple_target_2x2())
+    _, a12, _ = form_rq(pair, v)
     assert abs(a12[0]) <= 1e-10
 
 
@@ -281,9 +281,9 @@ def test_solve_2x2_candidates_solve_projected_problem():
 def test_select_ritz_picks_nearest():
     pair = refpairs.simple_pair_2x2()
     t_prev = Triplet.normalized(0.1, 0.9, np.array([1.0, 0.8]))
-    b = basis_at(pair, t_prev)
-    cands = solve_2x2(*form_rq(pair, b))
-    chosen = select_ritz(TripletStack.of([t_prev]), cands, b)[0]
+    v, c = basis_at(pair, t_prev)
+    cands = solve_2x2(*form_rq(pair, v), c[:, 0], c[:, 1])
+    chosen = select_ritz(TripletStack.of([t_prev]), cands, v)[0]
     assert abs(chosen.mu - 0.0) + abs(chosen.lam - 1.0) < 1e-12
     assert abs(np.vdot(chosen.x, pair.c @ chosen.x)) < 1e-10
     assert abs(np.linalg.norm(chosen.x) - 1.0) < 1e-12
@@ -394,6 +394,13 @@ def test_step_from_an_overflowing_start_is_near_singular():
     alone = step(pair, TripletStack.of([t])).triplets[0]
     assert abs(out.triplets.mu[1] - alone.mu) <= 1e-14 and abs(out.triplets.lam[1] - alone.lam) <= 1e-14
     assert np.linalg.norm(out.triplets.x[1] - alone.x) <= 1e-13
+    # (mu, lam) in {+-1e308}^2 overflows J itself and the candidates' gaps,
+    # with no warning
+    for pair, trip in (refpairs.simple_pair_desk(), refpairs.multiple_pair_desk()):
+        huge = [Triplet(mu, lam, trip.x) for mu in (1e308, -1e308) for lam in (1e308, -1e308)]
+        assert step(pair, TripletStack.of(huge)).failures == (Status.JACOBIAN_NEAR_SINGULAR,) * 4
+        for t0 in huge:
+            assert step(pair, TripletStack.of([t0])).failures == (Status.JACOBIAN_NEAR_SINGULAR,)
 
 
 def test_solve_records_reference_errors():
