@@ -47,8 +47,9 @@ class Target:
     orthonormal columns and w holds k fixed weights.  At a simple
     2D-eigenvalue k = 1 and w = [1], so the set is the phase circle of one
     eigenvector; at a multiple one k = 2 and w = (t, s), the isotropic
-    weights of the cluster form of C, so the set is a torus.  v and w are
-    read-only private copies, as the target may be shared (see eigvec_set).
+    weights of the cluster form of C, so the set is a torus.  It is also
+    the triplet (mu, lam, x) with x = v @ w.  v and w are read-only private
+    copies, as one target may serve many solves (see rqi.solve).
     """
 
     pair: HermitianPair
@@ -64,9 +65,16 @@ class Target:
             object.__setattr__(self, name, arr)
 
     @cached_property
+    def x(self):
+        """The member v @ w of the set, read-only."""
+        x = self.v @ self.w
+        x.setflags(write=False)
+        return x
+
+    @property
     def triplet(self):
-        """(mu, lam) with the member v @ w of the set as x."""
-        return Triplet(self.mu, self.lam, self.v @ self.w)
+        """The target itself, for callers that read (mu, lam, x) off `triplet`, as perfbench does."""
+        return self
 
     @property
     def regime(self):
@@ -156,20 +164,12 @@ def classify(pair, mu, lam):
 def eigvec_set(pair, mu, lam):
     """The Target at a nonsingular 2D-eigenvalue (mu, lam) of pair.
 
-    The pair keeps the last target returned for it, keyed by the exact
-    (mu, lam), so a call at the same point again, as every `rqi.solve`
-    against one reference makes, costs no eigendecomposition.  That is
-    sound because a pair's A and C are read-only private copies.  A
-    failure is not kept: TwoDevpError is raised anew on every call at a
-    point that is not a nonsingular 2D-eigenvalue.
+    Each call classifies (mu, lam) anew and keeps nothing, so a caller
+    that measures many runs against one point classifies it once and
+    passes the Target on.  Raises TwoDevpError where (mu, lam) is not a
+    nonsingular 2D-eigenvalue.
     """
-    key = (float(mu), float(lam))
-    kept = vars(pair).get("_eigvec_set")
-    if kept is not None and kept[0] == key:
-        return kept[1]
     cls, v, w = _classify(pair, mu, lam)
     if cls.kind is Kind.SINGULAR:
         raise TwoDevpError("eigvec_set is defined only for nonsingular classifications")
-    target = Target(pair, key[0], key[1], v, w)
-    object.__setattr__(pair, "_eigvec_set", (key, target))  # past the frozen dataclass
-    return target
+    return Target(pair, float(mu), float(lam), v, w)

@@ -89,7 +89,8 @@ def cmd_solve(args):
     pair = load_pair(args.pair)
     x0 = load_triplet(args.x0).x if args.x0 else _auto_x0(pair, args.mu0, args.lambda0)
     t0 = Triplet.normalized(args.mu0, args.lambda0, x0)
-    reference = load_triplet(args.reference) if args.reference else None
+    ref = load_triplet(args.reference) if args.reference else None
+    reference = None if ref is None else eigvec_set(pair, ref.mu, ref.lam)
     trace = rqi.solve(pair, t0, tol_abs=args.tol_abs, max_iter=args.max_iter, reference=reference)
     records = []
     for rec in trace.iterates:

@@ -19,6 +19,7 @@ classify's singularity test, so that (sA, sC), which has the
 classified as (A, C) is.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,9 @@ def eig_at(pair, mu):
 
 def trace_curves(pair, mu_lo, mu_hi, n_grid):
     """Sample the sorted eigencurves at n_grid uniform points of [mu_lo, mu_hi]."""
-    if not (np.isfinite(mu_lo) and np.isfinite(mu_hi) and mu_lo < mu_hi):
-        raise ValueError("need finite mu_lo < mu_hi")
+    # the width in Python floats, which overflow to inf without a warning
+    if not (math.isfinite(float(mu_hi) - float(mu_lo)) and mu_lo < mu_hi):
+        raise ValueError("need finite mu_lo < mu_hi with a finite width")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
     return EigencurveGrid([eig_at(pair, mu) for mu in np.linspace(mu_lo, mu_hi, n_grid)])

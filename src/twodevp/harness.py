@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rqi
-from .classify import Target  # noqa: F401  re-exported: the studies take a Target
 from .curves import branch_derivatives, eig_at
 from .errors import TwoDevpError
 from .kernels import diagonalize_form, orthonormalize
@@ -104,7 +103,7 @@ def _trial_rng(seed, trial):
 
 
 def perturbed_starts(target, eps, seed, trials):
-    """Seeded starts at controlled distance eps from the target, one per trial index.
+    """Seeded starts at controlled distance eps from a classify.Target, one per trial index.
 
     The vector is the target's x perturbed at O(eps) in both regimes.
     The scalars are perturbed at O(eps) in the simple regime and at
@@ -115,8 +114,7 @@ def perturbed_starts(target, eps, seed, trials):
     """
     if not 0.0 <= eps <= 0.3:
         raise ValueError("eps must be in [0, 0.3]")
-    tgt = target.triplet
-    n = tgt.x.shape[0]
+    n = target.pair.n
     u = np.empty((len(trials), 2))
     w = np.empty((len(trials), n), dtype=complex)
     for row, trial in enumerate(trials):
@@ -124,12 +122,12 @@ def perturbed_starts(target, eps, seed, trials):
         u[row] = rng.uniform(-1.0, 1.0, size=2)
         w[row] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # a unit direction orthogonal to the target's x
-    w -= np.outer(w @ tgt.x.conj() / np.vdot(tgt.x, tgt.x), tgt.x)
+    w -= np.outer(w @ target.x.conj() / np.vdot(target.x, target.x), target.x)
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    x = tgt.x + eps * w
+    x = target.x + eps * w
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     scal = eps * eps if target.regime == "multiple" else eps
-    return TripletStack(tgt.mu + scal * u[:, 0], tgt.lam + scal * u[:, 1], x)
+    return TripletStack(target.mu + scal * u[:, 0], target.lam + scal * u[:, 1], x)
 
 
 def perturbed_start(target, eps, seed, trial=0):
@@ -222,9 +220,9 @@ def ritz_approx_study(target, eps_list, trials, seed):
     """
     if target.regime != "simple":
         raise ValueError("ritz study requires a simple nonsingular target")
-    pair, tgt = target.pair, target.triplet
-    xp = branch_derivatives(pair, eig_at(pair, tgt.mu), tgt.lam, tgt.x)[0]
-    ideal = np.stack([tgt.x, xp / np.linalg.norm(xp)], axis=1)
+    pair = target.pair
+    xp = branch_derivatives(pair, eig_at(pair, target.mu), target.lam, target.x)[0]
+    ideal = np.stack([target.x, xp / np.linalg.norm(xp)], axis=1)
 
     def errors_at(eps, trials):
         g = np.empty((len(trials), pair.n, 2), dtype=complex)
@@ -239,7 +237,7 @@ def ritz_approx_study(target, eps_list, trials, seed):
         best = np.where((first.sum(axis=1) <= second.sum(axis=1))[:, None], first, second)
         return best[cands.indefinite], int(np.count_nonzero(~cands.indefinite))
 
-    return _study(eps_list, trials, errors_at, ("nu", "theta", "x"), (tgt.mu, tgt.lam, 1.0))
+    return _study(eps_list, trials, errors_at, ("nu", "theta", "x"), (target.mu, target.lam, 1.0))
 
 
 def conditioning_study(target, eps_list, trials, seed):
@@ -255,8 +253,8 @@ def conditioning_study(target, eps_list, trials, seed):
     """
     pair = target.pair
     blocks = _trial_blocks(eps_list, trials)
-    _, c, _ = rqi.projection_basis(pair, TripletStack.of([target.triplet]))
-    sigma_star = rqi.sigma_n_jhat(pair, target.triplet)
+    _, c, _ = rqi.projection_basis(pair, TripletStack.of([target]))
+    sigma_star = rqi.sigma_n_jhat(pair, target)
     c1s, c2s = float(c[0, 0]), float(c[0, 1])
     sigma_viol, c_viol = [], []
     for eps, block in blocks:

@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import eigvec_set
 from .kernels import conj_t, diagonalize_form, isotropic_weights
 from .model import Triplet, TripletStack, jacobian, jacobian_hat, residual
 
@@ -217,18 +216,16 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     """Run the 2DRQI from t0 until the residual is small or max_iter hits.
 
     The run converges once the residual norm is at most tol_abs +
-    DEFAULT_OPTS["tol_rel"] * (|A| + |mu| |C| + |lam|).  Given a reference
-    triplet, each iterate records its distances to the reference's
-    (mu, lam) and, as err_x, to the 2D-eigenvector set there: the
-    `errors` of the Target that `eigvec_set` gives, which the pair keeps,
-    so repeated solves against one reference classify it once per pair.
-    Failures that the local theory anticipates (projected C losing
-    indefiniteness, nullspace rank collapse) end the run with the Status
-    that `step` gives the member.  An iterate whose residual norm is not finite, as at
-    a start that is not finite or one so large that the norm overflows,
-    ends the run with NON_FINITE.  Raises ValueError when max_iter < 0 or
-    tol_abs is negative or not finite, and TwoDevpError when the
-    reference's (mu, lam) is not a nonsingular 2D-eigenvalue, on every call.
+    DEFAULT_OPTS["tol_rel"] * (|A| + |mu| |C| + |lam|).  Given a reference,
+    a `classify.Target` of this pair as `eigvec_set` returns it, each
+    iterate records its distances to the target's (mu, lam) and, as err_x,
+    to its 2D-eigenvector set: the target's `errors`.  Failures that the
+    local theory anticipates (projected C losing indefiniteness, nullspace
+    rank collapse) end the run with the Status that `step` gives the
+    member.  An iterate whose residual norm is not finite, as at a start
+    that is not finite or one so large that the norm overflows, ends the
+    run with NON_FINITE.  Raises ValueError when max_iter < 0, when tol_abs
+    is negative or not finite, or when the reference is no Target of pair.
     """
     tol_abs = DEFAULT_OPTS["tol_abs"] if tol_abs is None else tol_abs
     max_iter = DEFAULT_OPTS["max_iter"] if max_iter is None else max_iter
@@ -236,7 +233,8 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         raise ValueError("need max_iter >= 0")
     if not 0.0 <= tol_abs < np.inf:
         raise ValueError("need a finite tol_abs >= 0, got %r" % tol_abs)
-    ref = None if reference is None else eigvec_set(pair, reference.mu, reference.lam)
+    if reference is not None and getattr(reference, "pair", None) is not pair:
+        raise ValueError("the reference must be a Target of this pair, as eigvec_set returns")
     # a start past overflow gives an infinite or NaN norm here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         res_norm = float(np.linalg.norm(residual(pair, t0)))
@@ -249,8 +247,8 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         if not math.isfinite(res_norm):
             trace.status = Status.NON_FINITE
             return trace
-        if ref is not None:
-            rec.err_mu, rec.err_lambda, rec.err_x = ref.errors(t.mu, t.lam, t.x)
+        if reference is not None:
+            rec.err_mu, rec.err_lambda, rec.err_x = reference.errors(t.mu, t.lam, t.x)
         tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
         if res_norm <= tol:
             trace.status = Status.CONVERGED

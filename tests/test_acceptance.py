@@ -56,11 +56,11 @@ def test_oracle_exact_on_closed_form_pairs():
 def test_quadratic_convergence_statistics():
     start = time.monotonic()
     pair, trip = refpairs.simple_pair_desk()
-    tgt = harness.Target.at(pair, trip, "simple")
+    tgt = td.Target.at(pair, trip, "simple")
     good = 0
     for trial in range(100):
         t0 = harness.perturbed_start(tgt, 0.05, 99, trial=trial)
-        trace = td.solve(pair, t0, tol_abs=1e-12, reference=trip)
+        trace = td.solve(pair, t0, tol_abs=1e-12, reference=tgt)
         if trace.status is not td.Status.CONVERGED:
             continue
         if len(trace.iterates) - 1 > 6:
@@ -83,13 +83,13 @@ def _random_simple_target():
     hits, _ = td.scan(pair, -3.0, 3.0, 96)
     h = next(h for h in hits
              if td.classify(pair, h.triplet.mu, h.triplet.lam).kind is Kind.NONSINGULAR_SIMPLE)
-    return harness.Target.at(pair, h.triplet, "simple")
+    return td.Target.at(pair, h.triplet, "simple")
 
 
 def test_one_step_error_scaling_simple():
     start = time.monotonic()
     pair, trip = refpairs.simple_pair_desk()
-    targets = [("desk", harness.Target.at(pair, trip, "simple")), ("random", _random_simple_target())]
+    targets = [("desk", td.Target.at(pair, trip, "simple")), ("random", _random_simple_target())]
     bad = []
     for tag, tgt in targets:
         study = harness.scaling_study(tgt, [1e-2, 3e-3, 1e-3, 3e-4], 50, 1234)
@@ -104,7 +104,7 @@ def test_one_step_error_scaling_multiple():
     bad = []
 
     pair, trip = refpairs.multiple_pair_desk()
-    tgt = harness.Target.at(pair, trip, "multiple")
+    tgt = td.Target.at(pair, trip, "multiple")
     study = harness.scaling_study(tgt, eps_list, 50, 0)
     bad += window_violations(study.fitted_slopes, COMMUTING_WINDOWS, "diagonal")
 
@@ -156,7 +156,7 @@ def test_projection_subspace_misses_eigenvector_branch():
     # The desk pair is block diagonal, so x'_* already lies in
     # span{x_*, C x_*}; the random pair checks the generic case.
     pair, trip = refpairs.simple_pair_desk()
-    targets = [("desk", harness.Target.at(pair, trip, "simple")), ("random", _random_simple_target())]
+    targets = [("desk", td.Target.at(pair, trip, "simple")), ("random", _random_simple_target())]
     for tag, tgt in targets:
         slope_x, slope_xp = _branch_miss_slopes(tgt, [1e-2, 1e-3, 1e-4], 50, 7)
         assert 1.6 <= slope_x <= 2.4, "%s: x(mu_k) miss slope %.3f" % (tag, slope_x)
@@ -169,7 +169,7 @@ def test_conditioning_bounds_hold_near_targets():
         (refpairs.multiple_pair_desk, "multiple"),
     ]:
         pair, trip = make()
-        tgt = harness.Target.at(pair, trip, regime)
+        tgt = td.Target.at(pair, trip, regime)
         rep = harness.conditioning_study(tgt, [1e-3], 100, 5)
         assert rep.sigma_violations == [0], regime
         assert rep.c_violations == [0], regime
@@ -275,7 +275,7 @@ def test_subspace_perturbation_bounds():
 
     # second-order accuracy of the constrained Rayleigh quotient
     pair, trip = refpairs.simple_pair_desk()
-    tgt = harness.Target.at(pair, trip, "simple")
+    tgt = td.Target.at(pair, trip, "simple")
     shift_norm = np.linalg.norm(pair.a - trip.mu * pair.c - trip.lam * np.eye(pair.n), 2)
     for trial in range(500):
         eps = 10.0 ** rng.uniform(-4, -1)
@@ -293,7 +293,7 @@ def test_subspace_perturbation_bounds():
 
 def test_ritz_extraction_error_scaling():
     pair, trip = refpairs.simple_pair_desk()
-    tgt = harness.Target.at(pair, trip, "simple")
+    tgt = td.Target.at(pair, trip, "simple")
     study = harness.ritz_approx_study(tgt, [1e-2, 3e-3, 1e-3], 50, 1234)
     bad = window_violations(study.fitted_slopes, RITZ_WINDOWS, "ritz")
     assert not bad, "; ".join(bad)

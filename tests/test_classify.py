@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -167,17 +170,17 @@ def test_eigvec_set_takes_one_decomposition_per_point(count_linalg):
     assert calls == [("eigh", (pair.n, pair.n)), ("eigh", (2, 2))]
 
 
-def test_eigvec_set_is_kept_for_one_point_per_pair(count_linalg):
-    pair = refpairs.simple_pair_2x2()
-    calls = count_linalg()
-    top = eigvec_set(pair, 0.0, 1.0)
-    assert eigvec_set(pair, 0.0, 1.0) is top
-    assert len(calls) == 1
-    # another (mu, lam) classifies again and takes the pair's one place
-    bottom = eigvec_set(pair, 0.0, -1.0)
-    assert bottom.lam == -1.0 and len(calls) == 2
-    assert eigvec_set(pair, 0.0, 1.0) is not top
-    assert len(calls) == 3
+def test_eigvec_set_keeps_nothing_on_the_pair():
+    # with the cycle collector off, reference counting alone frees the pair
+    pair, trip = refpairs.simple_pair_desk()
+    target = eigvec_set(pair, trip.mu, trip.lam)
+    alive = weakref.ref(pair)
+    gc.disable()
+    try:
+        del pair, target
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_eigvec_set_failure_raises_on_every_call(count_linalg):
@@ -192,7 +195,9 @@ def test_eigvec_set_failure_raises_on_every_call(count_linalg):
 def test_eigvec_set_arrays_are_read_only():
     for pair, trip in (refpairs.simple_pair_desk(), refpairs.multiple_pair_desk()):
         s = eigvec_set(pair, trip.mu, trip.lam)
-        for arr in (s.v, s.w):
+        # the target is its own triplet, with x = v @ w
+        assert s.triplet is s and np.array_equal(s.x, s.v @ s.w)
+        for arr in (s.v, s.w, s.x):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 

@@ -48,6 +48,31 @@ def test_solve_subcommand(tmp_path):
     assert last["err_mu"] < 1e-9
 
 
+def test_solve_reference_at_a_crossing_measures_the_distance_to_the_torus(tmp_path):
+    # the file's x, (e1 + i e2)/sqrt(2), is a member of the set at (1, 0)
+    # other than the (e1 + e2)/sqrt(2) that the automatic start reaches;
+    # err_x is the distance to the set, not to that member (about 0.77)
+    pair, _ = refpairs.multiple_pair_desk()
+    ppath, rpath, out = tmp_path / "p.json", tmp_path / "ref.json", tmp_path / "trace.json"
+    save_pair(pair, ppath)
+    save_triplet(Triplet(1.0, 0.0, np.array([1.0, 1j, 0.0, 0.0, 0.0, 0.0]) / np.sqrt(2.0)), rpath)
+    rc = main(["solve", "--pair", str(ppath), "--mu0", "1.01", "--lambda0", "0.01",
+               "--reference", str(rpath), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert rc == 0 and doc["status"] == "Converged"
+    assert all(rec["err_x"] <= 1e-12 for rec in doc["iterates"])
+
+
+def test_window_whose_width_overflows_is_one_error_line(tmp_path, capsys):
+    ppath, _ = write_reference_files(tmp_path)
+    for command in ("oracle", "curves"):
+        out = tmp_path / (command + ".out")
+        rc = main([command, "--pair", ppath, "--mu-lo=-1e308", "--mu-hi=1e308", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err.count("error:") == 1 and "finite width" in err and "Traceback" not in err, err
+
+
 def _auto_start_end(tmp_path, pair, mu0, lam0):
     ppath, out = tmp_path / "p.json", tmp_path / "trace.json"
     save_pair(pair, ppath)

@@ -60,6 +60,11 @@ def test_trace_curves_bad_arguments():
         trace_curves(pair, 1.0, 0.0, 8)
     with pytest.raises(ValueError):
         trace_curves(pair, 0.0, 1.0, 1)
+    # finite ends whose width overflows: rejected before numpy's grid would
+    # warn (an error under the test filters) and hold no finite mu
+    for lo, hi in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))):
+        with pytest.raises(ValueError, match="finite width"):
+            trace_curves(pair, lo, hi, 8)
 
 
 def test_trace_sum_matches_trace():

@@ -5,7 +5,7 @@ import pytest
 
 from twodevp import refpairs
 from twodevp.angles import dist_to_set
-from twodevp.classify import Kind, classify, eigvec_set
+from twodevp.classify import Kind, Target, classify, eigvec_set
 from twodevp.errors import TwoDevpError
 from twodevp.harness import (
     COMMUTING_WINDOWS,
@@ -13,7 +13,6 @@ from twodevp.harness import (
     RITZ_WINDOWS,
     SIMPLE_WINDOWS,
     ConditioningReport,
-    Target,
     conditioning_study,
     convergence_order,
     fit_slope,

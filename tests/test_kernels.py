@@ -9,6 +9,7 @@ from twodevp.kernels import (
     orthonormalize,
     pinv_apply,
 )
+from twodevp.model import HermitianPair
 
 
 def random_hermitian(n, seed):
@@ -72,6 +73,13 @@ def test_orthonormalize_rank_deficient():
     col = np.ones((4, 1))
     with pytest.raises(TwoDevpError, match="rank tolerance"):
         orthonormalize(np.hstack([col, col]))
+
+
+def test_matrix_checks_reject_a_1d_array_and_an_empty_matrix():
+    with pytest.raises(ValueError, match="2-d array"):
+        HermitianPair(np.ones(3), np.diag([1.0, -1.0, 1.0]))
+    with pytest.raises(TwoDevpError, match="empty"):
+        orthonormalize(np.zeros((3, 0)))
 
 
 def test_isotropic_weights_give_unit_isotropic_mixes():

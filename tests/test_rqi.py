@@ -3,11 +3,10 @@ import pytest
 
 from twodevp import refpairs, rqi
 from twodevp.angles import canonical_angles
-from twodevp.classify import eigvec_set
+from twodevp.classify import Target, eigvec_set
 from twodevp.curves import eigvec_derivative
 from twodevp.errors import TwoDevpError
 from twodevp.harness import (
-    Target,
     perturbed_start,
     perturbed_starts,
     random_pair,
@@ -408,7 +407,7 @@ def test_solve_records_reference_errors():
     rng = np.random.default_rng(9)
     w = rng.standard_normal(pair.n) + 1j * rng.standard_normal(pair.n)
     t0 = Triplet.normalized(trip.mu + 0.02, trip.lam - 0.02, trip.x + 0.03 * w)
-    trace = solve(pair, t0, reference=trip)
+    trace = solve(pair, t0, reference=Target.at(pair, trip, "simple"))
     errs = [r.err_mu + r.err_lambda + r.err_x for r in trace.iterates]
     assert all(e is not None and np.isfinite(e) for e in errs)
     # digit doubling: log-errors at least 1.7x per final iterations above floor
@@ -424,7 +423,7 @@ def test_solve_measures_err_x_to_the_eigenvector_set():
     target = Target.at(pair, trip, "multiple")
     converged = 0
     for k in range(20):
-        trace = solve(pair, perturbed_start(target, 1e-2, 7, trial=k), reference=trip)
+        trace = solve(pair, perturbed_start(target, 1e-2, 7, trial=k), reference=target)
         if trace.status is Status.CONVERGED:
             converged += 1
             assert trace.iterates[-1].err_x <= 1e-12
@@ -450,15 +449,14 @@ def test_solve_calls_step_once_per_step(monkeypatch):
     assert steps == [7, 7, 7]
 
 
-def test_solve_classifies_its_reference_once_per_pair(count_linalg):
-    # ten solves against one reference: one n x n eigh in all, as the pair
-    # keeps the set that eigvec_set returned
+def test_ten_solves_against_one_target_make_no_n_by_n_eigh(count_linalg):
+    # the reference was classified once, when its Target was made
     target = Target.at(*refpairs.simple_pair_desk(), "simple")
     starts = [perturbed_start(target, 0.05, 11, trial=k) for k in range(10)]
-    pair = HermitianPair(target.pair.a, target.pair.c)  # nothing kept yet
+    pair = target.pair
     calls = count_linalg()
-    traces = [solve(pair, t0, tol_abs=1e-12, reference=target.triplet) for t0 in starts]
-    assert [shape for name, shape in calls if name == "eigh" and shape == (pair.n, pair.n)] == [(8, 8)]
+    traces = [solve(pair, t0, tol_abs=1e-12, reference=target) for t0 in starts]
+    assert [shape for name, shape in calls if name == "eigh" and shape == (pair.n, pair.n)] == []
     assert all(trace.status is Status.CONVERGED for trace in traces)
     assert traces[0].iterates[-1].err_x <= 1e-10
 
@@ -466,16 +464,24 @@ def test_solve_classifies_its_reference_once_per_pair(count_linalg):
 def test_solve_rejects_a_reference_that_is_no_2d_eigenvalue():
     pair, trip = refpairs.simple_pair_desk()
     t0 = Triplet.normalized(trip.mu + 0.01, trip.lam + 0.01, trip.x)
-    # A - 0*C has no eigenvalue near 0.5; a failure is not kept
+    # A - 0*C has no eigenvalue near 0.5, so no Target is made there; a
+    # failure is not kept
     for _ in range(2):
         with pytest.raises(TwoDevpError, match="no eigenvalue"):
-            solve(pair, t0, reference=Triplet(0.0, 0.5, trip.x))
+            eigvec_set(pair, 0.0, 0.5)
+    # solve takes only a Target of its own pair: not a bare triplet, nor
+    # the Target of an equal pair
+    twin = HermitianPair(pair.a, pair.c)
+    for ref in (Triplet(0.0, 0.5, trip.x), trip, Target.at(twin, trip, "simple")):
+        with pytest.raises(ValueError, match="Target of this pair"):
+            solve(pair, t0, reference=ref)
 
 
 def test_solve_reference_error_of_a_zero_start():
     # the zero vector is at distance 1 from every set of unit vectors
     pair, trip = refpairs.simple_pair_desk()
-    trace = solve(pair, Triplet(trip.mu, trip.lam, np.zeros(pair.n)), reference=trip)
+    target = Target.at(pair, trip, "simple")
+    trace = solve(pair, Triplet(trip.mu, trip.lam, np.zeros(pair.n)), reference=target)
     assert trace.status is Status.JACOBIAN_NEAR_SINGULAR
     assert abs(trace.iterates[0].err_x - 1.0) <= 1e-14
 
