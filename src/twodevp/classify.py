@@ -39,7 +39,7 @@ class Classification:
     sigma_min_j: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Target:
     """A nonsingular 2D-eigenvalue (mu, lam) of `pair` with its set of unit 2D-eigenvectors.
 

@@ -3,9 +3,12 @@
 `eig_at` gives the eigenpairs of H(mu) at one mu, values descending, and
 `trace_curves` samples them on a uniform grid, so that curve i of the grid
 is the sorted eigencurve the oracle scans: curve 0 is the largest
-eigenvalue at every mu.  The derivative helpers give the first and second
-derivatives of the branch through (lam, x) as sums over the eigenpairs
-(w_j, v_j) of A - mu*C outside the cluster of lam, d_j = v_j^H C x:
+eigenvalue at every mu.  From order kernels.THREADS_MIN_N up, the grid's
+eig_at calls run on one thread per free CPU (kernels.map_threads), each
+giving bitwise the point that a serial call gives.  The derivative
+helpers give the first and second derivatives of the branch through
+(lam, x) as sums over the eigenpairs (w_j, v_j) of A - mu*C outside the
+cluster of lam, d_j = v_j^H C x:
 
     lam'(mu)  = -x^H C x
     x'(mu)    = sum_j v_j d_j / (w_j - lam)
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TwoDevpError
-from .kernels import hermitian_eig
+from .kernels import hermitian_eig, map_threads
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ def trace_curves(pair, mu_lo, mu_hi, n_grid):
         raise ValueError("need finite mu_lo < mu_hi with a finite width")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
-    return EigencurveGrid([eig_at(pair, mu) for mu in np.linspace(mu_lo, mu_hi, n_grid)])
+    mus = np.linspace(mu_lo, mu_hi, n_grid)
+    return EigencurveGrid(map_threads(lambda mu: eig_at(pair, mu), mus, pair.n))
 
 
 def slopes(pair, vectors):

@@ -3,11 +3,71 @@
 All matrices are numpy arrays of dtype complex128.  The functions here add
 input validation and the convention the rest of the package relies on
 (descending eigenvalue order) on top of LAPACK via numpy.linalg.
+`map_threads` runs independent decompositions on the free CPUs, as numpy
+releases the GIL inside LAPACK.
 """
+
+import os
+import threading
 
 import numpy as np
 
 from .errors import TwoDevpError
+
+
+# Matrix order from which map_threads runs on threads: below it a
+# decomposition is too short to pay for the pool (measured crossover of
+# scan, in CHANGES.md).
+THREADS_MIN_N = 32
+
+
+def thread_workers(n, k):
+    """Threads map_threads runs k items of order-n work on: 1 below THREADS_MIN_N."""
+    if n < THREADS_MIN_N:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, k))
+
+
+def map_threads(fn, items, n):
+    """[fn(x) for x in items], on thread_workers(n, len(items)) threads.
+
+    The calling thread takes items 0, w, 2w, ... of w workers, and each of
+    w - 1 new threads one more such interleaved chunk; every new thread is
+    joined before this returns.  When items raise, the exception of the
+    first of them in item order is raised, as by the serial loop.
+    """
+    items = list(items)
+    workers = thread_workers(n, len(items))
+    if workers == 1:
+        return [fn(x) for x in items]
+    done = [None] * workers
+
+    def run(w):
+        out = []
+        try:
+            for x in items[w::workers]:
+                out.append(fn(x))
+        except Exception as exc:
+            done[w] = out, exc
+        else:
+            done[w] = out, None
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    failed = [(w + workers * len(out), exc) for w, (out, exc) in enumerate(done) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    results = [None] * len(items)
+    for w, (out, _) in enumerate(done):
+        results[w::workers] = out
+    return results
 
 
 def check_hermitian(m):

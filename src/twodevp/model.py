@@ -21,7 +21,7 @@ from .errors import TwoDevpError
 from .kernels import check_hermitian
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianPair:
     """A Hermitian pair (A, C) with C indefinite."""
 

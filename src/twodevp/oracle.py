@@ -14,6 +14,13 @@ crossing's kink has no curvature; there the step goes to where the
 tangents of the two sorted curves meet, as the two branches through the
 crossing are smooth.  The cluster of the eigenvalue at the refined mu tells
 the two kinds apart.
+
+From order kernels.THREADS_MIN_N up, the grid is traced and every bracket
+refined on one thread per free CPU (kernels.map_threads); the floor is the
+crossover measured for scan on 2 cores.  refine_critical is a pure
+function of its cell, and the hits are then read in the serial order, so
+the hits and suspects are bitwise those of the serial scan.  Below the
+floor a bracket that an earlier hit closed is not refined at all.
 """
 
 from dataclasses import dataclass
@@ -24,7 +31,7 @@ import numpy as np
 from .classify import fix_phase
 from .curves import branch_derivatives, cluster, eig_at, floor_unit, slopes, trace_curves
 from .errors import TwoDevpError
-from .kernels import diagonalize_form, isotropic_weights
+from .kernels import diagonalize_form, isotropic_weights, map_threads, thread_workers
 from .model import Triplet
 
 SUSPECT_SLOPE_TOL = 1e-8  # in units of floor_unit(pair)
@@ -61,13 +68,22 @@ def scan(pair, mu_lo, mu_hi, n_grid):
     flat[:-1] &= ~brackets
     flat[1:] &= ~brackets
     suspects = [(points[j].mu, int(i)) for i, j in zip(*np.nonzero(flat.T))]
+    bracketed = [(int(i), int(j)) for i, j in zip(*np.nonzero(brackets.T))]
+
+    def refine(cell):
+        i, j = cell
+        return refine_critical(pair, points[j], points[j + 1], i)
+
+    # on threads every bracket is refined up front; serially a bracket
+    # already taken is never refined
+    refined = map_threads(refine, bracketed, pair.n) if thread_workers(pair.n, len(bracketed)) > 1 else None
     hits, taken = [], set()
-    for i, j in zip(*np.nonzero(brackets.T)):
+    for b, (i, j) in enumerate(bracketed):
         if (j, i) in taken:  # a crossing changes the sign of every member
             continue
-        hit = refine_critical(pair, points[j], points[j + 1], int(i))
+        hit = refine((i, j)) if refined is None else refined[b]
         if hit is None:
-            suspects.append((0.5 * (points[j].mu + points[j + 1].mu), int(i)))
+            suspects.append((0.5 * (points[j].mu + points[j + 1].mu), i))
             continue
         hits.append(hit)
         # a hit on a grid point, to refine_critical's width, also closes

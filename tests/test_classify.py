@@ -183,6 +183,15 @@ def test_eigvec_set_keeps_nothing_on_the_pair():
         gc.enable()
 
 
+def test_targets_compare_and_hash_by_identity():
+    # rqi.solve asks for a target of its own pair by `is`; a generated
+    # __eq__ would compare the ndarray fields and raise
+    pair, trip = refpairs.simple_pair_desk()
+    s, t = eigvec_set(pair, trip.mu, trip.lam), eigvec_set(pair, trip.mu, trip.lam)
+    assert s == s and s != t and not s == t
+    assert len({s, t, s}) == 2
+
+
 def test_eigvec_set_failure_raises_on_every_call(count_linalg):
     pair = k3_pair()
     calls = count_linalg()

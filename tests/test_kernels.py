@@ -1,13 +1,19 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from twodevp import kernels
 from twodevp.errors import TwoDevpError
 from twodevp.kernels import (
     check_hermitian,
     hermitian_eig,
     isotropic_weights,
+    map_threads,
     orthonormalize,
     pinv_apply,
+    thread_workers,
 )
 from twodevp.model import HermitianPair
 
@@ -128,3 +134,51 @@ def test_reconstruction_at_larger_sizes():
         w, v = hermitian_eig(m)
         err = np.linalg.norm(m - v @ np.diag(w) @ v.conj().T, 2)
         assert err < 1e-11 * n * np.linalg.norm(m, 2)
+
+
+def test_map_threads_runs_below_the_floor_on_the_calling_thread():
+    n = kernels.THREADS_MIN_N - 1
+    assert thread_workers(n, 10) == 1
+    assert map_threads(lambda x: (x, threading.get_ident()), range(5), n) == [
+        (x, threading.get_ident()) for x in range(5)]
+
+
+def test_map_threads_keeps_item_order_on_at_most_the_free_cpus():
+    n = kernels.THREADS_MIN_N
+    workers = thread_workers(n, 100)
+    if workers < 2:
+        pytest.skip("one CPU is free, so map_threads never starts a thread")
+    assert thread_workers(n, 1) == 1 and thread_workers(n, 3) == min(workers, 3)
+    seen, before = {}, threading.active_count()
+
+    def square(x):
+        seen.setdefault(threading.get_ident(), []).append(x)
+        return x * x
+
+    # switch threads as often as the interpreter can, so that chunks interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert map_threads(square, range(11), n) == [x * x for x in range(11)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    # each thread, the calling one first, takes one interleaved chunk in order
+    assert seen.pop(threading.get_ident()) == list(range(0, 11, workers))
+    assert sorted(seen.values()) == [list(range(w, 11, workers)) for w in range(1, workers)]
+
+
+@pytest.mark.parametrize("bad", [{3}, {4, 7}, {1, 2}, {9}])
+def test_map_threads_raises_the_first_failure_in_item_order(bad):
+    errors = {x: TwoDevpError("item %d" % x) for x in bad}
+
+    def fn(x):
+        if x in errors:
+            raise errors[x]
+        return x
+
+    before = threading.active_count()
+    with pytest.raises(TwoDevpError) as caught:
+        map_threads(fn, range(10), kernels.THREADS_MIN_N)
+    assert caught.value is errors[min(bad)]
+    assert threading.active_count() == before

@@ -43,6 +43,14 @@ def test_pair_requires_matching_shapes():
         HermitianPair(np.eye(3), np.diag([1.0, -1.0]))
 
 
+def test_pairs_compare_and_hash_by_identity():
+    # a generated __eq__ would compare the ndarray fields and raise
+    p, q = refpairs.simple_pair_desk()[0], refpairs.simple_pair_desk()[0]
+    assert np.array_equal(p.a, q.a) and np.array_equal(p.c, q.c)
+    assert p == p and p != q and not p == q
+    assert len({p, q, p}) == 2
+
+
 def test_pair_norms_match_svd():
     rng = np.random.default_rng(7)
     for n in (2, 5, 16):

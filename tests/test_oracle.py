@@ -1,7 +1,10 @@
+import pickle
+import threading
+
 import numpy as np
 import pytest
 
-from twodevp import oracle, refpairs
+from twodevp import kernels, oracle, refpairs
 from twodevp.classify import Kind, classify
 from twodevp.curves import eig_at
 from twodevp.errors import TwoDevpError
@@ -171,18 +174,20 @@ def _count_eig_at_per_hit(monkeypatch):
     """Route oracle.eig_at and oracle.refine_critical through counters.
 
     Returns a list that gets (hit, eig_at calls made while refining it)
-    for every refine_critical call.
+    for every refine_critical call.  The calls are counted per thread, as
+    scan may refine brackets on several threads at once, and each
+    refinement runs on one thread.
     """
-    calls, per_hit = [], []
+    local, per_hit = threading.local(), []
 
     def counting(pair, mu):
-        calls.append(mu)
+        local.calls = getattr(local, "calls", 0) + 1
         return eig_at(pair, mu)
 
     def refining(*args):
-        before = len(calls)
+        before = getattr(local, "calls", 0)
         hit = refine_critical(*args)
-        per_hit.append((hit, len(calls) - before))
+        per_hit.append((hit, getattr(local, "calls", 0) - before))
         return hit
 
     monkeypatch.setattr(oracle, "eig_at", counting)
@@ -194,11 +199,13 @@ def test_newton_refines_a_critical_point_in_few_decompositions(monkeypatch):
     # bisection to 1e-13 takes about 40, and Newton from one end of the cell
     # 3.1 on average; the Hermite first iterate is accurate to O(h^4).  An
     # iterate that lands on the zero to rounding must be accepted before its
-    # Newton step is tested
+    # Newton step is tested.  On threads scan also refines brackets whose
+    # hit it drops, so only the refinements of returned hits count
     per_hit = _count_eig_at_per_hit(monkeypatch)
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 13)
     hits, _ = scan(pair, -3.0, 3.0, 96)
-    crit = [n for h, n in per_hit if h.kind is HitKind.CRITICAL_POINT]
+    returned = {id(h) for h in hits}
+    crit = [n for h, n in per_hit if id(h) in returned and h.kind is HitKind.CRITICAL_POINT]
     assert len(crit) == len([h for h in hits if h.kind is HitKind.CRITICAL_POINT]) > 90
     assert max(crit) <= 4
     assert np.mean(crit) <= 2.6
@@ -352,3 +359,78 @@ def test_scan_flags_a_flat_last_grid_point_as_suspect():
     assert right[0] == [] and left[0] == []
     assert sorted(right[1]) == [(1e-9, 0), (1e-9, 1)]
     assert sorted(left[1]) == [(-1e-9, 0), (-1e-9, 1)]
+
+
+def _scan_bits(pair, mu_lo, mu_hi, n_grid):
+    """scan's hits and suspects, in order, as bytes: equal only if bitwise equal."""
+    hits, suspects = scan(pair, mu_lo, mu_hi, n_grid)
+    return pickle.dumps(([(h.kind, h.curves, h.bracket, h.refined_to, h.triplet.mu, h.triplet.lam,
+                           h.triplet.x) for h in hits], suspects))
+
+
+@pytest.fixture
+def threads_on(monkeypatch):
+    """Set kernels.THREADS_MIN_N to 0, so that scan of any pair runs on threads."""
+    monkeypatch.setattr(kernels, "THREADS_MIN_N", 0)
+    if kernels.thread_workers(0, 2) < 2:
+        pytest.skip("one CPU is free, so map_threads never starts a thread")
+    return monkeypatch
+
+
+_A_ZERO = HermitianPair(np.zeros((4, 4)), np.diag([1.0, -1.0, 2.0, -3.0]))
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (_triple_crossing_pair(), 0.0, 2.0, 21),
+    lambda: (_A_ZERO, -1.0, 1.0, 9),
+    lambda: (refpairs.simple_pair_2x2(), -1.0, 1.0, 9),
+    lambda: (refpairs.simple_pair_2x2(), -1.0, 0.0, 8),
+    lambda: (refpairs.simple_pair_2x2(), -1.0, 1.0, 8),
+    lambda: (refpairs.simple_pair_desk()[0], -3.0, 3.0, 96),
+    lambda: (refpairs.multiple_pair_desk()[0], -3.0, 3.0, 96),
+] + [lambda s=s: (random_pair_with_crossing(12, (6, 6), 0.4, -0.3, s), -3.0, 3.0, 96) for s in range(10)],
+    ids=["triple", "a_zero", "2x2_9", "2x2_left_8", "2x2_8", "simple_desk", "multiple_desk"]
+    + ["n12_seed%d" % s for s in range(10)])
+def test_threaded_scan_is_bitwise_the_serial_scan(threads_on, case):
+    # refine_critical is a pure function of its cell, and the taken loop
+    # reads the refinements in the serial order
+    pair, *window = case()
+    threaded = _scan_bits(pair, *window)
+    threads_on.setattr(kernels, "THREADS_MIN_N", pair.n + 1)
+    assert _scan_bits(pair, *window) == threaded
+
+
+def test_scan_of_a_large_pair_runs_on_threads_and_is_bitwise_the_serial_scan(monkeypatch):
+    if kernels.thread_workers(64, 2) < 2:
+        pytest.skip("one CPU is free, or n = 64 is below THREADS_MIN_N")
+    pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 3)
+    threads = set()
+
+    def refining(*args):
+        threads.add(threading.get_ident())
+        return refine_critical(*args)
+
+    monkeypatch.setattr(oracle, "refine_critical", refining)
+    threaded = _scan_bits(pair, -3.0, 3.0, 96)
+    assert len(threads) > 1
+    monkeypatch.setattr(kernels, "THREADS_MIN_N", 65)
+    assert _scan_bits(pair, -3.0, 3.0, 96) == threaded
+
+
+def test_threaded_scan_raises_a_refinement_error_and_leaves_no_thread(threads_on):
+    pair = random_pair_with_crossing(12, (6, 6), 0.4, -0.3, 0)
+    hits, _ = scan(pair, -3.0, 3.0, 96)
+    hit = next(h for h in hits[len(hits) // 2:] if h.kind is HitKind.CRITICAL_POINT)
+    error = TwoDevpError("planted")
+
+    def refining(pair, left, right, i):
+        if (left.mu, i) == (hit.bracket[0], hit.curves[0]):
+            raise error
+        return refine_critical(pair, left, right, i)
+
+    threads_on.setattr(oracle, "refine_critical", refining)
+    before = threading.active_count()
+    with pytest.raises(TwoDevpError) as caught:
+        scan(pair, -3.0, 3.0, 96)
+    assert caught.value is error
+    assert threading.active_count() == before
