@@ -20,7 +20,7 @@ import numpy as np
 from . import curves
 from .angles import dist_to_set
 from .errors import TwoDevpError
-from .kernels import diagonalize_form, isotropic_weights
+from .kernels import isotropic_set
 from .model import HermitianPair, Triplet, jacobian
 
 
@@ -123,7 +123,7 @@ def _classify(pair, mu, lam):
 
     Returns (classification without sigma_min_j, v, w) where v @ w is an
     isotropic unit vector as in Target, or v = w = None when there is
-    none.
+    none; on a cluster, v, w and the form's eigenvalues are isotropic_set's.
     """
     tol_sing = default_tol_sing(pair)
     point = curves.eig_at(pair, mu)
@@ -142,14 +142,9 @@ def _classify(pair, mu, lam):
         kind = Kind.NONSINGULAR_SIMPLE if abs(ldp) > tol_sing else Kind.SINGULAR
         return Classification(kind, k, ldp, np.array([]), float("nan")), x[:, None], np.ones(1)
 
-    v, c_eigs = diagonalize_form(pair.c, basis)
-    c1, c2 = float(c_eigs[0]), float(c_eigs[-1])
-    kind = Kind.NONSINGULAR_MULTIPLE if k == 2 and c1 > tol_sing and c2 < -tol_sing else Kind.SINGULAR
-    cls = Classification(kind, k, float("nan"), c_eigs, float("nan"))
-    if not c1 > 0.0 > c2:
-        return cls, None, None
-    # a view of columns 0 and k - 1: at k = 2, v in its own layout, which sets the bits of v @ w
-    return cls, v[:, :: k - 1], np.array(isotropic_weights(c1, c2))
+    v, w, c_eigs = isotropic_set(pair.c, basis)
+    kind = Kind.NONSINGULAR_MULTIPLE if k == 2 and min(c_eigs[0], -c_eigs[-1]) > tol_sing else Kind.SINGULAR
+    return Classification(kind, k, float("nan"), c_eigs, float("nan")), v, w
 
 
 def classify(pair, mu, lam):

@@ -77,7 +77,7 @@ def _auto_x0(pair, mu0, lam0):
     order = np.argsort(np.abs(point.values - lam0), kind="stable")
     forms = -curves_mod.slopes(pair, point.vectors)  # x^H C x of each column
     p = order[0]
-    n = next((i for i in order if forms[i] * forms[p] < 0), None)
+    n = next((i for i in order if np.sign(forms[i]) * np.sign(forms[p]) < 0), None)
     if n is None:
         return point.vectors[:, p]
     pos, neg = (p, n) if forms[p] > 0 else (n, p)

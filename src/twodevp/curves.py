@@ -102,7 +102,8 @@ def branch_derivatives(pair, point, lam, x):
     v = point.vectors[:, ~inside]
     gaps = point.values[~inside] - lam
     d = v.conj().T @ (pair.c @ np.asarray(x, dtype=complex).reshape(-1))
-    return v @ (d / gaps), -2.0 * float(np.sum(np.abs(d) ** 2 / gaps))
+    r = np.abs(d)  # r * (r / gaps), as r**2 under- or overflows past |C| ~ 1e+-154
+    return v @ (d / gaps), -2.0 * float(np.sum(r * (r / gaps)))
 
 
 def eigvec_derivative(pair, mu, lam, x):

@@ -2,9 +2,9 @@
 
 All matrices are numpy arrays of dtype complex128.  The functions here add
 input validation and the convention the rest of the package relies on
-(descending eigenvalue order) on top of LAPACK via numpy.linalg.
-`map_threads` runs independent decompositions on the free CPUs, as numpy
-releases the GIL inside LAPACK.
+(descending eigenvalue order) on top of LAPACK via numpy.linalg;
+`isotropic_set` builds every cluster's isotropic vector, and `map_threads`
+runs independent decompositions on the free CPUs (numpy releases the GIL).
 """
 
 import os
@@ -33,25 +33,22 @@ def map_threads(fn, items, n):
     """[fn(x) for x in items], on thread_workers(n, len(items)) threads.
 
     The calling thread takes items 0, w, 2w, ... of w workers, and each of
-    w - 1 new threads one more such interleaved chunk; every new thread is
-    joined before this returns.  When items raise, the exception of the
-    first of them in item order is raised, as by the serial loop.
+    w - 1 new threads one more such interleaved chunk, filling each item's
+    (result, exception) slot.  After the joins, the exception of the first
+    failed slot is raised, as by the serial loop, or the results returned.
     """
     items = list(items)
     workers = thread_workers(n, len(items))
     if workers == 1:
         return [fn(x) for x in items]
-    done = [None] * workers
+    slots = [None] * len(items)
 
     def run(w):
-        out = []
-        try:
-            for x in items[w::workers]:
-                out.append(fn(x))
-        except Exception as exc:
-            done[w] = out, exc
-        else:
-            done[w] = out, None
+        for b in range(w, len(items), workers):
+            try:
+                slots[b] = fn(items[b]), None
+            except Exception as exc:
+                slots[b] = None, exc
 
     threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
     for t in threads:
@@ -61,13 +58,10 @@ def map_threads(fn, items, n):
     finally:
         for t in threads:
             t.join()
-    failed = [(w + workers * len(out), exc) for w, (out, exc) in enumerate(done) if exc is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    results = [None] * len(items)
-    for w, (out, _) in enumerate(done):
-        results[w::workers] = out
-    return results
+    for _, exc in slots:
+        if exc is not None:
+            raise exc
+    return [out for out, _ in slots]
 
 
 def check_hermitian(m):
@@ -131,10 +125,23 @@ def isotropic_weights(c1, c2):
     t v1 + s v2 is then an isotropic unit vector for orthonormal v1, v2
     with v1^H C v1 = c1, v2^H C v2 = c2 and v1^H C v2 = 0.  Works
     elementwise on arrays.  Precondition, not checked here: c1 > 0 > c2
-    throughout.  Callers that can meet a definite form test it where they
-    already branch on it.
+    throughout; callers that can meet a definite form test it first.
     """
     return np.sqrt(-c2 / (c1 - c2)), np.sqrt(c1 / (c1 - c2))
+
+
+def isotropic_set(c, basis):
+    """(v, w, e): isotropic unit vector v @ w in the span of an orthonormal n x k basis, k >= 2.
+
+    e holds the eigenvalues of basis^H C basis, descending, v its extreme
+    directions and w their isotropic weights; v = w = None unless e[0] > 0 > e[-1].
+    """
+    v, e = diagonalize_form(c, basis)
+    c1, c2 = float(e[0]), float(e[-1])
+    if not c1 > 0.0 > c2:
+        return None, None, e
+    # a view of columns 0 and k - 1: at k = 2, v in its own layout, which sets the bits of v @ w
+    return v[:, :: e.size - 1], np.array(isotropic_weights(c1, c2)), e
 
 
 def orthonormalize(m):

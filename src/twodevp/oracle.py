@@ -31,7 +31,7 @@ import numpy as np
 from .classify import fix_phase
 from .curves import branch_derivatives, cluster, eig_at, floor_unit, slopes, trace_curves
 from .errors import TwoDevpError
-from .kernels import diagonalize_form, isotropic_weights, map_threads, thread_workers
+from .kernels import isotropic_set, map_threads, thread_workers
 from .model import Triplet
 
 SUSPECT_SLOPE_TOL = 1e-8  # in units of floor_unit(pair)
@@ -62,7 +62,7 @@ def scan(pair, mu_lo, mu_hi, n_grid):
         raise ValueError("need n_grid >= 8")
     points = trace_curves(pair, mu_lo, mu_hi, n_grid).points
     s = np.array([slopes(pair, p.vectors) for p in points])  # (m, n)
-    brackets = s[:-1] * s[1:] <= 0.0
+    brackets = np.sign(s[:-1]) * np.sign(s[1:]) <= 0.0
     # a nearly flat point is suspect unless a cell it bounds has a bracket
     flat = np.abs(s) < SUSPECT_SLOPE_TOL * floor_unit(pair)
     flat[:-1] &= ~brackets
@@ -139,7 +139,7 @@ def refine_critical(pair, left, right, i):
 
     lo, hi = bracket = (left.mu, right.mu)
     f_lo, f_hi = slope(left), slope(right)
-    if f_lo * f_hi > 0.0:
+    if np.sign(f_lo) * np.sign(f_hi) > 0.0:
         raise TwoDevpError("slope of curve %d does not change sign over %r" % (i, bracket))
     d_lo, d_hi = curvature(left), curvature(right)
     point, f, d2 = (left, f_lo, d_lo) if abs(f_lo) <= abs(f_hi) else (right, f_hi, d_hi)
@@ -213,16 +213,13 @@ def _hermite_root(bracket, f, d, near):
 def refine_crossing(pair, point, members, bracket, width):
     """Isotropic cluster vector of a crossing at the eig_at point `point`.
 
-    `members` are the sorted indices of the cluster.  The directions where
-    the cluster's C-form is largest and smallest are mixed into a unit x
-    with x^H C x = 0, and lam is the cluster mean.  None when that form is
-    not indefinite, as no such x exists.
+    `members` are the sorted indices of the cluster.  x is fix_phase(v @ w)
+    of kernels.isotropic_set on the cluster, the vector eigvec_set builds
+    at the same point, and lam is the cluster mean.  None when the
+    cluster's C-form is not indefinite, as no isotropic x exists.
     """
-    v, ce = diagonalize_form(pair.c, point.vectors[:, members])
-    c1, c2 = float(ce[0]), float(ce[-1])
-    if not c1 > 0.0 > c2:
+    v, w, _ = isotropic_set(pair.c, point.vectors[:, members])
+    if v is None:
         return None
-    t, s = isotropic_weights(c1, c2)
-    x = fix_phase(t * v[:, 0] + s * v[:, -1])
-    trip = Triplet(point.mu, float(np.mean(point.values[members])), x)
+    trip = Triplet(point.mu, float(np.mean(point.values[members])), fix_phase(v @ w))
     return OracleHit(trip, HitKind.CROSSING, tuple(int(k) for k in members), bracket, width)

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from twodevp import refpairs
 from twodevp.cli import _auto_x0, main
@@ -100,6 +101,16 @@ def test_auto_start_falls_back_to_nearest_eigenvector():
     pair = HermitianPair(np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert np.allclose(np.abs(_auto_x0(pair, 0.0, 0.9)), [1.0, 0.0])
     assert np.allclose(np.abs(_auto_x0(pair, 0.0, -0.9)), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e200])
+def test_auto_start_does_not_depend_on_the_scale_of_the_pair(s):
+    # the signs of x^H C x are compared, not their product, which under- or
+    # overflows at this scale
+    pair = refpairs.simple_pair_desk()[0]
+    want = _auto_x0(pair, 0.41, -0.29)
+    got = _auto_x0(HermitianPair(s * pair.a, s * pair.c), 0.41, s * -0.29)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_solve_subcommand_csv(tmp_path):

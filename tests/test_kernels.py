@@ -9,6 +9,7 @@ from twodevp.errors import TwoDevpError
 from twodevp.kernels import (
     check_hermitian,
     hermitian_eig,
+    isotropic_set,
     isotropic_weights,
     map_threads,
     orthonormalize,
@@ -98,6 +99,24 @@ def test_isotropic_weights_give_unit_isotropic_mixes():
     assert np.max(np.abs(c1 * t**2 + c2 * s**2)) <= 1e-15
 
 
+def test_isotropic_set_mixes_the_extreme_directions_of_an_indefinite_form():
+    c = np.diag([2.0, 0.5, -1.0, 3.0])
+    basis = np.eye(4)[:, :3]
+    v, w, e = isotropic_set(c, basis)
+    assert np.array_equal(e, [2.0, 0.5, -1.0])
+    x = v @ w
+    assert v.shape == (4, 2) and abs(np.linalg.norm(x) - 1.0) <= 1e-15
+    assert abs(np.vdot(x, c @ x)) <= 1e-15
+
+
+@pytest.mark.parametrize("form", [[2.0, 0.5], [-0.5, -2.0], [1.0, 0.0]])
+def test_isotropic_set_gives_none_for_a_definite_cluster_form(form):
+    c = np.diag(form + [-3.0])
+    v, w, e = isotropic_set(c, np.eye(3)[:, :2])
+    assert v is None and w is None
+    assert np.array_equal(e, form)
+
+
 def test_pinv_apply_identity():
     b = np.array([1.0, 2.0, -3.0])
     assert np.allclose(pinv_apply(np.eye(3), b), b)
@@ -182,3 +201,24 @@ def test_map_threads_raises_the_first_failure_in_item_order(bad):
         map_threads(fn, range(10), kernels.THREADS_MIN_N)
     assert caught.value is errors[min(bad)]
     assert threading.active_count() == before
+
+
+def test_map_threads_runs_every_item_past_failures_in_two_chunks():
+    n = kernels.THREADS_MIN_N
+    workers = thread_workers(n, 10)
+    if workers < 2:
+        pytest.skip("one CPU is free, so map_threads never starts a thread")
+    bad = {1, workers}  # item 1 on a new thread, item `workers` on the calling one
+    errors = {x: TwoDevpError("item %d" % x) for x in bad}
+    ran = []
+
+    def fn(x):
+        ran.append(x)
+        if x in errors:
+            raise errors[x]
+        return x
+
+    with pytest.raises(TwoDevpError) as caught:
+        map_threads(fn, range(10), n)
+    assert caught.value is errors[1]
+    assert sorted(ran) == list(range(10))

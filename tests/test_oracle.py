@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twodevp import kernels, oracle, refpairs
-from twodevp.classify import Kind, classify
+from twodevp.classify import Kind, classify, eigvec_set, fix_phase
 from twodevp.curves import eig_at
 from twodevp.errors import TwoDevpError
 from twodevp.model import HermitianPair, residual
@@ -316,10 +316,12 @@ def test_scan_brackets_are_grid_cells():
     assert hits and all(h.bracket in cells for h in hits)
 
 
-@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10])
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10, 1e-160, 1e-200, 1e-300, 1e100, 1e150, 1e200, 1e250, 1e300])
 def test_scan_and_classify_do_not_depend_on_the_scale_of_the_pair(s):
     # (sA, sC) has the 2D-eigenvalues of (A, C), with lambda scaled by s, so
-    # no absolute tolerance floor may decide a hit, a suspect or a kind
+    # no absolute tolerance floor may decide a hit, a suspect or a kind; past
+    # s ~ 1e+-154 a product of two slopes, or |d|^2 in lam'', would under- or
+    # overflow
     pair = random_pair(6, (3, 3), 1)
     scaled = HermitianPair(s * pair.a, s * pair.c)
     want, _ = scan(pair, -3.0, 3.0, 40)
@@ -330,6 +332,18 @@ def test_scan_and_classify_do_not_depend_on_the_scale_of_the_pair(s):
     kinds = [classify(pair, h.triplet.mu, h.triplet.lam).kind for h in want]
     assert [classify(scaled, h.triplet.mu, h.triplet.lam).kind for h in got] == kinds
     assert len(want) == 8 and set(kinds) == {Kind.NONSINGULAR_SIMPLE}
+
+
+@pytest.mark.parametrize("pair", [refpairs.simple_pair_desk()[0], refpairs.multiple_pair_desk()[0]]
+                         + [random_pair_with_crossing(12, (6, 6), 0.4, -0.3, s) for s in range(10)])
+def test_a_crossing_hit_is_the_isotropic_vector_of_eigvec_set(pair):
+    # refine_crossing and eigvec_set build a cluster's isotropic vector
+    # through the one kernel, so the hit's x is the target's, bitwise
+    crossings = [h for h in scan(pair, -3.0, 3.0, 96)[0] if h.kind is HitKind.CROSSING]
+    assert crossings
+    for h in crossings:
+        want = fix_phase(eigvec_set(pair, h.triplet.mu, h.triplet.lam).x)
+        assert np.array_equal(h.triplet.x, want)
 
 
 def test_scan_rejects_an_infinite_window():
