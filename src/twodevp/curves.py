@@ -6,13 +6,14 @@ is the sorted eigencurve the oracle scans: curve 0 is the largest
 eigenvalue at every mu.  From order kernels.THREADS_MIN_N up, the grid's
 eig_at calls run on one thread per free CPU (kernels.map_threads), each
 giving bitwise the point that a serial call gives.  The derivative
-helpers give the first and second derivatives of the branch through
-(lam, x) as sums over the eigenpairs (w_j, v_j) of A - mu*C outside the
-cluster of lam, d_j = v_j^H C x:
+helpers give the derivatives of the branch through (lam, x) as sums over
+the eigenpairs (w_j, v_j) of A - mu*C outside the cluster of lam,
+d_j = v_j^H C x; as A - mu*C is linear in mu, lam''' needs only x':
 
-    lam'(mu)  = -x^H C x
-    x'(mu)    = sum_j v_j d_j / (w_j - lam)
-    lam''(mu) = -2 sum_j |d_j|^2 / (w_j - lam)
+    lam'(mu)   = -x^H C x
+    x'(mu)     = sum_j v_j d_j / (w_j - lam)
+    lam''(mu)  = -2 sum_j |d_j|^2 / (w_j - lam)
+    lam'''(mu) = -6 (x'^H C x' + lam' |x'|^2)
 
 One tolerance, default_tol_mult, decides both that the branch is simple and
 which components the sums leave out.  Its absolute floor is in units of
@@ -90,20 +91,26 @@ def cluster(pair, point, lam):
 
 
 def branch_derivatives(pair, point, lam, x):
-    """x'(mu) and lam''(mu) of the simple branch through (lam, x) at point.mu.
+    """x'(mu), lam''(mu), lam'''(mu) and lam'(mu) of the simple branch through (lam, x).
 
-    `point` is eig_at(pair, mu).  Raises TwoDevpError unless the cluster
-    of lam has exactly one member.
+    `point` is eig_at(pair, mu), and the derivatives are at point.mu.
+    Raises TwoDevpError unless the cluster of lam has exactly one member.
     """
     inside = cluster(pair, point, lam)
     k = int(np.count_nonzero(inside))
     if k != 1:
         raise TwoDevpError("eigenvalue %r has multiplicity %d at mu=%r" % (lam, k, point.mu))
-    v = point.vectors[:, ~inside]
-    gaps = point.values[~inside] - lam
-    d = v.conj().T @ (pair.c @ np.asarray(x, dtype=complex).reshape(-1))
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    cx = pair.c @ x
+    # eigh's ascending order, in which the columns are contiguous for BLAS
+    v, gaps = point.vectors[:, ::-1], point.values[::-1] - lam
+    gaps[inside[::-1]] = np.inf  # the cluster's terms vanish
+    d = (cx.conj() @ v).conj()
     r = np.abs(d)  # r * (r / gaps), as r**2 under- or overflows past |C| ~ 1e+-154
-    return v @ (d / gaps), -2.0 * float(np.sum(r * (r / gaps)))
+    xp = v @ (d / gaps)
+    lam1 = -np.vdot(x, cx).real
+    lam3 = -6.0 * (np.vdot(xp, pair.c @ xp).real + lam1 * np.vdot(xp, xp).real)
+    return xp, -2.0 * float(np.sum(r * (r / gaps))), float(lam3), float(lam1)
 
 
 def eigvec_derivative(pair, mu, lam, x):

@@ -9,11 +9,13 @@ zero.  The scan brackets every sign change of a sorted slope between grid
 points and refines it with Newton steps on the slope, safeguarded by
 bisection (rtsafe, Press et al., Numerical Recipes, sec. 9.4), one eig_at
 per iterate.  The first iterate is the root of the cubic Hermite
-interpolant of the slope over the bracket, accurate to O(h^4).  A
-crossing's kink has no curvature; there the step goes to where the
-tangents of the two sorted curves meet, as the two branches through the
-crossing are smooth.  The cluster of the eigenvalue at the refined mu tells
-the two kinds apart.
+interpolant of the slope over the bracket, accurate to O(h^4), and a
+Newton step that passes rtsafe's tests moves by Halley's step (Traub,
+1964), as lam''' costs one product more than lam'': about 2.1 eig_at
+calls per hit.  A crossing's kink has no curvature; there the step goes
+to where the tangents of the two sorted curves meet, as the two branches
+through the crossing are smooth.  The cluster of the eigenvalue at the
+refined mu tells the two kinds apart.
 
 From order kernels.THREADS_MIN_N up, the grid is traced and every bracket
 refined on one thread per free CPU (kernels.map_threads); the floor is the
@@ -100,16 +102,19 @@ def refine_critical(pair, left, right, i):
     rtsafe on the slope f = -x^H C x, whose derivative is lam''.  The
     iteration starts at the bracket end with the smaller |f|, and its first
     iterate is the root in the bracket of the cubic Hermite interpolant of
-    f, from f and lam'' at both ends.  Each later iterate is the Newton step
-    mu - f/lam'' when it stays strictly inside the bracket and is at most
-    half the step before last.  When that step is refused, as at a
-    crossing's kink, where lam'' is not defined, the kink step goes to
+    f, from f and lam'' at both ends.  Each later iterate takes the Newton
+    step dN = f/lam'' when mu - dN stays strictly inside the bracket and
+    dN is at most half the step before last; it then moves by Halley's
+    step dN / (1 - dN lam'''/(2 lam'')) if that lands strictly inside the
+    bracket too, and by dN if not.  When the Newton step is refused, as at
+    a crossing's kink, where lam'' is not defined, the kink step goes to
     where the tangents of curve i and of its nearer neighbour meet, under
     the same two tests; when both are refused, the bracket is bisected.
-    lam'' comes from the same eig_at point and is NaN on a cluster at
-    values[i]; without lam'' at both ends, the first iterate is a plain
-    step.  Each new point narrows the bracket by the sign of its slope.  A
-    point is accepted once its Newton or kink step is within
+    Each point's slope, lam'' and lam''' come from one branch_derivatives
+    call, with lam'' and lam''' NaN on a cluster at values[i]; the bracket
+    ends keep scan's slopes.  Without lam'' at both ends, the first iterate
+    is a plain step.  Each new point narrows the bracket by the sign of its
+    slope.  A point is accepted once its Newton or kink step is within
     1e-13 * (|mu| + min(1, |A|/|C|)), or 1e-13 * (|mu| + 1) when A = 0;
     bisection stops once the bracket is that narrow or its midpoint is no
     longer strictly inside it.
@@ -119,16 +124,18 @@ def refine_critical(pair, left, right, i):
     bisection ends, and 0 at an exactly zero slope.  A single eigenvalue at
     the refined mu is a critical point; a cluster is a crossing, built by
     refine_crossing, or None where its C-form is not indefinite.  Raises
+    ValueError unless left.mu < right.mu and 0 <= i < pair.n, and
     TwoDevpError when the slope does not change sign between left and right.
     """
     def slope(point, k=i):
         return float(slopes(pair, point.vectors[:, [k]])[0])
 
-    def curvature(point):
-        lam = point.values[i]
-        if np.count_nonzero(cluster(pair, point, lam)) != 1:
-            return np.nan
-        return branch_derivatives(pair, point, lam, point.vectors[:, i])[1]
+    def derivatives(point):
+        # lam'', lam''' and slope of curve i; NaN, NaN, slope on a cluster
+        try:
+            return branch_derivatives(pair, point, point.values[i], point.vectors[:, i])[1:]
+        except TwoDevpError:
+            return np.nan, np.nan, slope(point)
 
     def kink_step(point, f):
         # the tangents of curve i and of its nearer neighbour j meet at mu + step
@@ -138,11 +145,13 @@ def refine_critical(pair, left, right, i):
         return float(lam[i] - lam[j]) / (f_j - f) if f_j != f else np.nan
 
     lo, hi = bracket = (left.mu, right.mu)
+    if not (lo < hi and 0 <= i < pair.n):
+        raise ValueError("need left.mu < right.mu and 0 <= i < %d, got %r and i=%r" % (pair.n, bracket, i))
     f_lo, f_hi = slope(left), slope(right)
     if np.sign(f_lo) * np.sign(f_hi) > 0.0:
         raise TwoDevpError("slope of curve %d does not change sign over %r" % (i, bracket))
-    d_lo, d_hi = curvature(left), curvature(right)
-    point, f, d2 = (left, f_lo, d_lo) if abs(f_lo) <= abs(f_hi) else (right, f_hi, d_hi)
+    (d_lo, t_lo, _), (d_hi, t_hi, _) = derivatives(left), derivatives(right)
+    point, f, d2, d3 = (left, f_lo, d_lo, t_lo) if abs(f_lo) <= abs(f_hi) else (right, f_hi, d_hi, t_hi)
     dx_old = dx = hi - lo
     refined_to = 0.0
     hermite = _hermite_root(bracket, (f_lo, f_hi), (d_lo, d_hi), point.mu)
@@ -158,7 +167,10 @@ def refine_critical(pair, left, right, i):
             mu, hermite = hermite, None
             step = abs(mu - point.mu)
         elif lo < point.mu - newton < hi and abs(2.0 * newton) <= dx_old:
-            mu, step = point.mu - newton, abs(newton)
+            shrink = 1.0 - 0.5 * newton * (d3 / d2)  # Halley's step is newton / shrink
+            halley = newton / shrink if shrink else np.inf
+            delta = halley if lo < point.mu - halley < hi else newton
+            mu, step = point.mu - delta, abs(delta)
         else:
             kink = kink_step(point, f)
             if abs(kink) <= tol:
@@ -173,7 +185,7 @@ def refine_critical(pair, left, right, i):
                     break
         dx_old, dx = dx, step
         point = eig_at(pair, mu)
-        f, d2 = slope(point), curvature(point)
+        d2, d3, f = derivatives(point)
         if (f > 0.0) == (f_lo > 0.0):
             lo = mu
         else:

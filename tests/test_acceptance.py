@@ -138,7 +138,7 @@ def _branch_miss_slopes(tgt, eps_list, trials, seed):
             point = eig_at(pair, t0.mu)
             j = int(np.argmin(np.abs(point.values - trip.lam)))
             x = point.vectors[:, j]
-            xp, _ = branch_derivatives(pair, point, float(point.values[j]), x)
+            xp = branch_derivatives(pair, point, float(point.values[j]), x)[0]
             for y, out in ((x, mx), (xp, mxp)):
                 out.append(np.linalg.norm(y - v @ (v.conj().T @ y)) / np.linalg.norm(y))
         med_x.append(np.median(mx))

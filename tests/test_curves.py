@@ -3,6 +3,7 @@ import pytest
 
 from twodevp import refpairs
 from twodevp.curves import (
+    branch_derivatives,
     eig_at,
     eigvec_derivative,
     lambda_double_prime,
@@ -10,6 +11,7 @@ from twodevp.curves import (
     trace_curves,
 )
 from twodevp.errors import TwoDevpError
+from twodevp.harness import random_pair
 from twodevp.model import HermitianPair
 
 SQ2 = np.sqrt(2.0)
@@ -165,6 +167,25 @@ def test_lambda_double_prime_second_difference():
     fd = (np.sqrt(1 + h**2) - 2.0 + np.sqrt(1 + h**2)) / h**2
     val = lambda_double_prime(pair, 0.0, 1.0, np.array([1.0, 1.0]) / SQ2)
     assert abs(val - fd) < 1e-4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lambda_triple_prime_matches_central_difference_of_lambda_double_prime(seed):
+    # at these mu every curve of the seeded pairs is simple, with its
+    # sorted index kept over [mu - h, mu + h]; the slope returned beside
+    # lam''' is the one slopes gives
+    pair, h = random_pair(12, (6, 6), seed), 1e-4
+
+    def lam2(point, i):
+        return branch_derivatives(pair, point, point.values[i], point.vectors[:, i])[1]
+
+    for mu in (-0.7, 0.2, 1.1):
+        point, below, above = eig_at(pair, mu), eig_at(pair, mu - h), eig_at(pair, mu + h)
+        for i in range(pair.n):
+            _, _, lam3, lam1 = branch_derivatives(pair, point, point.values[i], point.vectors[:, i])
+            fd = (lam2(above, i) - lam2(below, i)) / (2 * h)
+            assert abs(lam3 - fd) <= 1e-5 * abs(lam3), (mu, i)
+            assert abs(lam1 - slopes(pair, point.vectors[:, [i]])[0]) <= 1e-13
 
 
 def test_trace_curves_samples_eig_at_at_triple_crossing():
