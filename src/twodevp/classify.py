@@ -9,11 +9,13 @@ eigenvalue of A - mu*C:
 
 The borderline cases (curvature or cluster eigenvalues within tolerance of
 zero) are conservatively classified singular.
+
+A Classification is a value, an immutable NamedTuple.  A Target is an
+object that compares by identity, as its HermitianPair does.
 """
 
-from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from . import curves
 from .angles import dist_to_set
 from .errors import TwoDevpError
 from .kernels import isotropic_set
-from .model import HermitianPair, Triplet, jacobian
+from .model import Triplet, jacobian
 
 
 class Kind(Enum):
@@ -30,8 +32,7 @@ class Kind(Enum):
     SINGULAR = "Singular"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: Kind
     multiplicity: int
     lambda_double_prime: float  # simple branch evidence, else nan
@@ -39,7 +40,6 @@ class Classification:
     sigma_min_j: float
 
 
-@dataclass(frozen=True, eq=False)
 class Target:
     """A nonsingular 2D-eigenvalue (mu, lam) of `pair` with its set of unit 2D-eigenvectors.
 
@@ -48,28 +48,18 @@ class Target:
     2D-eigenvalue k = 1 and w = [1], so the set is the phase circle of one
     eigenvector; at a multiple one k = 2 and w = (t, s), the isotropic
     weights of the cluster form of C, so the set is a torus.  It is also
-    the triplet (mu, lam, x) with x = v @ w.  v and w are read-only private
-    copies, as one target may serve many solves (see rqi.solve).
+    the triplet (mu, lam, x) with x = v @ w.  v, w and x are read-only
+    private arrays, as one target may serve many solves (see rqi.solve).
     """
 
-    pair: HermitianPair
-    mu: float
-    lam: float
-    v: np.ndarray
-    w: np.ndarray
+    __slots__ = ("pair", "mu", "lam", "v", "w", "x")
 
-    def __post_init__(self):
-        for name in ("v", "w"):
-            arr = np.array(getattr(self, name))
+    def __init__(self, pair, mu, lam, v, w):
+        self.pair, self.mu, self.lam = pair, mu, lam
+        self.v, self.w = np.array(v), np.array(w)
+        self.x = self.v @ self.w
+        for arr in (self.v, self.w, self.x):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @cached_property
-    def x(self):
-        """The member v @ w of the set, read-only."""
-        x = self.v @ self.w
-        x.setflags(write=False)
-        return x
 
     @property
     def triplet(self):
@@ -153,7 +143,7 @@ def classify(pair, mu, lam):
     if v is None:
         return cls
     j = jacobian(pair, Triplet(mu, lam, v @ w))
-    return replace(cls, sigma_min_j=float(np.linalg.svd(j, compute_uv=False)[-1]))
+    return cls._replace(sigma_min_j=float(np.linalg.svd(j, compute_uv=False)[-1]))
 
 
 def eigvec_set(pair, mu, lam):

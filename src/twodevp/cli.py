@@ -12,7 +12,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
 from enum import Enum
 
 import numpy as np
@@ -112,7 +111,7 @@ def cmd_solve(args):
 
 
 def cmd_classify(args):
-    _emit(asdict(run_classify(load_pair(args.pair), args.mu, getattr(args, "lambda"))), args.out)
+    _emit(run_classify(load_pair(args.pair), args.mu, getattr(args, "lambda"))._asdict(), args.out)
     return 0
 
 
@@ -164,7 +163,7 @@ def cmd_study(args):
     target = eigvec_set(pair, args.target_mu, args.target_lambda)
     report = STUDIES[args.kind](target, [float(e) for e in args.eps], args.trials, args.seed)
     verdicts = harness.verdicts(args.kind, target, report)
-    _emit(dict(asdict(report), seed=args.seed, regime=target.regime, verdicts=verdicts), args.out)
+    _emit(dict(report._asdict(), seed=args.seed, regime=target.regime, verdicts=verdicts), args.out)
     return 0 if all(v["pass"] for v in verdicts) else 1
 
 

@@ -24,7 +24,7 @@ classified as (A, C) is.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .errors import TwoDevpError
 from .kernels import hermitian_eig, map_threads
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """Eigenvalues and eigenvectors of A - mu*C at one mu.
 
     values are descending; values[i] and vectors[:, i] belong to sorted
@@ -45,8 +44,7 @@ class CurvePoint:
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigencurveGrid:
+class EigencurveGrid(NamedTuple):
     points: list
 
 

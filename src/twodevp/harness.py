@@ -5,7 +5,7 @@ are derived from (seed, trial index), so reports are reproducible
 byte-for-byte and trials could run in any order.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,13 +53,11 @@ def verdicts(kind, target, report):
              "pass": lo <= report.fitted_slopes[key] <= hi} for key, (lo, hi) in windows.items()]
 
 
-@dataclass
-class OrderEstimate:
+class OrderEstimate(NamedTuple):
     orders: list
 
 
-@dataclass
-class ScalingStudy:
+class ScalingStudy(NamedTuple):
     epsilons: list
     errors_mu: list
     errors_lambda: list
@@ -70,8 +68,7 @@ class ScalingStudy:
     total: int
 
 
-@dataclass
-class ConditioningReport:
+class ConditioningReport(NamedTuple):
     epsilons: list
     trials: int
     sigma_violations: list

@@ -8,12 +8,16 @@ complex vector.  This module owns the nonlinear residual map
 
 whose roots are the solutions of the two-parameter problem, its bordered
 (n+2) x (n+2) Jacobian, and JSON file I/O for pairs and triplets.
+
+A Triplet is a value, an immutable NamedTuple.  A HermitianPair and a
+TripletStack are objects that compare by identity.
 """
 
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,25 +56,22 @@ class HermitianPair:
         object.__setattr__(self, "norm_a", float(norm_a))
         object.__setattr__(self, "norm_c", float(norm_c))
 
-    def scale(self, mu, lam):
-        """Natural residual scale at (mu, lam)."""
-        return self.norm_a + abs(mu) * self.norm_c + abs(lam) + 1.0
 
-
-@dataclass(frozen=True)
-class Triplet:
-    """Candidate solution (mu, lam, x) with x a complex n-vector."""
-
+class _TripletFields(NamedTuple):
     mu: float
     lam: float
     x: np.ndarray
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=complex).reshape(-1).copy()
+
+class Triplet(_TripletFields):
+    """Candidate solution (mu, lam): floats, and x: a read-only complex copy of the n-vector given."""
+
+    __slots__ = ()
+
+    def __new__(cls, mu, lam, x):
+        x = np.asarray(x, dtype=complex).reshape(-1).copy()
         x.setflags(write=False)
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "x", x)
+        return super().__new__(cls, float(mu), float(lam), x)
 
     @classmethod
     def normalized(cls, mu, lam, x):
@@ -88,8 +89,6 @@ class TripletStack:
     """k candidate solutions at once: mu and lam of shape (k,), x of shape (k, n).
 
     Row i is the triplet (mu[i], lam[i], x[i]), which `stack[i]` returns.
-    A plain class: a frozen dataclass would cost about a millisecond more
-    at every import of the package.
     """
 
     __slots__ = ("mu", "lam", "x")

@@ -25,8 +25,8 @@ the hits and suspects are bitwise those of the serial scan.  Below the
 floor a bracket that an earlier hit closed is not refined at all.
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class HitKind(Enum):
     CROSSING = "Crossing"
 
 
-@dataclass(frozen=True)
-class OracleHit:
+class OracleHit(NamedTuple):
     triplet: Triplet
     kind: HitKind
     curves: tuple          # sorted indices at the hit: (i,), or a crossing's cluster

@@ -4,7 +4,8 @@ One step from the iterate (mu_k, lam_k, x_k):
 
   1. take the nullspace of the n x (n+2) leading block Jhat = J[:n] of the
      bordered Jacobian J as the last two columns of J^-1, from one LU
-     solve J N = [0; I_2].  J is nonsingular at a nonsingular
+     solve J N = [0; I_2], J balanced as `projection_basis` says.  J is
+     nonsingular at a nonsingular
      2D-eigentriplet, so the solve stays defined where H = A - mu C - lam I
      is singular: for z = (y, a, b) with J z = 0, a simple triplet forces
      a lam'' = 0 and a crossing (cluster form of C diag(c1, c2), isotropic
@@ -20,17 +21,20 @@ One step from the iterate (mu_k, lam_k, x_k):
 `step` takes this step from each of a stack of k iterates at once:
 every stage is one numpy call on the stack, or a few, and a member whose
 step fails gets the Status that stopped it.  `solve` steps stacks of one.
+
+A step's results, RitzCandidates and StepStack, are values, immutable
+NamedTuples.  The records of a run, RqiTrace and its IterateRecords, are
+objects that `solve` fills in as it goes.
 """
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .kernels import conj_t, diagonalize_form, isotropic_weights
-from .model import Triplet, TripletStack, jacobian, jacobian_hat, residual
+from .model import TripletStack, jacobian, jacobian_hat, residual
 
 DEFAULT_OPTS = {"tol_abs": 1e-12, "tol_rel": 1e-14, "max_iter": 50}
 _SIGNS = np.array([1.0, -1.0])  # of the two candidates of a projected problem
@@ -73,25 +77,23 @@ class StepStack(NamedTuple):
     failures: tuple
 
 
-@dataclass
 class IterateRecord:
     """Iterate k; c1, c2 and abs_a12 are those of the step from it to iterate k + 1, None on the last."""
 
-    k: int
-    triplet: Triplet
-    res_norm: float
-    c1: float = None
-    c2: float = None
-    abs_a12: float = None
-    err_mu: float = None
-    err_lambda: float = None
-    err_x: float = None
+    __slots__ = ("k", "triplet", "res_norm", "c1", "c2", "abs_a12", "err_mu", "err_lambda", "err_x")
+
+    def __init__(self, k, triplet, res_norm):
+        self.k, self.triplet, self.res_norm = k, triplet, res_norm
+        self.c1 = self.c2 = self.abs_a12 = self.err_mu = self.err_lambda = self.err_x = None
 
 
-@dataclass
 class RqiTrace:
-    iterates: list = field(default_factory=list)
-    status: Status = Status.MAX_ITERATIONS
+    """The iterates of a run of `solve` and the Status it ended with."""
+
+    __slots__ = ("iterates", "status")
+
+    def __init__(self):
+        self.iterates, self.status = [], Status.MAX_ITERATIONS
 
     @property
     def final(self):
@@ -103,7 +105,11 @@ def projection_basis(pair, starts):
 
     Each member of the TripletStack `starts` has its bordered Jacobian J
     from `model.jacobian`, and the nullspace of its leading block is
-    spanned by the last two columns of J^-1.  Returns (v, c, failures):
+    spanned by the leading rows of the last two columns of J^-1.  J is
+    balanced first: its -x border row and column are scaled by
+    |A| + |C|, which scales the second column by 1/(|A| + |C|) and keeps
+    the span, so that the rank test reads the same basis for (sA, sC) as
+    for (A, C).  Returns (v, c, failures):
     the (k, n, 2) orthonormal bases v with V^H C V = diag(c1, c2), the
     (k, 2) entries (c1, c2), c1 >= c2, as `diagonalize_form` gives them,
     and a list that holds, per member, None or JACOBIAN_NEAR_SINGULAR
@@ -114,6 +120,9 @@ def projection_basis(pair, starts):
     """
     n = pair.n
     j = jacobian(pair, starts)
+    sigma = pair.norm_a + pair.norm_c
+    j[:, :n, n + 1] *= sigma
+    j[:, n + 1, :n] *= sigma
     e = np.zeros((n + 2, 2))
     e[n, 0] = e[n + 1, 1] = 1.0
     # An orthonormal basis of each nullspace: the left singular vectors,

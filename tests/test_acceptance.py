@@ -316,6 +316,12 @@ def test_oracle_solver_closure_on_random_pairs():
             assert drift <= 1e-9
 
 
+def _child_env():
+    """The environment of a child that imports the same twodevp as this process, installed or not."""
+    src = os.path.dirname(os.path.dirname(td.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_cli_reports_are_deterministic(tmp_path):
     pair, _ = refpairs.simple_pair_desk()
     ppath = tmp_path / "pair.json"
@@ -327,10 +333,7 @@ def test_cli_reports_are_deterministic(tmp_path):
         "--target-mu", "0", "--target-lambda", "1",
         "--eps", "1e-3", "--trials", "50", "--seed", "77",
     ]
-    # the child imports the same twodevp as this process, installed or not
-    src = os.path.dirname(os.path.dirname(td.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _child_env()
     outs = []
     for rerun in range(2):
         out = tmp_path / ("report%d.json" % rerun)
@@ -338,3 +341,24 @@ def test_cli_reports_are_deterministic(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert json.loads(outs[0])  # valid JSON
+
+
+def test_package_never_loads_scipy():
+    # numpy is the one runtime dependency (pyproject.toml); the tests and
+    # perfbench use scipy, so a fresh process shows what the package loads
+    code = """if True:
+        import sys
+        import twodevp as td
+        from twodevp import cli, harness, refpairs
+        td.scan(harness.random_pair(8, (4, 4), 0), -1.0, 1.0, 16)
+        pair, trip = refpairs.simple_pair_desk()
+        target = td.eigvec_set(pair, trip.mu, trip.lam)
+        assert td.solve(pair, td.perturbed_start(target, 1e-3, 0)).status is td.Status.CONVERGED
+        td.scaling_study(target, [1e-2, 1e-3], 2, 0)
+        td.classify(pair, trip.mu, trip.lam)
+        cli.build_parser().parse_args(["classify", "--pair", "p.json", "--mu", "0", "--lambda", "1"])
+        print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+    """
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=_child_env(),
+                         capture_output=True, text=True)
+    assert out.stdout == "[]\n"

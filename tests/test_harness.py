@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -181,7 +179,7 @@ def test_scaling_study_report_shape():
     assert len(st.errors_mu) == 2 and len(st.errors_lambda) == 2
     assert st.failed == 0 and st.total == 10
     assert set(st.fitted_slopes) == {"mu", "lambda", "x"}
-    d = asdict(st)
+    d = st._asdict()
     assert d["epsilons"] == [1e-2, 1e-3]
 
 
@@ -209,7 +207,7 @@ def test_scaling_study_reports_fit_points():
     # at eps = 1e-4; mu and x stay well above it
     assert st.fit_epsilons["lambda"] == [1e-2, 1e-3]
     assert st.fit_epsilons["mu"] == st.fit_epsilons["x"] == [1e-2, 1e-3, 1e-4]
-    assert asdict(st)["fit_epsilons"] == st.fit_epsilons
+    assert st._asdict()["fit_epsilons"] == st.fit_epsilons
 
 
 def test_ritz_study_requires_simple_target():

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from twodevp import refpairs
+from twodevp.classify import Target, classify
+from twodevp.curves import eig_at
 from twodevp.errors import TwoDevpError
+from twodevp.harness import conditioning_study, scaling_study
 from twodevp.model import (
     HermitianPair,
     Triplet,
@@ -16,6 +19,7 @@ from twodevp.model import (
     save_pair,
     save_triplet,
 )
+from twodevp.oracle import scan
 
 SQ2 = np.sqrt(2.0)
 
@@ -208,6 +212,13 @@ def test_triplet_roundtrip(tmp_path):
 
 
 def test_normalized_constructor():
+    # the plain constructor converts too: float scalars, a read-only complex copy of x
+    x = [1, 1]
+    t = Triplet(0, 1, x)
+    assert type(t.mu) is float and type(t.lam) is float
+    assert t.x.dtype == complex and t.x.shape == (2,) and not t.x.flags.writeable
+    x[0] = 5
+    assert np.array_equal(t.x, [1.0, 1.0])
     t = Triplet.normalized(0.0, 0.0, np.array([3.0, 4.0]))
     assert np.isclose(np.linalg.norm(t.x), 1.0)
     with pytest.raises(ValueError):
@@ -221,3 +232,20 @@ def test_normalized_constructor():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="finite"):
                     Triplet.normalized(*start)
+
+
+def test_value_records_refuse_assignment():
+    pair, trip = refpairs.simple_pair_desk()
+    target = Target.at(pair, trip, "simple")
+    hit = scan(refpairs.simple_pair_2x2(), -1.0, 1.0, 16)[0][0]
+    records = [
+        (Triplet(0.0, 1.0, [1.0, 1.0]), "mu"),
+        (eig_at(pair, 0.0), "values"),
+        (hit, "triplet"),
+        (classify(pair, trip.mu, trip.lam), "kind"),
+        (scaling_study(target, [1e-2, 1e-3], 2, 0), "failed"),
+        (conditioning_study(target, [1e-3], 2, 0), "trials"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

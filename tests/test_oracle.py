@@ -12,6 +12,8 @@ from twodevp.model import HermitianPair, residual
 from twodevp.harness import random_pair, random_pair_with_crossing
 from twodevp.oracle import HitKind, refine_critical, refine_crossing, scan
 
+from helpers import residual_scale
+
 SQ2 = np.sqrt(2.0)
 
 
@@ -89,7 +91,7 @@ def test_hits_have_small_residuals():
         hits, _ = scan(pair, window[0], window[1], 64)
         assert hits
         for h in hits:
-            scale = pair.scale(h.triplet.mu, h.triplet.lam)
+            scale = residual_scale(pair, h.triplet.mu, h.triplet.lam)
             assert np.linalg.norm(residual(pair, h.triplet)) <= 1e-9 * scale
 
 
@@ -313,7 +315,7 @@ def test_scan_files_triple_crossing_as_crossing():
     assert hits
     assert all(h.kind is HitKind.CROSSING for h in hits)
     for h in hits:
-        assert np.linalg.norm(residual(pair, h.triplet)) <= 1e-10 * pair.scale(h.triplet.mu, h.triplet.lam)
+        assert np.linalg.norm(residual(pair, h.triplet)) <= 1e-10 * residual_scale(pair, h.triplet.mu, h.triplet.lam)
 
 
 def test_scan_returns_a_crossing_on_a_grid_point_once():

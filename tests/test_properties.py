@@ -15,6 +15,8 @@ from twodevp.errors import TwoDevpError
 from twodevp.harness import random_pair
 from twodevp.model import HermitianPair, Triplet, residual
 
+from helpers import residual_scale
+
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
 
 
@@ -49,4 +51,4 @@ def test_scan_returns_or_raises_twodevp_error(pair, lo, width, n_grid):
         return
     assert all(isinstance(h.kind, oracle.HitKind) for h in hits)
     for h in hits:
-        assert np.linalg.norm(residual(pair, h.triplet)) <= 1e-10 * pair.scale(h.triplet.mu, h.triplet.lam)
+        assert np.linalg.norm(residual(pair, h.triplet)) <= 1e-10 * residual_scale(pair, h.triplet.mu, h.triplet.lam)

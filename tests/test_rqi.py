@@ -402,6 +402,26 @@ def test_step_from_an_overflowing_start_is_near_singular():
             assert step(pair, TripletStack.of([t0])).failures == (Status.JACOBIAN_NEAR_SINGULAR,)
 
 
+def test_solve_does_not_depend_on_the_scale_of_the_pair():
+    # (sA, sC) has the 2D-eigenvalues (mu, s lam) of (A, C); with J balanced,
+    # the rank test of projection_basis reads the same basis at every s
+    for (pair, trip), regime in ((refpairs.simple_pair_desk(), "simple"),
+                                 (refpairs.multiple_pair_desk(), "multiple")):
+        starts = perturbed_starts(Target.at(pair, trip, regime), 1e-2, 0, range(20))
+
+        def runs(s):
+            scaled = HermitianPair(s * pair.a, s * pair.c)
+            return [solve(scaled, Triplet(t.mu, s * t.lam, t.x), tol_abs=0.0) for t in starts]
+
+        base = runs(1.0)
+        for s in (1e10, 1e12, 1e14, 1e100):
+            for one, got in zip(base, runs(s)):
+                assert got.status is one.status, (regime, s)
+                assert len(got.iterates) == len(one.iterates), (regime, s)
+                assert abs(got.final.mu - one.final.mu) <= 1e-12
+                assert abs(got.final.lam / s - one.final.lam) <= 1e-12
+
+
 def test_solve_records_reference_errors():
     pair, trip = refpairs.simple_pair_desk()
     rng = np.random.default_rng(9)
