@@ -21,7 +21,7 @@ from . import harness, oracle, rqi
 from .classify import classify as run_classify, eigvec_set
 from .errors import TwoDevpError
 from .kernels import isotropic_weights
-from .model import Triplet, complex_to_json, load_pair, load_triplet, residual, save_pair
+from .model import Triplet, complex_to_json, load_pair, load_triplet, residual_norm, save_pair
 
 STUDIES = {
     "scaling": harness.scaling_study,
@@ -148,7 +148,7 @@ def cmd_oracle(args):
                 "x": complex_to_json(h.triplet.x),
                 "bracket": h.bracket,
                 "refined_to": h.refined_to,
-                "residual": float(np.linalg.norm(residual(pair, h.triplet))),
+                "residual": residual_norm(pair, h.triplet),
             }
             for h in hits
         ],

@@ -4,11 +4,12 @@
 `trace_curves` samples them on a uniform grid, so that curve i of the grid
 is the sorted eigencurve the oracle scans: curve 0 is the largest
 eigenvalue at every mu.  From order kernels.THREADS_MIN_N up, the grid's
-eig_at calls run on one thread per free CPU (kernels.map_threads), each
-giving bitwise the point that a serial call gives.  The derivative
-helpers give the derivatives of the branch through (lam, x) as sums over
-the eigenpairs (w_j, v_j) of A - mu*C outside the cluster of lam,
-d_j = v_j^H C x; as A - mu*C is linear in mu, lam''' needs only x':
+eig_at calls run on a pool of one thread per free CPU (kernels.map_threads),
+where a free thread takes the next mu; each gives bitwise the point that a
+serial call gives.  The derivative helpers give the derivatives of the
+branch through (lam, x) as sums over the eigenpairs (w_j, v_j) of
+A - mu*C outside the cluster of lam, d_j = v_j^H C x; as A - mu*C is
+linear in mu, lam''' needs only x':
 
     lam'(mu)   = -x^H C x
     x'(mu)     = sum_j v_j d_j / (w_j - lam)

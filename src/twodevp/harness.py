@@ -84,6 +84,8 @@ def convergence_order(errors):
     sequence is not strictly decreasing, are excluded.
     """
     errors = np.asarray(errors, dtype=float)
+    if errors.ndim != 1:
+        raise TwoDevpError("need a 1-d sequence of errors, got ndim=%d" % errors.ndim)
     if errors.size < 3:
         raise TwoDevpError("need at least 3 error values, got %d" % errors.size)
     orders = []
@@ -157,6 +159,8 @@ def _trial_blocks(eps_list, trials):
     """
     if trials < 1:
         raise ValueError("need trials >= 1, got %r" % trials)
+    if len(eps_list) == 0:
+        raise ValueError("need at least one eps")
     return [(eps, range(i * trials, (i + 1) * trials))
             for i, eps in enumerate(sorted(eps_list, reverse=True))]
 

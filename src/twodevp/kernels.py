@@ -4,11 +4,11 @@ All matrices are numpy arrays of dtype complex128.  The functions here add
 input validation and the convention the rest of the package relies on
 (descending eigenvalue order) on top of LAPACK via numpy.linalg;
 `isotropic_set` builds every cluster's isotropic vector, and `map_threads`
-runs independent decompositions on the free CPUs (numpy releases the GIL).
+runs independent decompositions on a thread pool (numpy releases the GIL).
 """
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,38 +30,18 @@ def thread_workers(n, k):
 
 
 def map_threads(fn, items, n):
-    """[fn(x) for x in items], on thread_workers(n, len(items)) threads.
+    """[fn(x) for x in items], on a pool of thread_workers(n, len(items)) threads.
 
-    The calling thread takes items 0, w, 2w, ... of w workers, and each of
-    w - 1 new threads one more such interleaved chunk, filling each item's
-    (result, exception) slot.  After the joins, the exception of the first
-    failed slot is raised, as by the serial loop, or the results returned.
+    A free thread takes the next item, and every item runs.  Once all have
+    ended, the first failure in item order is raised, or the results returned.
     """
     items = list(items)
     workers = thread_workers(n, len(items))
     if workers == 1:
         return [fn(x) for x in items]
-    slots = [None] * len(items)
-
-    def run(w):
-        for b in range(w, len(items), workers):
-            try:
-                slots[b] = fn(items[b]), None
-            except Exception as exc:
-                slots[b] = None, exc
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    try:
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    for _, exc in slots:
-        if exc is not None:
-            raise exc
-    return [out for out, _ in slots]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(fn, x) for x in items]
+        return [f.result() for f in futures]
 
 
 def check_hermitian(m):

@@ -6,8 +6,9 @@ complex vector.  This module owns the nonlinear residual map
 
     F(mu, lam, x) = [ (A - mu*C - lam*I) x ;  -x^H C x / 2 ;  (1 - x^H x)/2 ]
 
-whose roots are the solutions of the two-parameter problem, its bordered
-(n+2) x (n+2) Jacobian, and JSON file I/O for pairs and triplets.
+whose roots are the solutions of the two-parameter problem, its norm,
+its bordered (n+2) x (n+2) Jacobian, and JSON file I/O for pairs and
+triplets.
 
 A Triplet is a value, an immutable NamedTuple.  A HermitianPair and a
 TripletStack are objects that compare by identity.
@@ -123,6 +124,33 @@ def residual(pair, t):
     f[n] = -0.5 * np.vdot(x, cx).real
     f[n + 1] = 0.5 * (1.0 - np.vdot(x, x).real)
     return f
+
+
+def power_of_two_near(x):
+    """The power of two nearest a positive x, kept where it and its reciprocal are normal floats.
+
+    Dividing by it, and multiplying back, is exact in the normal range.
+    """
+    return 2.0 ** min(max(round(math.log2(x)), -1021), 1021)
+
+
+def residual_norm(pair, t):
+    """|F| at a triplet, finite wherever F and its norm are, with no warning.
+
+    The 2-norm sums squares, which overflow from entries of about 1e154 and
+    underflow below about 1e-154.  A norm that is not finite, or below
+    1e-150 for a nonzero F, is taken again of F divided by a power of two
+    near its largest entry, which is exact.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = residual(pair, t)
+        nrm = float(np.linalg.norm(f))
+        if not math.isfinite(nrm) or nrm < 1e-150 and np.any(f):
+            big = float(np.max(np.abs(f)))  # inf only where the norm overflows too
+            if math.isfinite(big):
+                unit = power_of_two_near(big)
+                nrm = float(np.linalg.norm(f / unit)) * unit
+    return nrm
 
 
 def jacobian(pair, t):

@@ -18,11 +18,13 @@ through the crossing are smooth.  The cluster of the eigenvalue at the
 refined mu tells the two kinds apart.
 
 From order kernels.THREADS_MIN_N up, the grid is traced and every bracket
-refined on one thread per free CPU (kernels.map_threads); the floor is the
-crossover measured for scan on 2 cores.  refine_critical is a pure
-function of its cell, and the hits are then read in the serial order, so
-the hits and suspects are bitwise those of the serial scan.  Below the
-floor a bracket that an earlier hit closed is not refined at all.
+refined on a pool of one thread per free CPU (kernels.map_threads), where a
+free thread takes the next bracket, so that refinements of uneven cost
+balance; the floor is the crossover measured for scan on 2 cores.
+refine_critical is a pure function of its cell, and the hits are then read
+in the serial order, so the hits and suspects are bitwise those of the
+serial scan.  Below the floor a bracket that an earlier hit closed is not
+refined at all.
 """
 
 from enum import Enum

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import conj_t, diagonalize_form, isotropic_weights
-from .model import TripletStack, jacobian, jacobian_hat, residual
+from .model import TripletStack, jacobian, jacobian_hat, power_of_two_near, residual_norm
 
 DEFAULT_OPTS = {"tol_abs": 1e-12, "tol_rel": 1e-14, "max_iter": 50}
 _SIGNS = np.array([1.0, -1.0])  # of the two candidates of a projected problem
@@ -208,13 +208,22 @@ def step(pair, starts):
 
     Each stage runs once on the whole stack.  A member whose step fails
     gets its Status in `failures`; nothing raises, and a start past
-    overflow warns nothing: its basis fails the rank test.
+    overflow warns nothing: its basis fails the rank test.  Where
+    |A| + |C| lies outside [2^-400, 2^400], the projected pairs are divided
+    by the power of two nearest it before their closed form, whose
+    products would over- or underflow, and theta is multiplied back.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         v, c, failures = projection_basis(pair, starts)
         a11, a12, a22 = form_rq(pair, v)
         c1, c2 = c.T
-        cands = solve_2x2(a11, a12, a22, c1, c2)
+        sigma = pair.norm_a + pair.norm_c
+        if 2.0 ** -400 <= sigma <= 2.0 ** 400:
+            cands = solve_2x2(a11, a12, a22, c1, c2)
+        else:
+            unit = power_of_two_near(sigma)
+            cands = solve_2x2(a11 / unit, a12 / unit, a22 / unit, c1 / unit, c2 / unit)
+            cands = cands._replace(theta=cands.theta * unit)
         for i, ok in enumerate(cands.indefinite.tolist()):
             if not ok and failures[i] is None:
                 failures[i] = Status.INDEFINITENESS_LOST
@@ -231,10 +240,11 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     to its 2D-eigenvector set: the target's `errors`.  Failures that the
     local theory anticipates (projected C losing indefiniteness, nullspace
     rank collapse) end the run with the Status that `step` gives the
-    member.  An iterate whose residual norm is not finite, as at a start
-    that is not finite or one so large that the norm overflows, ends the
-    run with NON_FINITE.  Raises ValueError when max_iter < 0, when tol_abs
-    is negative or not finite, or when the reference is no Target of pair.
+    member.  An iterate whose residual norm (`model.residual_norm`) or
+    tolerance is not finite, as at a start that is not finite or one so
+    large that the tolerance overflows, ends the run with NON_FINITE.
+    Raises ValueError when max_iter < 0, when tol_abs is negative or not
+    finite, or when the reference is no Target of pair.
     """
     tol_abs = DEFAULT_OPTS["tol_abs"] if tol_abs is None else tol_abs
     max_iter = DEFAULT_OPTS["max_iter"] if max_iter is None else max_iter
@@ -244,21 +254,19 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         raise ValueError("need a finite tol_abs >= 0, got %r" % tol_abs)
     if reference is not None and getattr(reference, "pair", None) is not pair:
         raise ValueError("the reference must be a Target of this pair, as eigvec_set returns")
-    # a start past overflow gives an infinite or NaN norm here, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        res_norm = float(np.linalg.norm(residual(pair, t0)))
-
+    res_norm = residual_norm(pair, t0)
     trace = RqiTrace()
     t = t0
     for k in range(max_iter + 1):
         rec = IterateRecord(k=k, triplet=t, res_norm=res_norm)
         trace.iterates.append(rec)
-        if not math.isfinite(res_norm):
+        # Python floats overflow to inf without a warning
+        tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
+        if not (math.isfinite(res_norm) and math.isfinite(tol)):
             trace.status = Status.NON_FINITE
             return trace
         if reference is not None:
             rec.err_mu, rec.err_lambda, rec.err_x = reference.errors(t.mu, t.lam, t.x)
-        tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
         if res_norm <= tol:
             trace.status = Status.CONVERGED
             return trace
@@ -271,4 +279,4 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
             return trace
         t = out.triplets[0]
         rec.c1, rec.c2, rec.abs_a12 = float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0])
-        res_norm = float(np.linalg.norm(residual(pair, t)))
+        res_norm = residual_norm(pair, t)

@@ -104,6 +104,17 @@ def test_perturbed_start_range_check():
         perturbed_start(simple_target(), 0.5, 0)
 
 
+def test_convergence_order_needs_a_sequence():
+    with pytest.raises(TwoDevpError, match="1-d"):
+        convergence_order([[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_conditioning_study_of_no_eps_is_an_input_error():
+    # an empty report would have no verdicts, and pass
+    with pytest.raises(ValueError, match="eps"):
+        conditioning_study(simple_target(), [], 5, 0)
+
+
 def test_scaling_study_needs_a_decade():
     with pytest.raises(ValueError):
         scaling_study(simple_target(), [1e-2], 5, 0)

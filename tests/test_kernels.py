@@ -174,7 +174,7 @@ def test_map_threads_keeps_item_order_on_at_most_the_free_cpus():
         seen.setdefault(threading.get_ident(), []).append(x)
         return x * x
 
-    # switch threads as often as the interpreter can, so that chunks interleave
+    # switch threads as often as the interpreter can, so that items interleave
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -182,9 +182,9 @@ def test_map_threads_keeps_item_order_on_at_most_the_free_cpus():
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
-    # each thread, the calling one first, takes one interleaved chunk in order
-    assert seen.pop(threading.get_ident()) == list(range(0, 11, workers))
-    assert sorted(seen.values()) == [list(range(w, 11, workers)) for w in range(1, workers)]
+    # the pool's threads run every item once, and the calling thread none
+    assert 1 <= len(seen) <= workers and threading.get_ident() not in seen
+    assert sorted(x for xs in seen.values() for x in xs) == list(range(11))
 
 
 @pytest.mark.parametrize("bad", [{3}, {4, 7}, {1, 2}, {9}])
@@ -222,3 +222,20 @@ def test_map_threads_runs_every_item_past_failures_in_two_chunks():
         map_threads(fn, range(10), n)
     assert caught.value is errors[1]
     assert sorted(ran) == list(range(10))
+
+
+def test_map_threads_reraises_a_base_exception_of_a_pool_thread():
+    n = kernels.THREADS_MIN_N
+    if thread_workers(n, 10) < 2:
+        pytest.skip("one CPU is free, so map_threads never starts a thread")
+    before = threading.active_count()
+
+    def fn(x):
+        if x == 3:
+            raise SystemExit(x)
+        return x
+
+    with pytest.raises(SystemExit) as caught:
+        map_threads(fn, range(10), n)
+    assert caught.value.code == 3
+    assert threading.active_count() == before

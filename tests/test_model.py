@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from twodevp.model import (
     load_pair,
     load_triplet,
     residual,
+    residual_norm,
     save_pair,
     save_triplet,
 )
@@ -96,6 +98,25 @@ def test_residual_phase_invariance():
     assert np.isclose(np.linalg.norm(f1), np.linalg.norm(f2))
     assert f1[-1] == f2[-1]
     assert np.isclose(f1[-2].real, f2[-2].real)
+
+
+def test_residual_norm_scales_with_the_pair():
+    # the plain 2-norm inside the normal range; outside it, where its sum of
+    # squares over- or underflows, the norm of F taken at a power of two,
+    # against math.hypot, which scales as it sums
+    pair, trip = refpairs.simple_pair_desk()
+    t = Triplet.normalized(trip.mu + 0.01, trip.lam - 0.01, trip.x + 0.01)
+    assert residual_norm(pair, t) == float(np.linalg.norm(residual(pair, t)))
+    # at a unit basis vector, F's last entry is exactly 0 and every entry scales
+    for x in (t.x, np.eye(pair.n)[0]):
+        for s in (1e-300, 1e-200, 1e160, 1e300):
+            scaled, ts = HermitianPair(s * pair.a, s * pair.c), Triplet(t.mu, s * t.lam, x)
+            f = residual(scaled, ts)
+            exact = math.hypot(*np.abs(f.real), *np.abs(f.imag))
+            assert 0.0 < exact < np.inf
+            assert abs(residual_norm(scaled, ts) - exact) <= 1e-14 * exact
+    assert residual_norm(pair, trip) < 1e-14
+    assert np.isnan(residual_norm(pair, Triplet(np.nan, trip.lam, trip.x)))
 
 
 def test_residual_dimension_mismatch():

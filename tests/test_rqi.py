@@ -367,19 +367,27 @@ def test_solve_rejects_a_tolerance_it_cannot_meet():
 
 
 def test_solve_non_finite_start_is_a_status():
-    # so is a start whose residual norm overflows, from |mu| = 1e155 on,
-    # with no warning and no raw numpy error
+    # so is a start whose tolerance overflows, with no warning and no raw
+    # numpy error; a huge start with a finite residual and tolerance fails
+    # the rank test of its first step instead
     for pair, trip in (refpairs.simple_pair_desk(), refpairs.multiple_pair_desk()):
         x_inf = np.array(trip.x)
         x_inf[0] = np.inf
-        huge = [Triplet(mu, lam, trip.x) for mu in (1e155, 1e200, 1e308, -1e308) for lam in (0.0, 1e308)]
         for t0 in [
             Triplet(np.nan, trip.lam, trip.x),
             Triplet(trip.mu, np.nan, trip.x),
             Triplet(trip.mu, trip.lam, x_inf),
-        ] + huge:
+            Triplet(1e308, 1e308, trip.x),
+            Triplet(-1e308, 1e308, trip.x),
+        ]:
             trace = solve(pair, t0)
             assert trace.status is Status.NON_FINITE
+            assert len(trace.iterates) == 1 and trace.final is t0
+        huge = [Triplet(mu, lam, trip.x) for mu in (1e155, 1e200) for lam in (0.0, 1e308)]
+        for t0 in huge + [Triplet(1e308, 0.0, trip.x), Triplet(-1e308, 0.0, trip.x)]:
+            trace = solve(pair, t0)
+            assert np.isfinite(trace.iterates[0].res_norm)
+            assert trace.status is Status.JACOBIAN_NEAR_SINGULAR
             assert len(trace.iterates) == 1 and trace.final is t0
 
 
@@ -414,12 +422,26 @@ def test_solve_does_not_depend_on_the_scale_of_the_pair():
             return [solve(scaled, Triplet(t.mu, s * t.lam, t.x), tol_abs=0.0) for t in starts]
 
         base = runs(1.0)
-        for s in (1e10, 1e12, 1e14, 1e100):
+        for s in (1e10, 1e12, 1e14, 1e100, 1e160, 1e200, 1e300):
             for one, got in zip(base, runs(s)):
                 assert got.status is one.status, (regime, s)
                 assert len(got.iterates) == len(one.iterates), (regime, s)
                 assert abs(got.final.mu - one.final.mu) <= 1e-12
                 assert abs(got.final.lam / s - one.final.lam) <= 1e-12
+
+
+def test_step_on_a_pair_near_overflow_is_finite():
+    # the closed form's products of the projected pair would overflow at
+    # s = 1e300; scaled by a power of two, the step is that of (A, C)
+    pair, trip = refpairs.simple_pair_desk()
+    s = 1e300
+    t = Triplet.normalized(trip.mu + 0.01, trip.lam - 0.01, trip.x + 0.01)
+    out = step(HermitianPair(s * pair.a, s * pair.c), TripletStack.of([Triplet(t.mu, s * t.lam, t.x)]))
+    assert out.failures == (None,)
+    one = step_one(pair, t).triplets[0]
+    got = out.triplets[0]
+    assert np.isfinite(got.lam) and abs(got.lam / s - one.lam) <= 1e-14
+    assert abs(got.mu - one.mu) <= 1e-14
 
 
 def test_solve_records_reference_errors():
