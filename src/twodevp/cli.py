@@ -80,7 +80,8 @@ def _auto_x0(pair, mu0, lam0):
     if n is None:
         return point.vectors[:, p]
     pos, neg = (p, n) if forms[p] > 0 else (n, p)
-    t, s = isotropic_weights(forms[pos], forms[neg])
+    # one-element arrays, on which ** 0.5 is the correctly rounded sqrt
+    t, s = isotropic_weights(forms[pos:pos + 1], forms[neg:neg + 1])
     return t * point.vectors[:, pos] + s * point.vectors[:, neg]
 
 
@@ -197,7 +198,8 @@ def build_parser():
     ps.add_argument("--lambda0", type=float, required=True)
     ps.add_argument("--x0", help="triplet file providing the starting vector (default: the isotropic "
                     "mix of two eigenvectors of A - mu0 C near lambda0)")
-    ps.add_argument("--tol-abs", type=float, default=None)
+    ps.add_argument("--tol-abs", type=float, default=None,
+                    help="absolute residual tolerance (default: 1e-12 times min(1, |A| + |C|))")
     ps.add_argument("--max-iter", type=int, default=None)
     ps.add_argument("--reference", help="triplet file whose (mu, lambda) is a known nonsingular 2D-eigenvalue")
     ps.set_defaults(func=cmd_solve)

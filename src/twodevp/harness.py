@@ -233,8 +233,9 @@ def ritz_approx_study(target, eps_list, trials, seed):
         g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
         v, ce = diagonalize_form(pair.c, orthonormalize(ideal + eps * g))
         cands = rqi.solve_2x2(*rqi.form_rq(pair, v), *ce.T)
+        nu, theta, z = cands.nu, cands.theta, cands.z
         first, second = (np.column_stack(target.errors(
-            cands.nu[:, c], cands.theta[:, c], (v @ cands.z[:, c, :, None])[..., 0])) for c in (0, 1))
+            nu[:, c], theta[:, c], (v @ z[:, c, :, None])[..., 0])) for c in (0, 1))
         best = np.where((first.sum(axis=1) <= second.sum(axis=1))[:, None], first, second)
         return best[cands.indefinite], int(np.count_nonzero(~cands.indefinite))
 

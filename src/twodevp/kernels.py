@@ -104,10 +104,14 @@ def isotropic_weights(c1, c2):
 
     t v1 + s v2 is then an isotropic unit vector for orthonormal v1, v2
     with v1^H C v1 = c1, v2^H C v2 = c2 and v1^H C v2 = 0.  Works
-    elementwise on arrays.  Precondition, not checked here: c1 > 0 > c2
-    throughout; callers that can meet a definite form test it first.
+    elementwise on arrays, and on Python floats.  Precondition, not checked
+    here: c1 > 0 > c2 throughout; callers that can meet a definite form
+    test it first.  On arrays, ** 0.5 is numpy's correctly rounded sqrt;
+    on Python floats it is C's pow, which rounds about one result in
+    1,000 to the other neighbour.
     """
-    return np.sqrt(-c2 / (c1 - c2)), np.sqrt(c1 / (c1 - c2))
+    d = c1 - c2
+    return (-c2 / d) ** 0.5, (c1 / d) ** 0.5
 
 
 def isotropic_set(c, basis):
@@ -117,11 +121,11 @@ def isotropic_set(c, basis):
     directions and w their isotropic weights; v = w = None unless e[0] > 0 > e[-1].
     """
     v, e = diagonalize_form(c, basis)
-    c1, c2 = float(e[0]), float(e[-1])
-    if not c1 > 0.0 > c2:
+    if not e[0] > 0.0 > e[-1]:
         return None, None, e
-    # a view of columns 0 and k - 1: at k = 2, v in its own layout, which sets the bits of v @ w
-    return v[:, :: e.size - 1], np.array(isotropic_weights(c1, c2)), e
+    # a view of columns 0 and k - 1: at k = 2, v in its own layout, which sets the bits of v @ w;
+    # the weights of one-element arrays, for the correctly rounded sqrt
+    return v[:, :: e.size - 1], np.concatenate(isotropic_weights(e[:1], e[-1:])), e
 
 
 def orthonormalize(m):

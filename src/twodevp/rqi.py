@@ -15,12 +15,16 @@ One step from the iterate (mu_k, lam_k, x_k):
   3. solve the projected 2 x 2 problem (V^H A V, V^H C V) in closed form,
      which yields two candidate triplets; they coincide when the
      off-diagonal entry a12 of V^H A V is zero;
-  4. pick the candidate closest to (mu_k, lam_k) in |d mu| + |d lam| and
-     lift its 2-vector through V.
+  4. pick the candidate closest to (mu_k, lam_k) in |d mu| + |d lam| / u,
+     u = curves.floor_unit(pair), as lam scales with the pair and mu does
+     not, and lift its 2-vector through V.
 
 `step` takes this step from each of a stack of k iterates at once:
 every stage is one numpy call on the stack, or a few, and a member whose
-step fails gets the Status that stopped it.  `solve` steps stacks of one.
+step fails gets the Status that stopped it.  `solve` steps stacks of one,
+whose stages 3 and 4 run on Python numbers: the closed form and the
+choice are written with operators and builtins only, so the same lines
+serve a stack and one start.
 
 A step's results, RitzCandidates and StepStack, are values, immutable
 NamedTuples.  The records of a run, RqiTrace and its IterateRecords, are
@@ -33,11 +37,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .curves import floor_unit
 from .kernels import conj_t, diagonalize_form, isotropic_weights
 from .model import TripletStack, jacobian, jacobian_hat, power_of_two_near, residual_norm
 
 DEFAULT_OPTS = {"tol_abs": 1e-12, "tol_rel": 1e-14, "max_iter": 50}
-_SIGNS = np.array([1.0, -1.0])  # of the two candidates of a projected problem
 
 
 class Status(Enum):
@@ -49,17 +53,37 @@ class Status(Enum):
 
 
 class RitzCandidates(NamedTuple):
-    """The two candidates of each of k projected 2 x 2 problems.
+    """The two candidates of each of k projected 2 x 2 problems, or of one.
 
-    Candidate c of member i is (nu[i, c], theta[i, c]) with 2-vector
-    z[i, c].  Where indefinite[i] is False, the member's projected C is
-    not indefinite and its candidates are placeholders.
+    Candidate 0 of a problem is (nu0 + dnu, theta0 + dtheta) with 2-vector
+    [t, w], and candidate 1 is (nu0 - dnu, theta0 - dtheta) with [t, -w].
+    The fields are arrays of shape (k,) for k problems, Python numbers for
+    one problem given as Python numbers; the properties nu, theta and z
+    give the candidates as (k, 2), (k, 2) and (k, 2, 2) arrays, or (2,),
+    (2,) and (2, 2) for one problem.  Where indefinite is False, the
+    problem's projected C is not indefinite and its candidates are
+    placeholders.
     """
 
-    nu: np.ndarray         # k x 2
-    theta: np.ndarray      # k x 2
-    z: np.ndarray          # k x 2 x 2
-    indefinite: np.ndarray  # k
+    nu0: np.ndarray
+    dnu: np.ndarray
+    theta0: np.ndarray
+    dtheta: np.ndarray
+    t: np.ndarray
+    w: np.ndarray
+    indefinite: np.ndarray
+
+    @property
+    def nu(self):
+        return np.stack((self.nu0 + self.dnu, self.nu0 - self.dnu), axis=-1)
+
+    @property
+    def theta(self):
+        return np.stack((self.theta0 + self.dtheta, self.theta0 - self.dtheta), axis=-1)
+
+    @property
+    def z(self):
+        return np.stack((np.stack((self.t, self.w), axis=-1), np.stack((self.t, -self.w), axis=-1)), axis=-2)
 
 
 class StepStack(NamedTuple):
@@ -174,67 +198,104 @@ def solve_2x2(a11, a12, a22, c1, c2):
     theta = (c1 a22 - c2 a11 +- 2 g |a12|) / d and
     nu = (a11 - a22 +- (c1 + c2) |a12| / g) / d.  A problem needs
     c1 > 0 > c2; where it fails, `indefinite` is False.
+
+    Operators and builtins only: the same lines take arrays of k problems
+    and, at the speed of Python arithmetic, one problem given as Python
+    numbers.  Python numbers raise where numpy gives inf or nan, as a
+    ZeroDivisionError where t or s underflows.
     """
     indefinite = (c1 > 0) & (c2 < 0)
-    c1 = np.where(indefinite, c1, 1.0)
-    c2 = np.where(indefinite, c2, -1.0)
-    t, s = isotropic_weights(c1, c2)  # c1 > 0 > c2 once masked
-    r = np.abs(a12)
+    # (1, -1) where not indefinite: placeholders, nan only where c1 or c2 is
+    c1 = indefinite * c1 + (1.0 - indefinite)
+    c2 = indefinite * c2 - (1.0 - indefinite)
+    t, s = isotropic_weights(c1, c2)
+    r = abs(a12)
     zero = r == 0
-    alpha = (np.conj(a12) + zero) / (r + zero)  # 1 where a12 == 0
+    # 1 where a12 == 0; times the reciprocal, as numpy divides a complex by a real, so
+    # that Python numbers round here as arrays do
+    alpha = (a12.conjugate() + zero) * (1.0 / (r + zero))
     d = c1 - c2
     g = t * s * d
-    pm = (r / d)[..., None] * _SIGNS  # +-|a12| / d for the two candidates
-    theta = ((c1 * a22 - c2 * a11) / d)[..., None] + (2.0 * g)[..., None] * pm
-    nu = ((a11 - a22) / d)[..., None] + ((c1 + c2) / g)[..., None] * pm
-    z = np.empty(pm.shape + (2,), dtype=complex)
-    z[..., 0] = t[..., None]
-    z[..., 1] = (alpha * s)[..., None] * _SIGNS
-    return RitzCandidates(nu, theta, z, indefinite)
+    rd = r / d
+    return RitzCandidates((a11 - a22) / d, (c1 + c2) / g * rd, (c1 * a22 - c2 * a11) / d, 2.0 * g * rd,
+                          t, alpha * s, indefinite)
 
 
-def select_ritz(t_prev, candidates, v):
-    """Per member, lift the candidate closest to the previous (mu, lam) through its basis in v."""
-    nu, theta, z = candidates.nu, candidates.theta, candidates.z
-    gap = np.abs(t_prev.mu[:, None] - nu) + np.abs(t_prev.lam[:, None] - theta)
-    second = gap[:, 1] < gap[:, 0]  # the first on a tie
-    x = v @ np.where(second[:, None], z[:, 1], z[:, 0])[..., None]
-    return TripletStack(np.where(second, nu[:, 1], nu[:, 0]),
-                        np.where(second, theta[:, 1], theta[:, 0]), x[..., 0])
+def select_ritz(t_prev, candidates, v, lam_unit):
+    """Per member, lift the candidate nearest the previous (mu, lam) through its basis in v.
+
+    Nearest in |d mu| + |d lam| / lam_unit, the first candidate on a tie:
+    lam scales with the pair and mu does not, so `step` passes
+    curves.floor_unit(pair).  t_prev is the TripletStack of the previous
+    iterates, or their one Triplet where the candidates are Python
+    numbers.  Returns the chosen triplets as a TripletStack.
+    """
+    mu, lam = t_prev.mu, t_prev.lam
+    nu0, dnu, theta0, dtheta = candidates.nu0, candidates.dnu, candidates.theta0, candidates.dtheta
+    gap0 = abs(mu - (nu0 + dnu)) + abs(lam - (theta0 + dtheta)) / lam_unit
+    gap1 = abs(mu - (nu0 - dnu)) + abs(lam - (theta0 - dtheta)) / lam_unit
+    sign = 1.0 - 2.0 * (gap1 < gap0)  # -1 picks candidate 1
+    z = np.empty(v.shape[:-2] + (2, 1), dtype=complex)
+    z[..., 0, 0] = candidates.t
+    z[..., 1, 0] = sign * candidates.w
+    return TripletStack(np.array(nu0 + sign * dnu, ndmin=1), np.array(theta0 + sign * dtheta, ndmin=1),
+                        (v @ z)[..., 0])
+
+
+def _tail(pair, t_prev, v, a11, a12, a22, c1, c2):
+    """Stages 3 and 4 of a step: the indefinite flags and the chosen triplets.
+
+    Where |A| + |C| lies outside [2^-400, 2^400], the projected pairs are
+    divided by the power of two nearest it before their closed form, whose
+    products would over- or underflow, and theta is multiplied back.
+    """
+    sigma = pair.norm_a + pair.norm_c
+    if 2.0 ** -400 <= sigma <= 2.0 ** 400:
+        cands = solve_2x2(a11, a12, a22, c1, c2)
+    else:
+        unit = power_of_two_near(sigma)
+        cands = solve_2x2(a11 / unit, a12 / unit, a22 / unit, c1 / unit, c2 / unit)
+        cands = cands._replace(theta0=cands.theta0 * unit, dtheta=cands.dtheta * unit)
+    return cands.indefinite, select_ritz(t_prev, cands, v, floor_unit(pair))
 
 
 def step(pair, starts):
     """One iteration of the 2DRQI from each triplet of the TripletStack `starts`.
 
-    Each stage runs once on the whole stack.  A member whose step fails
-    gets its Status in `failures`; nothing raises, and a start past
-    overflow warns nothing: its basis fails the rank test.  Where
-    |A| + |C| lies outside [2^-400, 2^400], the projected pairs are divided
-    by the power of two nearest it before their closed form, whose
-    products would over- or underflow, and theta is multiplied back.
+    Each stage runs once on the whole stack.  A stack of one takes the
+    projected 2 x 2 tail (`solve_2x2`, `select_ritz`) on Python numbers,
+    where a numpy call on arrays of length one would cost more than its
+    arithmetic, and on arrays only where Python arithmetic raises.  A
+    member whose step fails gets its Status in `failures`; nothing
+    raises, and a start past overflow warns nothing: its basis fails the
+    rank test.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v, c, failures = projection_basis(pair, starts)
         a11, a12, a22 = form_rq(pair, v)
         c1, c2 = c.T
-        sigma = pair.norm_a + pair.norm_c
-        if 2.0 ** -400 <= sigma <= 2.0 ** 400:
-            cands = solve_2x2(a11, a12, a22, c1, c2)
-        else:
-            unit = power_of_two_near(sigma)
-            cands = solve_2x2(a11 / unit, a12 / unit, a22 / unit, c1 / unit, c2 / unit)
-            cands = cands._replace(theta=cands.theta * unit)
-        for i, ok in enumerate(cands.indefinite.tolist()):
+        tail = None
+        if len(starts) == 1:
+            try:
+                tail = _tail(pair, starts[0], v, a11.item(), a12.item(), a22.item(), c1.item(), c2.item())
+            except (ArithmeticError, ValueError):
+                pass  # where numpy gives inf or nan: the arrays below do
+        indefinite, triplets = tail or _tail(pair, starts, v, a11, a12, a22, c1, c2)
+        for i, ok in enumerate(np.array(indefinite, ndmin=1).tolist()):
             if not ok and failures[i] is None:
                 failures[i] = Status.INDEFINITENESS_LOST
-        return StepStack(select_ritz(starts, cands, v), c1, c2, np.abs(a12), tuple(failures))
+        return StepStack(triplets, c1, c2, np.abs(a12), tuple(failures))
 
 
 def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     """Run the 2DRQI from t0 until the residual is small or max_iter hits.
 
     The run converges once the residual norm is at most tol_abs +
-    DEFAULT_OPTS["tol_rel"] * (|A| + |mu| |C| + |lam|).  Given a reference,
+    DEFAULT_OPTS["tol_rel"] * (|A| + |mu| |C| + |lam|).  A tol_abs given
+    is absolute; the default is DEFAULT_OPTS["tol_abs"] in units of
+    curves.floor_unit(pair), so that a pair of norm below 1 is not
+    converged at once.  Each step is a `step` on a stack of one, which
+    takes its 2 x 2 tail on Python numbers.  Given a reference,
     a `classify.Target` of this pair as `eigvec_set` returns it, each
     iterate records its distances to the target's (mu, lam) and, as err_x,
     to its 2D-eigenvector set: the target's `errors`.  Failures that the
@@ -246,7 +307,7 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     Raises ValueError when max_iter < 0, when tol_abs is negative or not
     finite, or when the reference is no Target of pair.
     """
-    tol_abs = DEFAULT_OPTS["tol_abs"] if tol_abs is None else tol_abs
+    tol_abs = DEFAULT_OPTS["tol_abs"] * floor_unit(pair) if tol_abs is None else tol_abs
     max_iter = DEFAULT_OPTS["max_iter"] if max_iter is None else max_iter
     if max_iter < 0:
         raise ValueError("need max_iter >= 0")
@@ -256,7 +317,7 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         raise ValueError("the reference must be a Target of this pair, as eigvec_set returns")
     res_norm = residual_norm(pair, t0)
     trace = RqiTrace()
-    t = t0
+    t, stack = t0, TripletStack.of([t0])
     for k in range(max_iter + 1):
         rec = IterateRecord(k=k, triplet=t, res_norm=res_norm)
         trace.iterates.append(rec)
@@ -273,10 +334,11 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         if k == max_iter:
             trace.status = Status.MAX_ITERATIONS
             return trace
-        out = step(pair, TripletStack(np.array([t.mu]), np.array([t.lam]), t.x[None]))
+        out = step(pair, stack)
         if out.failures[0] is not None:
             trace.status = out.failures[0]
             return trace
-        t = out.triplets[0]
+        stack = out.triplets
+        t = stack[0]
         rec.c1, rec.c2, rec.abs_a12 = float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0])
         res_norm = residual_norm(pair, t)

@@ -4,7 +4,7 @@ import pytest
 from twodevp import refpairs, rqi
 from twodevp.angles import canonical_angles
 from twodevp.classify import Target, eigvec_set
-from twodevp.curves import eigvec_derivative
+from twodevp.curves import eigvec_derivative, floor_unit
 from twodevp.errors import TwoDevpError
 from twodevp.harness import (
     perturbed_start,
@@ -125,23 +125,106 @@ def test_step_makes_one_solve_and_no_large_svd(count_linalg):
         assert len(calls) == 2 + len(svds)
 
 
-def test_step_stack_matches_single_steps():
+def _desk_starts_and_failures(s):
+    """(regime, (sA, sC), 53 starts) per desk pair: 50 perturbed starts with
+    lam scaled by s, then three whose step fails at s = 1: a zero x, an
+    eigenvector of C and a start near overflow."""
     for regime, desk, eps in (("simple", refpairs.simple_pair_desk, 1e-2),
                               ("multiple", refpairs.multiple_pair_desk, 3e-2)):
-        target = Target.at(*desk(), regime)
-        starts = perturbed_starts(target, eps, 21, range(50))
-        out = step(target.pair, starts)
-        assert len(out.triplets) == len(out.failures) == 50
-        for i in range(50):
-            one = step(target.pair, TripletStack.of([starts[i]]))
-            assert out.failures[i] is one.failures[0]
-            if one.failures[0] is not None:
-                continue
-            got, t1 = out.triplets[i], one.triplets[0]
-            assert abs(got.mu - t1.mu) <= 1e-12 and abs(got.lam - t1.lam) <= 1e-12
-            assert np.linalg.norm(got.x - t1.x) <= 1e-10
-            assert np.allclose([out.c1[i], out.c2[i], out.abs_a12[i]],
-                               [one.c1[0], one.c2[0], one.abs_a12[0]], rtol=1e-12, atol=1e-14)
+        pair, trip = desk()
+        base = perturbed_starts(Target.at(pair, trip, regime), eps, 21, range(50))
+        _, q = np.linalg.eigh(pair.c)
+        starts = [Triplet(t.mu, s * t.lam, t.x) for t in base]
+        starts += [Triplet(0.3, 0.1, np.zeros(pair.n)), Triplet(0.3, 0.1, q[:, 0]), Triplet(1e308, 0.0, trip.x)]
+        yield regime, HermitianPair(s * pair.a, s * pair.c), starts
+
+
+def test_step_stack_matches_single_steps():
+    # a stack of one takes its 2 x 2 tail on Python numbers, the stack of 53
+    # on arrays; at s = 1e+-300 both run it on the pair divided by a power of
+    # two.  The bases of a stack and of one start round differently, so the
+    # triplets agree to 1e-12, not bitwise
+    for s in (1.0, 1e300, 1e-300):
+        for regime, pair, starts in _desk_starts_and_failures(s):
+            out = step(pair, TripletStack.of(starts))
+            assert len(out.triplets) == len(out.failures) == 53
+            assert out.failures[50:52] == (Status.JACOBIAN_NEAR_SINGULAR,) * 2
+            assert out.failures.count(None) >= 50, regime
+            for i, t in enumerate(starts):
+                one = step(pair, TripletStack.of([t]))
+                assert out.failures[i] is one.failures[0], (regime, s, i)
+                if one.failures[0] is not None:
+                    continue
+                got, t1 = out.triplets[i], one.triplets[0]
+                assert abs(got.mu - t1.mu) <= 1e-12 and abs(got.lam - t1.lam) <= 1e-12 * s
+                assert np.linalg.norm(got.x - t1.x) <= 1e-10
+                assert np.allclose([out.c1[i], out.c2[i], out.abs_a12[i]],
+                                   [one.c1[0], one.c2[0], one.abs_a12[0]], rtol=1e-12, atol=1e-14 * s)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e300, 1e-300])
+def test_one_start_tail_on_python_numbers_matches_the_tail_on_arrays(monkeypatch, s):
+    # step retakes a stack of one's tail on arrays of length one where
+    # Python arithmetic raises; a solve_2x2 that raises on Python numbers
+    # sends every step there, so the two tails meet the same basis.  They
+    # differ only where Python's abs and ** 0.5 round otherwise than numpy's
+    cases = list(_desk_starts_and_failures(s))
+    on_numbers = [[step(pair, TripletStack.of([t])) for t in starts] for _, pair, starts in cases]
+
+    def arrays_only(a11, a12, a22, c1, c2):
+        if not isinstance(a11, np.ndarray):
+            raise ZeroDivisionError("as where t or s underflows")
+        return solve_2x2(a11, a12, a22, c1, c2)
+
+    monkeypatch.setattr(rqi, "solve_2x2", arrays_only)
+    eps = np.finfo(float).eps
+    for (regime, pair, starts), outs in zip(cases, on_numbers):
+        for t, a in zip(starts, outs):
+            b = step(pair, TripletStack.of([t]))
+            assert a.failures == b.failures, regime
+            for got, want in ((a.c1, b.c1), (a.c2, b.c2), (a.abs_a12, b.abs_a12)):
+                assert np.array_equal(got, want, equal_nan=True)
+            if a.failures[0] is None:
+                ta, tb = a.triplets[0], b.triplets[0]
+                assert abs(ta.mu - tb.mu) <= 4 * eps * max(1.0, abs(tb.mu))
+                assert abs(ta.lam - tb.lam) <= 4 * eps * max(s, abs(tb.lam))
+                assert np.linalg.norm(ta.x - tb.x) <= 4 * eps
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("form", [
+    (0.3, 0.2 - 0.7j, -0.4, 1.5, -0.5),
+    (0.3, 0j, -0.4, 1.5, -0.5),
+    (0.3, 0.2 - 0.7j, -0.4, 0.0, -0.5),
+    (0.3, 0.2 - 0.7j, -0.4, 1.5, 0.0),
+    (0.3, 0.2 - 0.7j, -0.4, 1.5, 0.5),
+    (_NAN, 0.2 - 0.7j, -0.4, 1.5, -0.5),
+    (0.3, complex(_NAN, _NAN), -0.4, 1.5, -0.5),
+    (0.3, 0.2 - 0.7j, -0.4, _NAN, -0.5),
+    (0.3, 0.2 - 0.7j, -0.4, 1.5, _NAN),
+], ids=["indefinite", "a12=0", "c1=0", "c2=0", "definite", "a11-nan", "a12-nan", "c1-nan", "c2-nan"])
+def test_solve_2x2_on_python_numbers_is_solve_2x2_on_arrays_of_length_one(form):
+    one = solve_2x2(*form)
+    stack = solve_2x2(*(np.array([e]) for e in form))
+    assert type(one.indefinite) is bool and stack.indefinite.tolist() == [one.indefinite]
+    assert one.indefinite == (form[3] > 0 > form[4])
+    for field in ("nu0", "dnu", "theta0", "dtheta", "t", "w"):
+        assert type(getattr(one, field)) in (float, complex), field
+    for got, want in ((one.nu, stack.nu), (one.theta, stack.theta), (one.z, stack.z)):
+        assert got.shape == want.shape[1:]
+        assert np.array_equal(got, want[0], equal_nan=True)
+
+
+def test_solve_2x2_on_python_numbers_raises_where_numpy_gives_inf():
+    # -c2 / (c1 - c2) underflows, so t = 0, g = t s d = 0 and nu's offset is (c1 + c2) / 0
+    form = (0.0, 1.0 + 0j, 0.0, 1e120, -1e-210)
+    with pytest.raises(ZeroDivisionError):
+        solve_2x2(*form)
+    with np.errstate(divide="ignore"):
+        stack = solve_2x2(*(np.array([e]) for e in form))
+    assert stack.indefinite.all() and not np.isfinite(stack.nu).all()
 
 
 def test_step_stack_keeps_each_failure_to_its_member():
@@ -282,7 +365,7 @@ def test_select_ritz_picks_nearest():
     t_prev = Triplet.normalized(0.1, 0.9, np.array([1.0, 0.8]))
     v, c = basis_at(pair, t_prev)
     cands = solve_2x2(*form_rq(pair, v), c[:, 0], c[:, 1])
-    chosen = select_ritz(TripletStack.of([t_prev]), cands, v)[0]
+    chosen = select_ritz(TripletStack.of([t_prev]), cands, v, floor_unit(pair))[0]
     assert abs(chosen.mu - 0.0) + abs(chosen.lam - 1.0) < 1e-12
     assert abs(np.vdot(chosen.x, pair.c @ chosen.x)) < 1e-10
     assert abs(np.linalg.norm(chosen.x) - 1.0) < 1e-12
@@ -412,7 +495,9 @@ def test_step_from_an_overflowing_start_is_near_singular():
 
 def test_solve_does_not_depend_on_the_scale_of_the_pair():
     # (sA, sC) has the 2D-eigenvalues (mu, s lam) of (A, C); with J balanced,
-    # the rank test of projection_basis reads the same basis at every s
+    # the rank test of projection_basis reads the same basis at every s, and
+    # with lam's gap in units of floor_unit the step picks the candidate of
+    # s = 1.  Below s = 1 a run may take other steps, but ends at the same point
     for (pair, trip), regime in ((refpairs.simple_pair_desk(), "simple"),
                                  (refpairs.multiple_pair_desk(), "multiple")):
         starts = perturbed_starts(Target.at(pair, trip, regime), 1e-2, 0, range(20))
@@ -422,12 +507,23 @@ def test_solve_does_not_depend_on_the_scale_of_the_pair():
             return [solve(scaled, Triplet(t.mu, s * t.lam, t.x), tol_abs=0.0) for t in starts]
 
         base = runs(1.0)
-        for s in (1e10, 1e12, 1e14, 1e100, 1e160, 1e200, 1e300):
+        assert all(one.status is Status.CONVERGED for one in base)
+        for s in (1e-300, 1e-200, 1e-100, 1e-20, 1e-10, 1e-6, 1e-3,
+                  1e10, 1e12, 1e14, 1e100, 1e160, 1e200, 1e300):
             for one, got in zip(base, runs(s)):
                 assert got.status is one.status, (regime, s)
-                assert len(got.iterates) == len(one.iterates), (regime, s)
-                assert abs(got.final.mu - one.final.mu) <= 1e-12
-                assert abs(got.final.lam / s - one.final.lam) <= 1e-12
+                if s > 1.0:
+                    assert len(got.iterates) == len(one.iterates), (regime, s)
+                assert abs(got.final.mu - one.final.mu) <= 1e-12, (regime, s)
+                assert abs(got.final.lam / s - one.final.lam) <= 1e-12, (regime, s)
+        # the default tol_abs is in units of the pair, where an absolute
+        # 1e-12 stopped a run at s = 1e-20 at its start; a given one is absolute
+        s, t = 1e-20, starts[0]
+        scaled, t0 = HermitianPair(s * pair.a, s * pair.c), Triplet(t.mu, s * t.lam, t.x)
+        trace = solve(scaled, t0)
+        assert trace.status is Status.CONVERGED and len(trace.iterates) >= 2, regime
+        assert abs(trace.final.mu - base[0].final.mu) <= 1e-10, regime
+        assert len(solve(scaled, t0, tol_abs=1e-12).iterates) == 1
 
 
 def test_step_on_a_pair_near_overflow_is_finite():
