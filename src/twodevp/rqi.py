@@ -10,8 +10,14 @@ One step from the iterate (mu_k, lam_k, x_k):
      is singular: for z = (y, a, b) with J z = 0, a simple triplet forces
      a lam'' = 0 and a crossing (cluster form of C diag(c1, c2), isotropic
      weights (t, s)) forces a t s (c1 - c2) = 0, and a = 0 then gives z = 0;
-  2. orthonormalize N, orthonormalize its first n rows into V and rotate
-     V so V^H C V is diagonal with c1 >= c2;
+  2. with P = N[:n], form the 2 x 2 Grams P^H P and P^H C P in one matrix
+     product, and from them, in closed form, the 2 x 2 X that makes
+     V = P X orthonormal with V^H C V = diag(c1, c2), c1 >= c2: X is the
+     inverse of the Cholesky factor R of P^H P times the rotation that
+     diagonalizes the form it turns P^H C P into, and the rank test reads
+     Z R^-1, Z = N[n:].  Where P's columns lie within 45 degrees of each
+     other, whose angle the Grams resolve only to their rounding, this
+     is taken once more from N R^-1;
   3. solve the projected 2 x 2 problem (V^H A V, V^H C V) in closed form,
      which yields two candidate triplets; they coincide when the
      off-diagonal entry a12 of V^H A V is zero;
@@ -22,9 +28,9 @@ One step from the iterate (mu_k, lam_k, x_k):
 `step` takes this step from each of a stack of k iterates at once:
 every stage is one numpy call on the stack, or a few, and a member whose
 step fails gets the Status that stopped it.  `solve` steps stacks of one,
-whose stages 3 and 4 run on Python numbers: the closed form and the
-choice are written with operators and builtins only, so the same lines
-serve a stack and one start.
+whose 2 x 2 closed forms of stages 2 to 4 run on Python numbers: they
+and the choice are written with operators and builtins only, so the
+same lines serve a stack and one start.
 
 A step's results, RitzCandidates and StepStack, are values, immutable
 NamedTuples.  The records of a run, RqiTrace and its IterateRecords, are
@@ -38,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import floor_unit
-from .kernels import conj_t, diagonalize_form, isotropic_weights
+from .kernels import conj_t, isotropic_weights
 from .model import TripletStack, jacobian, jacobian_hat, power_of_two_near, residual_norm
 
 DEFAULT_OPTS = {"tol_abs": 1e-12, "tol_rel": 1e-14, "max_iter": 50}
@@ -124,23 +130,149 @@ class RqiTrace:
         return self.iterates[-1].triplet
 
 
+def _sqrt(x):
+    """The correctly rounded square root of a Python number or of an array."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def gram_rotation(gk, z):
+    """The 2 x 2 X that makes a basis P orthonormal and C-diagonal, in closed form from Grams.
+
+    For an (n+2) x 2 nullspace basis N = [P; Z], gk holds the rows
+    (g11, g12, k11, k12) and (g21, g22, k21, k22) of G = P^H P and
+    K = P^H C P, and z the rows (z11, z12) and (z21, z22) of Z.  With
+    R = [[r11, r12], [0, r22]] the Cholesky factor of G, P R^-1 is
+    orthonormal, and X = R^-1 Q, where Q diagonalizes R^-H K R^-1, makes
+    V = P X orthonormal with V^H C V = diag(c1, c2), c1 >= c2.  Returns
+    (xs, c1, c2, ok, again), xs the real and imaginary parts of x11, x12,
+    x21 and x22 in that order.
+
+    ok is the rank test of `projection_basis`: False where an orthonormal
+    basis of N has leading rows with a singular value sigma <= 1e-10.
+    With T = Z R^-1, sigma^2 = 1 / (1 + |T|_2^2), so the test is
+    1 + |T|_2^2 >= 1e20; NaN fails it, and so does a diagonal of G
+    outside [2^-400, 2^400], whose rounding near over- or underflow is not
+    to be trusted.  G resolves the angle of P's columns only to its
+    rounding, so where their squared sine r22^2 / g22 is below 1/2, ok is
+    False, X is R^-1 alone, and `again` is True: the columns of N X are
+    then orthogonal to rounding, and their Grams decide.
+
+    Operators and builtins on .real and .imag, with no complex
+    arithmetic, and `_sqrt` correctly rounded: the same lines take (k,)
+    arrays (gk and z as (2, 4, k) and (2, 2, k) arrays) and, bitwise
+    alike, Python numbers (as nested lists).  A pivot that is not
+    positive is replaced by 1 and every square root's argument is at
+    least 0 or NaN, so no division is by zero and Python numbers raise
+    nothing.
+    """
+    (g11, g12, k11, k12), (_, g22, _, k22) = gk
+    (z11, z12), (z21, z22) = z
+    g11, g22, k11, k22 = g11.real, g22.real, k11.real, k22.real
+    lo, hi = 2.0 ** -400, 2.0 ** 400
+    ok = (lo <= g11) & (g11 <= hi) & (lo <= g22) & (g22 <= hi)
+    # the Cholesky factor; 1 for a pivot that is not positive, NaN stays NaN
+    pos = g11 > 0.0
+    r11 = _sqrt(pos * g11 + (1.0 - pos))
+    r12r, r12i = g12.real / r11, g12.imag / r11
+    d = g22 - (r12r * r12r + r12i * r12i)
+    pos = d > 0.0
+    r22 = _sqrt(pos * d + (1.0 - pos))
+    again = d < 0.5 * g22
+    ok = ok & (d >= 0.5 * g22)
+    # T = Z R^-1 by back substitution, and |T|_2^2 = h + sqrt(h^2 - |det T|^2), h = |T|_F^2 / 2
+    t11r, t11i, t21r, t21i = z11.real / r11, z11.imag / r11, z21.real / r11, z21.imag / r11
+    t12r = (z12.real - (t11r * r12r - t11i * r12i)) / r22
+    t12i = (z12.imag - (t11r * r12i + t11i * r12r)) / r22
+    t22r = (z22.real - (t21r * r12r - t21i * r12i)) / r22
+    t22i = (z22.imag - (t21r * r12i + t21i * r12r)) / r22
+    h = 0.5 * (t11r * t11r + t11i * t11i + t12r * t12r + t12i * t12i
+               + t21r * t21r + t21i * t21i + t22r * t22r + t22i * t22i)
+    detr = (t11r * t22r - t11i * t22i) - (t12r * t21r - t12i * t21i)
+    deti = (t11r * t22i + t11i * t22r) - (t12r * t21i + t12i * t21r)
+    det = _sqrt(detr * detr + deti * deti)
+    gap = h - det
+    gap = gap * (gap > 0.0)  # h >= |det T|, but for rounding
+    ok = ok & (1.0 + (h + _sqrt(gap * (h + det))) < 1e20)
+    # M = R^-H K R^-1, with R^-1 = [[a, b], [0, e]]
+    a, e = 1.0 / r11, 1.0 / r22
+    br, bi = -(r12r * a) * e, -(r12i * a) * e
+    m11 = k11 * a * a
+    m12r = a * (k11 * br + k12.real * e)
+    m12i = a * (k11 * bi + k12.imag * e)
+    m22 = k11 * (br * br + bi * bi) + 2.0 * e * (br * k12.real + bi * k12.imag) + k22 * e * e
+    # its eigenvalues, and the unit eigenvector of c1: (1, conj(w)) / |.|
+    # where m11 >= m22, else (w, 1) / |.|, for w = m12 / (rad + |m11 - m22| / 2);
+    # w = 0 where M = c I, and Q = I where again
+    half, mean = 0.5 * (m11 - m22), 0.5 * (m11 + m22)
+    rad = _sqrt(half * half + (m12r * m12r + m12i * m12i))
+    big = rad + abs(half)
+    big = big + (big == 0.0)
+    keep = 1.0 - again
+    wr, wi = keep * (m12r / big), keep * (m12i / big)
+    nrm = _sqrt(1.0 + (wr * wr + wi * wi))
+    first = 1.0 * ((half >= 0.0) | again)
+    other = 1.0 - first
+    q11r, q11i = (first + other * wr) / nrm, other * wi / nrm
+    q21r, q21i = (first * wr + other) / nrm, -(first * wi) / nrm
+    # Q = [[q11, -conj(q21)], [q21, conj(q11)]], and X = R^-1 Q
+    x11r = a * q11r + (br * q21r - bi * q21i)
+    x11i = a * q11i + (br * q21i + bi * q21r)
+    x12r = -(a * q21r) + (br * q11r + bi * q11i)
+    x12i = a * q21i + (bi * q11r - br * q11i)
+    xs = (x11r, x11i, x12r, x12i, e * q21r, e * q21i, e * q11r, -(e * q11i))
+    return xs, mean + rad, mean - rad, ok, again
+
+
+def _rotate(c, null, n, one):
+    """`gram_rotation` of the bases null, with its X as a (k, 2, 2) stack: on Python numbers where one."""
+    p = null[:, :n]
+    gk = conj_t(p) @ np.concatenate((p, c @ p), axis=-1)
+    if one:
+        xs, *out = gram_rotation(gk[0].tolist(), null[0, n:].tolist())
+    else:
+        xs, *out = gram_rotation(np.moveaxis(gk, 0, -1), np.moveaxis(null[:, n:], 0, -1))
+    # (8,) or (8, k) real and imaginary parts as a (k, 2, 2) complex stack
+    return [np.ascontiguousarray(np.array(xs).T).reshape(-1, 2, 4).view(complex)] + out
+
+
+def _rotation(c, null, n, one):
+    """(null, x, c1, c2, ok): `_rotate` of null, and again of null X for each member that asks."""
+    x, c1, c2, ok, again = _rotate(c, null, n, one)
+    if again if one else again.any():
+        null = np.where(np.reshape(again, (-1, 1, 1)), null @ x, null)
+        x, c1, c2, ok, _ = _rotate(c, null, n, one)
+    return null, x, c1, c2, ok
+
+
 def projection_basis(pair, starts):
     """Projection bases from the nullspaces of the leading Jacobian blocks.
 
     Each member of the TripletStack `starts` has its bordered Jacobian J
     from `model.jacobian`, and the nullspace of its leading block is
-    spanned by the leading rows of the last two columns of J^-1.  J is
-    balanced first: its -x border row and column are scaled by
-    |A| + |C|, which scales the second column by 1/(|A| + |C|) and keeps
-    the span, so that the rank test reads the same basis for (sA, sC) as
-    for (A, C).  Returns (v, c, failures):
-    the (k, n, 2) orthonormal bases v with V^H C V = diag(c1, c2), the
-    (k, 2) entries (c1, c2), c1 >= c2, as `diagonalize_form` gives them,
-    and a list that holds, per member, None or JACOBIAN_NEAR_SINGULAR
-    where the leading rows of its basis have rank < 2: as at an x that is
-    an eigenvector of C, where the two border rows of J are parallel, and
-    for an exactly singular J, as at a zero x, or one whose entries
-    overflow, so that its basis is not finite.
+    spanned by P, the leading n rows of N = J^-1 [0; I_2], the last two
+    columns of J^-1.  J is balanced first: its -x border row and column
+    are scaled by |A| + |C|, which scales the second column by
+    1/(|A| + |C|) and keeps the span, so that the rank test reads the
+    same basis for (sA, sC) as for (A, C).  One matrix product then forms
+    the Grams P^H [P, CP], and `gram_rotation` the 2 x 2 X that makes
+    V = P X orthonormal with V^H C V diagonal.  Returns (v, c, failures):
+    the (k, n, 2) bases v, the (k, 2) entries (c1, c2), c1 >= c2, of
+    their V^H C V, and a list that holds, per member, None or
+    JACOBIAN_NEAR_SINGULAR where the leading rows of an orthonormal basis
+    of N have a singular value <= 1e-10, which the Cholesky factor R of
+    P^H P and the last rows Z of N decide through Z R^-1 (see
+    `gram_rotation`): as at an x that is an eigenvector of C, where the
+    two border rows of J are parallel, and for an exactly singular J, as
+    at a zero x, or one whose entries overflow, so that its solve is not
+    finite.  The values of a failed member are placeholders.
+
+    A stack of one runs `gram_rotation` on Python numbers, a stack on
+    arrays.  Where a member fails, the stack is taken again with each
+    column of N divided by the power of two nearest its largest entry,
+    which is exact and keeps the span and the test, so that Grams near
+    over- or underflow are formed of entries near 1.  C is divided by
+    the power of two nearest |A| + |C| where that lies outside
+    [2^-400, 2^400], and (c1, c2) multiplied back.
     """
     n = pair.n
     j = jacobian(pair, starts)
@@ -149,28 +281,38 @@ def projection_basis(pair, starts):
     j[:, n + 1, :n] *= sigma
     e = np.zeros((n + 2, 2))
     e[n, 0] = e[n + 1, 1] = 1.0
-    # An orthonormal basis of each nullspace: the left singular vectors,
-    # which cost less than numpy's QR at this size.  Its rows have singular
-    # values <= 1, so an absolute floor is the rank test; u is an
-    # orthonormal basis of the leading rows.
     try:
         # e as a stack of one matrix, which numpy < 2 would otherwise read
         # as a stack of vectors
-        null = np.linalg.svd(np.linalg.solve(j, e[None]), full_matrices=False)[0]
+        null = np.linalg.solve(j, e[None])
     except np.linalg.LinAlgError:
-        # one singular J fails the whole stack's solve, and one whose
-        # entries overflow its SVD, so redo it member by member; a failed
+        # one singular J fails the whole stack's solve, and so does one
+        # whose entries overflow, so redo it member by member; a failed
         # member keeps [0; I_2], whose leading rows have rank 0
         null = np.empty(j.shape[:1] + e.shape, dtype=complex)
         for i, ji in enumerate(j):
             try:
-                null[i] = np.linalg.svd(np.linalg.solve(ji, e), full_matrices=False)[0]
+                null[i] = np.linalg.solve(ji, e)
             except np.linalg.LinAlgError:
                 null[i] = e
-    u, sv, _ = np.linalg.svd(null[:, :n, :], full_matrices=False)
-    failures = [Status.JACOBIAN_NEAR_SINGULAR if low else None for low in (sv[:, -1] <= 1e-10).tolist()]
-    v, c = diagonalize_form(pair.c, u)
-    return v, c, failures
+    c, unit = pair.c, 1.0
+    if not 2.0 ** -400 <= sigma <= 2.0 ** 400:
+        unit = power_of_two_near(sigma)
+        c = c / unit
+    one = len(starts) == 1
+    # Grams past overflow, or of a basis that is not finite, fail the test
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = _rotation(c, null, n, one)
+        if not (out[-1] if one else out[-1].all()):
+            null = null / power_of_two_near(np.abs(null).max(axis=-2))[:, None, :]
+            out = _rotation(c, null, n, one)
+        null, x, c1, c2, ok = out
+        v = null[:, :n] @ x
+    cs = np.array((c1, c2)).T.reshape(-1, 2)
+    if unit != 1.0:
+        cs *= unit
+    failures = [None if good else Status.JACOBIAN_NEAR_SINGULAR for good in np.array(ok, ndmin=1).tolist()]
+    return v, cs, failures
 
 
 def sigma_n_jhat(pair, t):
@@ -221,16 +363,15 @@ def solve_2x2(a11, a12, a22, c1, c2):
                           t, alpha * s, indefinite)
 
 
-def select_ritz(t_prev, candidates, v, lam_unit):
+def select_ritz(mu, lam, candidates, v, lam_unit):
     """Per member, lift the candidate nearest the previous (mu, lam) through its basis in v.
 
     Nearest in |d mu| + |d lam| / lam_unit, the first candidate on a tie:
     lam scales with the pair and mu does not, so `step` passes
-    curves.floor_unit(pair).  t_prev is the TripletStack of the previous
-    iterates, or their one Triplet where the candidates are Python
+    curves.floor_unit(pair).  mu and lam are the (k,) arrays of the
+    previous iterates, or Python floats where the candidates are Python
     numbers.  Returns the chosen triplets as a TripletStack.
     """
-    mu, lam = t_prev.mu, t_prev.lam
     nu0, dnu, theta0, dtheta = candidates.nu0, candidates.dnu, candidates.theta0, candidates.dtheta
     gap0 = abs(mu - (nu0 + dnu)) + abs(lam - (theta0 + dtheta)) / lam_unit
     gap1 = abs(mu - (nu0 - dnu)) + abs(lam - (theta0 - dtheta)) / lam_unit
@@ -242,7 +383,7 @@ def select_ritz(t_prev, candidates, v, lam_unit):
                         (v @ z)[..., 0])
 
 
-def _tail(pair, t_prev, v, a11, a12, a22, c1, c2):
+def _tail(pair, mu, lam, v, a11, a12, a22, c1, c2):
     """Stages 3 and 4 of a step: the indefinite flags and the chosen triplets.
 
     Where |A| + |C| lies outside [2^-400, 2^400], the projected pairs are
@@ -256,16 +397,17 @@ def _tail(pair, t_prev, v, a11, a12, a22, c1, c2):
         unit = power_of_two_near(sigma)
         cands = solve_2x2(a11 / unit, a12 / unit, a22 / unit, c1 / unit, c2 / unit)
         cands = cands._replace(theta0=cands.theta0 * unit, dtheta=cands.dtheta * unit)
-    return cands.indefinite, select_ritz(t_prev, cands, v, floor_unit(pair))
+    return cands.indefinite, select_ritz(mu, lam, cands, v, floor_unit(pair))
 
 
 def step(pair, starts):
     """One iteration of the 2DRQI from each triplet of the TripletStack `starts`.
 
     Each stage runs once on the whole stack.  A stack of one takes the
-    projected 2 x 2 tail (`solve_2x2`, `select_ritz`) on Python numbers,
-    where a numpy call on arrays of length one would cost more than its
-    arithmetic, and on arrays only where Python arithmetic raises.  A
+    closed form of its basis (`gram_rotation`) and the projected 2 x 2
+    tail (`solve_2x2`, `select_ritz`) on Python numbers, where a numpy
+    call on arrays of length one would cost more than its arithmetic, and
+    the tail on arrays only where Python arithmetic raises.  A
     member whose step fails gets its Status in `failures`; nothing
     raises, and a start past overflow warns nothing: its basis fails the
     rank test.
@@ -277,10 +419,11 @@ def step(pair, starts):
         tail = None
         if len(starts) == 1:
             try:
-                tail = _tail(pair, starts[0], v, a11.item(), a12.item(), a22.item(), c1.item(), c2.item())
+                tail = _tail(pair, starts.mu.item(), starts.lam.item(), v, a11.item(), a12.item(), a22.item(),
+                             c1.item(), c2.item())
             except (ArithmeticError, ValueError):
                 pass  # where numpy gives inf or nan: the arrays below do
-        indefinite, triplets = tail or _tail(pair, starts, v, a11, a12, a22, c1, c2)
+        indefinite, triplets = tail or _tail(pair, starts.mu, starts.lam, v, a11, a12, a22, c1, c2)
         for i, ok in enumerate(np.array(indefinite, ndmin=1).tolist()):
             if not ok and failures[i] is None:
                 failures[i] = Status.INDEFINITENESS_LOST

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import svd_projection_basis
 
 from twodevp import refpairs, rqi
 from twodevp.angles import canonical_angles
@@ -94,22 +95,104 @@ def _targets_for_basis_checks():
 
 def test_projection_basis_matches_svd_nullspace():
     # the leading rows of J^-1's last two columns span what the leading
-    # rows of the SVD nullspace of the leading Jacobian block span
+    # rows of the SVD nullspace of the leading Jacobian block span, and the
+    # closed form from the Grams gives the basis of the SVD reference: as
+    # orthonormal, as C-diagonal, with its (c1, c2), at every scale
     for target in _targets_for_basis_checks():
-        n = target.pair.n
-        for eps in (1e-2, 1e-4, 1e-6, 1e-8):
-            t0 = perturbed_start(target, eps, 5)
-            _, _, vh = np.linalg.svd(jacobian_hat(target.pair, t0))
-            ref = orthonormalize(vh.conj().T[:n, n:])
-            v, _ = basis_at(target.pair, t0)
-            assert np.sin(canonical_angles(v[0], ref)[-1]) <= 1e-12, (n, eps)
+        n, mu, lam = target.pair.n, target.mu, target.lam
+        for s in (1.0, 1e300, 1e-300):
+            pair = HermitianPair(s * target.pair.a, s * target.pair.c)
+            for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+                t = perturbed_start(target, eps, 5)
+                t0 = Triplet(t.mu, s * t.lam, t.x)
+                v, c = basis_at(pair, t0)
+                v = v[0]
+                if s == 1.0:
+                    _, _, vh = np.linalg.svd(jacobian_hat(pair, t0))
+                    ref = orthonormalize(vh.conj().T[:n, n:])
+                    assert np.sin(canonical_angles(v, ref)[-1]) <= 1e-12, (n, eps)
+                _, c_ref, failures_ref = svd_projection_basis(pair, TripletStack.of([t0]))
+                assert failures_ref == [None]
+                assert np.linalg.norm(v.conj().T @ v - np.eye(2), 2) <= 1e-14, (n, s, eps)
+                cv = v.conj().T @ pair.c @ v
+                assert abs(cv[0, 1]) <= 1e-14 * pair.norm_c, (n, s, eps)
+                assert np.allclose(c[0], c_ref[0], rtol=1e-13, atol=0.0), (n, s, eps)
+            # the rank decision of the reference where x is near an
+            # eigenvector of C; from 1e-7 to 1e-11 from one, J is so near
+            # singular that neither decision carries signal (at 1e-11 the
+            # smallest singular value is within a factor 2.5 of 1e-10 on
+            # the crossings, and the rounding of J decides)
+            _, q = np.linalg.eigh(target.pair.c)
+            rng = np.random.default_rng(n)
+            starts = []
+            for e in (2, 3, 4, 5, 6, 12, 13, 14):
+                for col in (0, n - 1):
+                    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    x = q[:, col] + 10.0 ** -e * w / np.linalg.norm(w)
+                    starts.append(Triplet.normalized(mu + 0.01, s * (lam - 0.01), x))
+            _, _, failures = projection_basis(pair, TripletStack.of(starts))
+            assert failures == svd_projection_basis(pair, TripletStack.of(starts))[2], (n, s)
+            assert [projection_basis(pair, TripletStack.of([t]))[2][0] for t in starts] == failures
+
+
+def _gram_rotation_cases():
+    """(name, G and K as the 2 x 4 P^H [P, CP], Z) for `gram_rotation`."""
+    rng = np.random.default_rng(34)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def grams(p, c):
+        return p.conj().T @ np.concatenate((p, c @ p), axis=1)
+
+    h = cplx(6, 6)
+    indefinite = h + h.conj().T
+    for k in range(20):
+        yield "random", grams(cplx(6, 2), indefinite), cplx(2, 2)
+    pd = h @ h.conj().T + np.eye(6)
+    yield "definite", grams(np.linalg.qr(cplx(6, 2))[0], pd), cplx(2, 2)
+    p = cplx(6, 2)
+    p[:, 1] = 0.3 * p[:, 0] + 1e-9 * cplx(6)
+    yield "parallel", grams(p, indefinite), cplx(2, 2)  # again: its columns within 45 degrees
+    yield "rank", grams(cplx(6, 2), indefinite), 1e12 * cplx(2, 2)  # Z R^-1 past 1e10
+    yield "zero", grams(np.zeros((6, 2)), indefinite), np.eye(2, dtype=complex)
+    for bad in (np.nan, np.inf, -np.inf):
+        p = cplx(6, 2)
+        p[2, 1] = bad
+        yield "p=%r" % bad, grams(p, indefinite), cplx(2, 2)
+        z = cplx(2, 2)
+        z[1, 0] = bad
+        yield "z=%r" % bad, grams(cplx(6, 2), indefinite), z
+
+
+def test_gram_rotation_on_python_numbers_is_gram_rotation_on_arrays_of_length_one():
+    # one start takes its basis on Python numbers, a stack on arrays; they
+    # must round alike, since on the commuting desk pair the step's x turns
+    # with the phase of a12, which is rounding noise there
+    def bits(v):
+        v = np.float64(v)
+        return "nan" if np.isnan(v) else v.tobytes()
+
+    names = set()
+    with np.errstate(all="ignore"):
+        cases = list(_gram_rotation_cases())
+    for name, gk, z in cases:
+        xs, c1, c2, ok, again = rqi.gram_rotation(gk.tolist(), z.tolist())
+        with np.errstate(all="ignore"):
+            axs, ac1, ac2, aok, aagain = rqi.gram_rotation(gk[..., None], z[..., None])
+        assert type(ok) is type(again) is bool and [type(v) for v in (*xs, c1, c2)] == [float] * 10
+        assert aok.tolist() == [ok] and aagain.tolist() == [again], name
+        for got, want in zip((*xs, c1, c2), (*axs, ac1, ac2)):
+            assert want.shape == (1,) and bits(got) == bits(want[0]), name
+        names.add((name, ok, again))
+    assert ("parallel", False, True) in names and ("rank", False, False) in names
+    assert ("zero", False, False) in names and ("definite", True, False) in names
 
 
 def test_step_makes_one_solve_and_no_large_svd(count_linalg):
     # the LAPACK budget of one step: one LU solve per stack of starts (a
-    # stack of one as solve steps, of five as the studies do), one eigh of the
-    # stacked 2 x 2 forms, at most two SVDs of at most 2 columns, no QR
-    # and nothing else
+    # stack of one as solve steps, of five as the studies do) and no other
+    # numpy.linalg call; the basis comes from its 2 x 2 Grams in closed form
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
     target = eigvec_set(pair, 0.4, -0.3)
     t0 = perturbed_start(target, 1e-3, 5)
@@ -117,12 +200,9 @@ def test_step_makes_one_solve_and_no_large_svd(count_linalg):
     calls = count_linalg()
     for k, run in ((1, lambda: step(pair, TripletStack.of([t0]))), (5, lambda: step(pair, starts))):
         del calls[:]
-        run()
-        svds = [shape for name, shape in calls if name == "svd"]
-        assert [shape for name, shape in calls if name == "solve"] == [(k, 66, 66)]
-        assert [shape for name, shape in calls if name == "eigh"] == [(k, 2, 2)]
-        assert len(svds) <= 2 and all(shape[-1] <= 2 for shape in svds)
-        assert len(calls) == 2 + len(svds)
+        out = run()
+        assert out.failures == (None,) * k
+        assert calls == [("solve", (k, 66, 66))]
 
 
 def _desk_starts_and_failures(s):
@@ -365,7 +445,7 @@ def test_select_ritz_picks_nearest():
     t_prev = Triplet.normalized(0.1, 0.9, np.array([1.0, 0.8]))
     v, c = basis_at(pair, t_prev)
     cands = solve_2x2(*form_rq(pair, v), c[:, 0], c[:, 1])
-    chosen = select_ritz(TripletStack.of([t_prev]), cands, v, floor_unit(pair))[0]
+    chosen = select_ritz(np.array([t_prev.mu]), np.array([t_prev.lam]), cands, v, floor_unit(pair))[0]
     assert abs(chosen.mu - 0.0) + abs(chosen.lam - 1.0) < 1e-12
     assert abs(np.vdot(chosen.x, pair.c @ chosen.x)) < 1e-10
     assert abs(np.linalg.norm(chosen.x) - 1.0) < 1e-12
