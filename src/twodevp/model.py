@@ -148,20 +148,29 @@ def residual_norm(pair, t):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         f = residual(pair, t)
-        nrm = float(np.linalg.norm(f))
+        nrm = _norm(f)
         if not math.isfinite(nrm) or nrm < 1e-150 and np.any(f):
             big = float(np.max(np.abs(f)))  # inf only where the norm overflows too
             if math.isfinite(big):
                 unit = power_of_two_near(big)
-                nrm = float(np.linalg.norm(f / unit)) * unit
+                nrm = _norm(f / unit) * unit
     return nrm
 
 
-def jacobian(pair, t):
+def _norm(f):
+    """np.linalg.norm of a complex vector, bitwise: the root of the dots of its real and imaginary parts."""
+    re, im = f.real, f.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def jacobian(pair, t, weight=1.0):
     """The bordered (n+2) x (n+2) Jacobian of F; Hermitian by construction.
 
     For a TripletStack t of k triplets it is the (k, n+2, n+2) stack of
     their Jacobians.  The leading block A - mu*C - lam*I is built in place.
+    Its -x border row and column are multiplied by weight, a positive
+    float: that is D J D with D = diag(I, 1, weight), bitwise the
+    product of the unweighted J's border by weight.
     """
     _check_length(pair, t.x)
     n, x = pair.n, t.x
@@ -170,11 +179,16 @@ def jacobian(pair, t):
     top = j[..., :n, :n]
     np.multiply(np.asarray(t.mu)[..., None, None], pair.c, out=top)
     np.subtract(pair.a, top, out=top)
-    np.einsum("...ii->...i", top)[...] -= np.asarray(t.lam)[..., None]  # the diagonal, as a view
+    # the leading block's diagonal, as a strided view of the flat J
+    j.reshape(x.shape[:-1] + (-1,))[..., : n * (n + 3) : n + 3] -= np.asarray(t.lam)[..., None]
     j[..., :n, n] = -cx
-    j[..., :n, n + 1] = -x
     j[..., n, :n] = -cx.conj()
-    j[..., n + 1, :n] = -x.conj()
+    if weight == 1.0:
+        j[..., :n, n + 1] = -x
+        j[..., n + 1, :n] = -x.conj()
+    else:
+        np.multiply(-x, weight, out=j[..., :n, n + 1])
+        np.multiply(-x.conj(), weight, out=j[..., n + 1, :n])
     return j
 
 

@@ -34,7 +34,8 @@ same lines serve a stack and one start.
 
 A step's results, RitzCandidates and StepStack, are values, immutable
 NamedTuples.  The records of a run, RqiTrace and its IterateRecords, are
-objects that `solve` fills in as it goes.
+objects that `solve` fills in as it goes, and their reference errors
+when it ends.
 """
 
 import math
@@ -250,10 +251,10 @@ def projection_basis(pair, starts):
     Each member of the TripletStack `starts` has its bordered Jacobian J
     from `model.jacobian`, and the nullspace of its leading block is
     spanned by P, the leading n rows of N = J^-1 [0; I_2], the last two
-    columns of J^-1.  J is balanced first: its -x border row and column
-    are scaled by |A| + |C|, which scales the second column by
-    1/(|A| + |C|) and keeps the span, so that the rank test reads the
-    same basis for (sA, sC) as for (A, C).  One matrix product then forms
+    columns of J^-1.  J is built balanced: `model.jacobian` scales its -x
+    border row and column by |A| + |C|, which scales the second column
+    of N by 1/(|A| + |C|) and keeps the span, so that the rank test reads
+    the same basis for (sA, sC) as for (A, C).  One matrix product then forms
     the Grams P^H [P, CP], and `gram_rotation` the 2 x 2 X that makes
     V = P X orthonormal with V^H C V diagonal.  Returns (v, c, failures):
     the (k, n, 2) bases v, the (k, 2) entries (c1, c2), c1 >= c2, of
@@ -270,15 +271,19 @@ def projection_basis(pair, starts):
     arrays.  Where a member fails, the stack is taken again with each
     column of N divided by the power of two nearest its largest entry,
     which is exact and keeps the span and the test, so that Grams near
-    over- or underflow are formed of entries near 1.  C is divided by
-    the power of two nearest |A| + |C| where that lies outside
-    [2^-400, 2^400], and (c1, c2) multiplied back.
+    over- or underflow are formed of entries near 1.  J and C are divided
+    by the power of two nearest |A| + |C| where that lies outside
+    [2^-400, 2^400], which keeps the span and N finite where J's entries
+    are near over- or underflow, and (c1, c2) multiplied back.
     """
     n = pair.n
-    j = jacobian(pair, starts)
     sigma = pair.norm_a + pair.norm_c
-    j[:, :n, n + 1] *= sigma
-    j[:, n + 1, :n] *= sigma
+    j = jacobian(pair, starts, sigma)
+    c, unit = pair.c, 1.0
+    if not 2.0 ** -400 <= sigma <= 2.0 ** 400:
+        unit = power_of_two_near(sigma)
+        c = c / unit
+        j /= unit
     e = np.zeros((n + 2, 2))
     e[n, 0] = e[n + 1, 1] = 1.0
     try:
@@ -295,10 +300,6 @@ def projection_basis(pair, starts):
                 null[i] = np.linalg.solve(ji, e)
             except np.linalg.LinAlgError:
                 null[i] = e
-    c, unit = pair.c, 1.0
-    if not 2.0 ** -400 <= sigma <= 2.0 ** 400:
-        unit = power_of_two_near(sigma)
-        c = c / unit
     one = len(starts) == 1
     # Grams past overflow, or of a basis that is not finite, fail the test
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -441,7 +442,9 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     takes its 2 x 2 tail on Python numbers.  Given a reference,
     a `classify.Target` of this pair as `eigvec_set` returns it, each
     iterate records its distances to the target's (mu, lam) and, as err_x,
-    to its 2D-eigenvector set: the target's `errors`.  Failures that the
+    to its 2D-eigenvector set: the target's `errors`, taken when the run
+    ends, in one call on the stack of its iterates, and left None on a
+    last iterate that ends the run NON_FINITE.  Failures that the
     local theory anticipates (projected C losing indefiniteness, nullspace
     rank collapse) end the run with the Status that `step` gives the
     member.  An iterate whose residual norm (`model.residual_norm`) or
@@ -468,20 +471,30 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
         if not (math.isfinite(res_norm) and math.isfinite(tol)):
             trace.status = Status.NON_FINITE
-            return trace
-        if reference is not None:
-            rec.err_mu, rec.err_lambda, rec.err_x = reference.errors(t.mu, t.lam, t.x)
+            break
         if res_norm <= tol:
             trace.status = Status.CONVERGED
-            return trace
+            break
         if k == max_iter:
-            trace.status = Status.MAX_ITERATIONS
-            return trace
+            break  # the trace's status is MAX_ITERATIONS until set
         out = step(pair, stack)
         if out.failures[0] is not None:
             trace.status = out.failures[0]
-            return trace
+            break
         stack = out.triplets
         t = stack[0]
         rec.c1, rec.c2, rec.abs_a12 = float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0])
         res_norm = residual_norm(pair, t)
+    if reference is not None:
+        _record_errors(trace, reference)
+    return trace
+
+
+def _record_errors(trace, reference):
+    """Fill err_mu, err_lambda and err_x of each iterate of trace, but a last NON_FINITE one, in one call."""
+    recs = trace.iterates[:-1] if trace.status is Status.NON_FINITE else trace.iterates
+    if recs:
+        ts = TripletStack.of([rec.triplet for rec in recs])
+        errs = reference.errors(ts.mu, ts.lam, ts.x)
+        for rec, err_mu, err_lambda, err_x in zip(recs, *(e.tolist() for e in errs)):
+            rec.err_mu, rec.err_lambda, rec.err_x = err_mu, err_lambda, err_x

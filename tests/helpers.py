@@ -3,7 +3,7 @@
 import numpy as np
 
 from twodevp.kernels import diagonalize_form
-from twodevp.model import jacobian
+from twodevp.model import jacobian, power_of_two_near
 from twodevp.rqi import Status
 
 
@@ -15,17 +15,19 @@ def residual_scale(pair, mu, lam):
 def svd_projection_basis(pair, starts):
     """The projection bases of `rqi.projection_basis` by two SVDs and an eigh, as a reference.
 
-    The same balanced solve J N = [0; I_2]; then the left singular vectors
-    of N, those of their leading n rows, rotated by `diagonalize_form` so
-    that V^H C V = diag(c1, c2), c1 >= c2.  A member fails where the
+    The same balanced solve J N = [0; I_2], J divided by the power of two
+    nearest |A| + |C| where that lies outside [2^-400, 2^400]; then the
+    left singular vectors of N, those of their leading n rows, rotated by
+    `diagonalize_form` so that V^H C V = diag(c1, c2), c1 >= c2.  A
+    member fails where the
     leading rows of N's orthonormal basis have a singular value <= 1e-10.
     Returns (v, c, failures) as `projection_basis` does.
     """
     n = pair.n
-    j = jacobian(pair, starts)
     sigma = pair.norm_a + pair.norm_c
-    j[:, :n, n + 1] *= sigma
-    j[:, n + 1, :n] *= sigma
+    j = jacobian(pair, starts, sigma)
+    if not 2.0 ** -400 <= sigma <= 2.0 ** 400:
+        j /= power_of_two_near(sigma)
     e = np.zeros((n + 2, 2))
     e[n, 0] = e[n + 1, 1] = 1.0
     null = np.empty(j.shape[:1] + e.shape, dtype=complex)

@@ -11,6 +11,7 @@ from twodevp.harness import (
     RITZ_WINDOWS,
     SIMPLE_WINDOWS,
     ConditioningReport,
+    _trial_rng,
     conditioning_study,
     convergence_order,
     fit_slope,
@@ -155,6 +156,38 @@ def test_perturbed_starts_are_the_single_starts_stacked():
                 one = perturbed_start(tgt, eps, 3, trial=trial)
                 assert abs(stack.mu[i] - one.mu) <= 1e-15 and abs(stack.lam[i] - one.lam) <= 1e-15
                 assert np.max(np.abs(stack.x[i] - one.x)) <= 1e-15
+
+
+def test_trial_rngs_draw_as_the_list_of_seed_and_trial_seeds_them():
+    # a uint32 array of (seed, trial) where both are below 2^32, the list
+    # elsewhere: the same entropy words, so the same draws
+    words = (0, 11, 2 ** 32 - 1, 2 ** 32, 2 ** 40)
+    for seed in words:
+        for trial in words:
+            got = _trial_rng(seed, trial).standard_normal(16)
+            assert got.tobytes() == np.random.default_rng([seed, trial]).standard_normal(16).tobytes()
+
+
+def test_perturbed_starts_are_bitwise_a_loop_of_per_trial_draws():
+    # both normal blocks of a trial in one draw take the stream's values in
+    # the order two draws of n take them
+    for tgt in (simple_target(), multiple_target()):
+        trials = [4, 0, 17, 2 ** 32 + 3]
+        n, x0 = tgt.pair.n, tgt.x
+        u, w = np.empty((len(trials), 2)), np.empty((len(trials), n), dtype=complex)
+        for row, trial in enumerate(trials):
+            rng = np.random.default_rng([3, trial])
+            u[row] = rng.uniform(-1.0, 1.0, size=2)
+            w[row] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w -= np.outer(w @ x0.conj() / np.vdot(x0, x0), x0)
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        x = x0 + 0.01 * w
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        scal = 1e-4 if tgt.regime == "multiple" else 0.01
+        stack = perturbed_starts(tgt, 0.01, 3, trials)
+        assert stack.mu.tobytes() == (tgt.mu + scal * u[:, 0]).tobytes()
+        assert stack.lam.tobytes() == (tgt.lam + scal * u[:, 1]).tobytes()
+        assert stack.x.tobytes() == x.tobytes()
 
 
 def test_ritz_study_needs_a_decade():

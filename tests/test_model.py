@@ -8,10 +8,11 @@ from twodevp import refpairs
 from twodevp.classify import Target, classify
 from twodevp.curves import eig_at
 from twodevp.errors import TwoDevpError
-from twodevp.harness import conditioning_study, scaling_study
+from twodevp.harness import conditioning_study, random_pair, scaling_study
 from twodevp.model import (
     HermitianPair,
     Triplet,
+    TripletStack,
     jacobian,
     jacobian_hat,
     load_pair,
@@ -142,6 +143,24 @@ def test_jacobian_singular_when_cx_vanishes():
     j = jacobian(pair, Triplet(0.0, 3.0, np.array([0.0, 0.0, 1.0])))
     assert np.allclose(j[:, 3], 0.0)
     assert np.linalg.svd(j, compute_uv=False)[-1] == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("n", [8, 64])
+def test_weighted_jacobian_is_the_jacobian_with_its_x_border_scaled(n, k):
+    # bitwise, signed zeros included: the weighted border is the product
+    # that scaling the built J's border by the weight forms
+    pair = random_pair(n, (n // 2, n // 2), n + k)
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    x[0, :4] = (0.0, -0.0, 1j, -0.0 - 1j)
+    t = TripletStack(rng.uniform(-1.0, 1.0, k), rng.uniform(-1.0, 1.0, k), x / np.linalg.norm(x, axis=1)[:, None])
+    weight = pair.norm_a + pair.norm_c
+    ref = jacobian(pair, t)
+    ref[:, :n, n + 1] *= weight
+    ref[:, n + 1, :n] *= weight
+    assert jacobian(pair, t, weight).tobytes() == ref.tobytes()
+    assert jacobian(pair, t, 1.0).tobytes() == jacobian(pair, t).tobytes()
 
 
 def test_jacobian_hat_is_leading_block():

@@ -97,9 +97,11 @@ def test_projection_basis_matches_svd_nullspace():
     # the leading rows of J^-1's last two columns span what the leading
     # rows of the SVD nullspace of the leading Jacobian block span, and the
     # closed form from the Grams gives the basis of the SVD reference: as
-    # orthonormal, as C-diagonal, with its (c1, c2), at every scale
+    # orthonormal, as C-diagonal, with its (c1, c2), at every scale; near
+    # an eigenvector of C, the same starts fail at every scale
     for target in _targets_for_basis_checks():
         n, mu, lam = target.pair.n, target.mu, target.lam
+        by_scale = {}
         for s in (1.0, 1e300, 1e-300):
             pair = HermitianPair(s * target.pair.a, s * target.pair.c)
             for eps in (1e-2, 1e-4, 1e-6, 1e-8):
@@ -133,6 +135,8 @@ def test_projection_basis_matches_svd_nullspace():
             _, _, failures = projection_basis(pair, TripletStack.of(starts))
             assert failures == svd_projection_basis(pair, TripletStack.of(starts))[2], (n, s)
             assert [projection_basis(pair, TripletStack.of([t]))[2][0] for t in starts] == failures
+            by_scale[s] = failures
+        assert by_scale[1e300] == by_scale[1.0] == by_scale[1e-300], n
 
 
 def _gram_rotation_cases():
@@ -665,6 +669,48 @@ def test_solve_calls_step_once_per_step(monkeypatch):
     del steps[:]
     scaling_study(target, [1e-2, 1e-3, 1e-4], 7, 0)
     assert steps == [7, 7, 7]
+
+
+def test_solve_records_each_iterates_errors_from_one_stacked_call(monkeypatch):
+    # the errors are taken when the run ends, in one call on the stack of
+    # its iterates: err_mu and err_lambda are bitwise those of each triplet
+    # alone, and err_x, whose phases and norms the stack sums in another
+    # order, within 4 units of roundoff of the unit vectors it measures
+    crossing = random_pair_with_crossing(12, (6, 6), 0.4, -0.3, 11)
+    targets = (Target.at(*refpairs.simple_pair_desk(), "simple"),
+               Target.at(*refpairs.multiple_pair_desk(), "multiple"), eigvec_set(crossing, 0.4, -0.3))
+    calls = []
+    errors = Target.errors
+    monkeypatch.setattr(Target, "errors", lambda self, *t: calls.append(1) or errors(self, *t))
+    for target in targets:
+        for trial in range(20):
+            del calls[:]
+            trace = solve(target.pair, perturbed_start(target, 1e-2, 3, trial=trial), reference=target)
+            assert calls == [1] and len(trace.iterates) >= 2
+            for rec in trace.iterates:
+                t = rec.triplet
+                err_mu, err_lambda, err_x = errors(target, t.mu, t.lam, t.x)
+                assert type(rec.err_mu) is float and rec.err_mu == err_mu
+                assert type(rec.err_lambda) is float and rec.err_lambda == err_lambda
+                assert abs(rec.err_x - err_x) <= 4 * np.finfo(float).eps
+    # a max_iter=0 run records the errors of its one iterate
+    target = targets[0]
+    trace = solve(target.pair, perturbed_start(target, 1e-2, 3), max_iter=0, reference=target)
+    assert len(trace.iterates) == 1 and trace.iterates[0].err_mu is not None
+    # a run that ends NON_FINITE keeps None on its last record, and only there
+    res_norm = rqi.residual_norm
+    norms = []
+
+    def third_is_nan(pair, t):
+        norms.append(1)
+        return np.nan if len(norms) == 3 else res_norm(pair, t)
+
+    monkeypatch.setattr(rqi, "residual_norm", third_is_nan)
+    trace = solve(target.pair, perturbed_start(target, 1e-2, 3), tol_abs=0.0, reference=target)
+    assert trace.status is Status.NON_FINITE and len(trace.iterates) == 3
+    last = trace.iterates[-1]
+    assert last.err_mu is last.err_lambda is last.err_x is None
+    assert all(rec.err_x is not None for rec in trace.iterates[:-1])
 
 
 def test_ten_solves_against_one_target_make_no_n_by_n_eigh(count_linalg):
