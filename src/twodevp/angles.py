@@ -48,5 +48,6 @@ def dist_to_set(x, s):
     r = np.abs(p)
     zero = r == 0
     g = (p + zero) / (r + zero)  # phase(v_i^H x), and 1 where it is 0
-    d = np.linalg.norm(x - (g * s.w) @ s.v.T, axis=-1)
+    diff = x - (g * s.w) @ s.v.T
+    d = np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=-1))  # np.linalg.norm(diff, axis=-1), bitwise
     return d if d.ndim else float(d)

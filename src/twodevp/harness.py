@@ -16,7 +16,7 @@ from . import rqi
 from .curves import branch_derivatives, eig_at
 from .errors import TwoDevpError
 from .kernels import diagonalize_form, orthonormalize
-from .model import HermitianPair, TripletStack
+from .model import HermitianPair, Triplet, TripletStack
 from .refpairs import haar_unitary
 
 NOISE_FLOOR = 1e-13
@@ -122,8 +122,6 @@ def perturbed_starts(target, eps, seed, trials):
     its own RNG, seeded by (seed, trial index), so a start does not depend
     on which other trials share its stack.  Returns a TripletStack.
     """
-    if not 0.0 <= eps <= 0.3:
-        raise ValueError("eps must be in [0, 0.3]")
     n = target.pair.n
     u = np.empty((len(trials), 2))
     g = np.empty((len(trials), 2, n))
@@ -131,19 +129,28 @@ def perturbed_starts(target, eps, seed, trials):
         rng = _trial_rng(seed, trial)
         u[row] = rng.uniform(-1.0, 1.0, size=2)
         rng.standard_normal(out=g[row])  # the real parts, then the imaginary ones
-    w = g[:, 0] + 1j * g[:, 1]
-    # a unit direction orthogonal to the target's x
-    w -= np.outer(w @ target.x.conj() / np.vdot(target.x, target.x), target.x)
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    x = target.x + eps * w
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    scal = eps * eps if target.regime == "multiple" else eps
-    return TripletStack(target.mu + scal * u[:, 0], target.lam + scal * u[:, 1], x)
+    return TripletStack(*_perturb(target, eps, u, g[:, 0] + 1j * g[:, 1]))
 
 
 def perturbed_start(target, eps, seed, trial=0):
-    """The start of perturbed_starts for one trial index, as a Triplet."""
-    return perturbed_starts(target, eps, seed, [trial])[0]
+    """The start of perturbed_starts for one trial index, as a Triplet, drawn and perturbed without a stack."""
+    rng = _trial_rng(seed, trial)
+    u, g = rng.uniform(-1.0, 1.0, size=2), rng.standard_normal((2, target.pair.n))
+    return Triplet(*_perturb(target, eps, u, g[0] + 1j * g[1]))
+
+
+def _perturb(target, eps, u, w):
+    """(mu, lam, x) of the starts from the draws u and w of a trial, or of a stack whose rows round alike."""
+    if not 0.0 <= eps <= 0.3:
+        raise ValueError("eps must be in [0, 0.3]")
+    tx = target.x
+    # a unit direction orthogonal to the target's x
+    w -= (w @ tx.conj() / np.vdot(tx, tx))[..., None] * tx
+    w /= np.sqrt(np.add.reduce((w.conj() * w).real, axis=-1, keepdims=True))  # np.linalg.norm's sum
+    x = tx + eps * w
+    x /= np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1, keepdims=True))
+    scal = eps * eps if target.regime == "multiple" else eps
+    return target.mu + scal * u[..., 0], target.lam + scal * u[..., 1], x
 
 
 def fit_slope(eps, med, scale=1.0):

@@ -82,7 +82,7 @@ def hermitian_eig(m):
 
 def conj_t(m):
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return np.swapaxes(m, -1, -2).conj()
+    return m.swapaxes(-1, -2).conj()
 
 
 def diagonalize_form(c, basis):

@@ -117,12 +117,17 @@ def _check_length(pair, x):
 def residual(pair, t):
     """The (n+2)-vector F at a triplet."""
     _check_length(pair, t.x)
-    n, x = pair.n, t.x
+    return _residual(pair, t.mu, t.lam, t.x)
+
+
+def _residual(pair, mu, lam, x, weight=1.0):
+    """F at (mu, lam, x) with its last entry multiplied by weight; x's length is not checked."""
+    n = pair.n
     cx = pair.c @ x
     f = np.empty(n + 2, dtype=complex)
-    np.subtract(pair.a @ x - t.mu * cx, t.lam * x, out=f[:n])
+    np.subtract(pair.a @ x - mu * cx, lam * x, out=f[:n])
     f[n] = -0.5 * np.vdot(x, cx).real
-    f[n + 1] = 0.5 * (1.0 - np.vdot(x, x).real)
+    f[n + 1] = 0.5 * (1.0 - np.vdot(x, x).real) * weight
     return f
 
 
@@ -146,14 +151,20 @@ def residual_norm(pair, t):
     1e-150 for a nonzero F, is taken again of F divided by a power of two
     near its largest entry, which is exact.
     """
+    _check_length(pair, t.x)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = residual(pair, t)
-        nrm = _norm(f)
-        if not math.isfinite(nrm) or nrm < 1e-150 and np.any(f):
-            big = float(np.max(np.abs(f)))  # inf only where the norm overflows too
-            if math.isfinite(big):
-                unit = power_of_two_near(big)
-                nrm = _norm(f / unit) * unit
+        return _residual_norm(pair, t.mu, t.lam, t.x)
+
+
+def _residual_norm(pair, mu, lam, x, weight=1.0):
+    """`residual_norm` of `_residual`, x's length checked and over and invalid ignored by the caller."""
+    f = _residual(pair, mu, lam, x, weight)
+    nrm = _norm(f)
+    if not math.isfinite(nrm) or nrm < 1e-150 and np.any(f):
+        big = float(np.max(np.abs(f)))  # inf only where the norm overflows too
+        if math.isfinite(big):
+            unit = power_of_two_near(big)
+            nrm = _norm(f / unit) * unit
     return nrm
 
 
@@ -181,8 +192,8 @@ def jacobian(pair, t, weight=1.0):
     np.subtract(pair.a, top, out=top)
     # the leading block's diagonal, as a strided view of the flat J
     j.reshape(x.shape[:-1] + (-1,))[..., : n * (n + 3) : n + 3] -= np.asarray(t.lam)[..., None]
-    j[..., :n, n] = -cx
-    j[..., n, :n] = -cx.conj()
+    np.negative(cx, out=j[..., :n, n])
+    np.conjugate(j[..., :n, n], out=j[..., n, :n])
     if weight == 1.0:
         j[..., :n, n + 1] = -x
         j[..., n + 1, :n] = -x.conj()

@@ -30,7 +30,9 @@ every stage is one numpy call on the stack, or a few, and a member whose
 step fails gets the Status that stopped it.  `solve` steps stacks of one,
 whose 2 x 2 closed forms of stages 2 to 4 run on Python numbers: they
 and the choice are written with operators and builtins only, so the
-same lines serve a stack and one start.
+same lines serve a stack and one start.  A run pays once for its
+np.errstate, the check of x's length and the weight of its residual,
+and carries its iterate from step to step as two floats and a row x.
 
 A step's results, RitzCandidates and StepStack, are values, immutable
 NamedTuples.  The records of a run, RqiTrace and its IterateRecords, are
@@ -38,6 +40,7 @@ objects that `solve` fills in as it goes, and their reference errors
 when it ends.
 """
 
+import contextlib
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -46,7 +49,8 @@ import numpy as np
 
 from .curves import floor_unit
 from .kernels import conj_t, isotropic_weights
-from .model import TripletStack, jacobian, jacobian_hat, power_of_two_near, residual_norm
+from .model import (Triplet, TripletStack, _check_length, _residual_norm, jacobian, jacobian_hat,
+                    power_of_two_near)
 
 DEFAULT_OPTS = {"tol_abs": 1e-12, "tol_rel": 1e-14, "max_iter": 50}
 
@@ -109,7 +113,11 @@ class StepStack(NamedTuple):
 
 
 class IterateRecord:
-    """Iterate k; c1, c2 and abs_a12 are those of the step from it to iterate k + 1, None on the last."""
+    """Iterate k; c1, c2 and abs_a12 are those of the step from it to iterate k + 1, None on the last.
+
+    res_norm is the norm that `solve` tests: |F| with F's last entry, (1 - x^H x)/2, times
+    curves.floor_unit(pair), which is model.residual_norm on a pair with |A| + |C| >= 1.
+    """
 
     __slots__ = ("k", "triplet", "res_norm", "c1", "c2", "abs_a12", "err_mu", "err_lambda", "err_x")
 
@@ -276,6 +284,13 @@ def projection_basis(pair, starts):
     [2^-400, 2^400], which keeps the span and N finite where J's entries
     are near over- or underflow, and (c1, c2) multiplied back.
     """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v, c1, c2, failures = _basis(pair, starts, len(starts) == 1)
+    return v, np.array((c1, c2)).T.reshape(-1, 2), failures
+
+
+def _basis(pair, starts, one):
+    """`projection_basis` under the caller's errstate, as (v, c1, c2, failures), c1 and c2 floats where one."""
     n = pair.n
     sigma = pair.norm_a + pair.norm_c
     j = jacobian(pair, starts, sigma)
@@ -284,7 +299,7 @@ def projection_basis(pair, starts):
         unit = power_of_two_near(sigma)
         c = c / unit
         j /= unit
-    e = np.zeros((n + 2, 2))
+    e = np.zeros((n + 2, 2), dtype=complex)
     e[n, 0] = e[n + 1, 1] = 1.0
     try:
         # e as a stack of one matrix, which numpy < 2 would otherwise read
@@ -300,20 +315,14 @@ def projection_basis(pair, starts):
                 null[i] = np.linalg.solve(ji, e)
             except np.linalg.LinAlgError:
                 null[i] = e
-    one = len(starts) == 1
     # Grams past overflow, or of a basis that is not finite, fail the test
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    out = _rotation(c, null, n, one)
+    if not (out[-1] if one else out[-1].all()):
+        null = null / power_of_two_near(np.abs(null).max(axis=-2))[:, None, :]
         out = _rotation(c, null, n, one)
-        if not (out[-1] if one else out[-1].all()):
-            null = null / power_of_two_near(np.abs(null).max(axis=-2))[:, None, :]
-            out = _rotation(c, null, n, one)
-        null, x, c1, c2, ok = out
-        v = null[:, :n] @ x
-    cs = np.array((c1, c2)).T.reshape(-1, 2)
-    if unit != 1.0:
-        cs *= unit
+    null, x, c1, c2, ok = out
     failures = [None if good else Status.JACOBIAN_NEAR_SINGULAR for good in np.array(ok, ndmin=1).tolist()]
-    return v, cs, failures
+    return null[:, :n] @ x, c1 * unit, c2 * unit, failures
 
 
 def sigma_n_jhat(pair, t):
@@ -401,7 +410,7 @@ def _tail(pair, mu, lam, v, a11, a12, a22, c1, c2):
     return cands.indefinite, select_ritz(mu, lam, cands, v, floor_unit(pair))
 
 
-def step(pair, starts):
+def step(pair, starts, quiet=False):
     """One iteration of the 2DRQI from each triplet of the TripletStack `starts`.
 
     Each stage runs once on the whole stack.  A stack of one takes the
@@ -411,19 +420,22 @@ def step(pair, starts):
     the tail on arrays only where Python arithmetic raises.  A
     member whose step fails gets its Status in `failures`; nothing
     raises, and a start past overflow warns nothing: its basis fails the
-    rank test.
+    rank test.  A caller that holds an np.errstate ignoring over, invalid
+    and divide, as `solve` does for its whole run, passes quiet=True, and
+    the step enters none.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v, c, failures = projection_basis(pair, starts)
+    with contextlib.nullcontext() if quiet else np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        one = len(starts) == 1
+        v, c1, c2, failures = _basis(pair, starts, one)
         a11, a12, a22 = form_rq(pair, v)
-        c1, c2 = c.T
         tail = None
-        if len(starts) == 1:
+        if one:
             try:
                 tail = _tail(pair, starts.mu.item(), starts.lam.item(), v, a11.item(), a12.item(), a22.item(),
-                             c1.item(), c2.item())
+                             c1, c2)
             except (ArithmeticError, ValueError):
                 pass  # where numpy gives inf or nan: the arrays below do
+        c1, c2 = np.array(c1, ndmin=1), np.array(c2, ndmin=1)
         indefinite, triplets = tail or _tail(pair, starts.mu, starts.lam, v, a11, a12, a22, c1, c2)
         for i, ok in enumerate(np.array(indefinite, ndmin=1).tolist()):
             if not ok and failures[i] is None:
@@ -434,11 +446,12 @@ def step(pair, starts):
 def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     """Run the 2DRQI from t0 until the residual is small or max_iter hits.
 
-    The run converges once the residual norm is at most tol_abs +
-    DEFAULT_OPTS["tol_rel"] * (|A| + |mu| |C| + |lam|).  A tol_abs given
-    is absolute; the default is DEFAULT_OPTS["tol_abs"] in units of
-    curves.floor_unit(pair), so that a pair of norm below 1 is not
-    converged at once.  Each step is a `step` on a stack of one, which
+    The run converges once the residual norm, of F with its last entry
+    weighted by curves.floor_unit(pair) (see IterateRecord), is at most
+    tol_abs + DEFAULT_OPTS["tol_rel"] * (|A| + |mu| |C| + |lam|).  A
+    tol_abs given is absolute; the default is DEFAULT_OPTS["tol_abs"] in
+    units of curves.floor_unit(pair), so that a pair of norm below 1 is
+    not converged at once.  Each step is a `step` on a stack of one, which
     takes its 2 x 2 tail on Python numbers.  Given a reference,
     a `classify.Target` of this pair as `eigvec_set` returns it, each
     iterate records its distances to the target's (mu, lam) and, as err_x,
@@ -447,11 +460,11 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     last iterate that ends the run NON_FINITE.  Failures that the
     local theory anticipates (projected C losing indefiniteness, nullspace
     rank collapse) end the run with the Status that `step` gives the
-    member.  An iterate whose residual norm (`model.residual_norm`) or
-    tolerance is not finite, as at a start that is not finite or one so
-    large that the tolerance overflows, ends the run with NON_FINITE.
-    Raises ValueError when max_iter < 0, when tol_abs is negative or not
-    finite, or when the reference is no Target of pair.
+    member.  An iterate whose residual norm or tolerance is not finite,
+    as at a start that is not finite or one so large that the tolerance
+    overflows, ends the run with NON_FINITE.  Raises ValueError when
+    max_iter < 0, when tol_abs is negative or not finite, or when the
+    reference is no Target of pair.
     """
     tol_abs = DEFAULT_OPTS["tol_abs"] * floor_unit(pair) if tol_abs is None else tol_abs
     max_iter = DEFAULT_OPTS["max_iter"] if max_iter is None else max_iter
@@ -461,40 +474,38 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         raise ValueError("need a finite tol_abs >= 0, got %r" % tol_abs)
     if reference is not None and getattr(reference, "pair", None) is not pair:
         raise ValueError("the reference must be a Target of this pair, as eigvec_set returns")
-    res_norm = residual_norm(pair, t0)
-    trace = RqiTrace()
-    t, stack = t0, TripletStack.of([t0])
-    for k in range(max_iter + 1):
-        rec = IterateRecord(k=k, triplet=t, res_norm=res_norm)
-        trace.iterates.append(rec)
-        # Python floats overflow to inf without a warning
-        tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
-        if not (math.isfinite(res_norm) and math.isfinite(tol)):
-            trace.status = Status.NON_FINITE
-            break
-        if res_norm <= tol:
-            trace.status = Status.CONVERGED
-            break
-        if k == max_iter:
-            break  # the trace's status is MAX_ITERATIONS until set
-        out = step(pair, stack)
-        if out.failures[0] is not None:
-            trace.status = out.failures[0]
-            break
-        stack = out.triplets
-        t = stack[0]
-        rec.c1, rec.c2, rec.abs_a12 = float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0])
-        res_norm = residual_norm(pair, t)
-    if reference is not None:
-        _record_errors(trace, reference)
-    return trace
-
-
-def _record_errors(trace, reference):
-    """Fill err_mu, err_lambda and err_x of each iterate of trace, but a last NON_FINITE one, in one call."""
+    _check_length(pair, t0.x)
+    weight, trace, t = floor_unit(pair), RqiTrace(), t0
+    stack = TripletStack(np.array((t.mu,)), np.array((t.lam,)), t.x[None])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        res_norm = _residual_norm(pair, t.mu, t.lam, t.x, weight)
+        for k in range(max_iter + 1):
+            rec = IterateRecord(k, t, res_norm)
+            trace.iterates.append(rec)
+            # Python floats overflow to inf without a warning
+            tol = tol_abs + DEFAULT_OPTS["tol_rel"] * (pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
+            if not (math.isfinite(res_norm) and math.isfinite(tol)):
+                trace.status = Status.NON_FINITE
+                break
+            if res_norm <= tol:
+                trace.status = Status.CONVERGED
+                break
+            if k == max_iter:
+                break  # the trace's status is MAX_ITERATIONS until set
+            out = step(pair, stack, quiet=True)
+            if out.failures[0] is not None:
+                trace.status = out.failures[0]
+                break
+            stack = out.triplets
+            x = stack.x[0]  # a new row of the step's, read-only as a Triplet's x
+            x.setflags(write=False)
+            t = Triplet._make((stack.mu.item(), stack.lam.item(), x))
+            rec.c1, rec.c2, rec.abs_a12 = out.c1.item(), out.c2.item(), out.abs_a12.item()
+            res_norm = _residual_norm(pair, t.mu, t.lam, x, weight)
+    # the reference errors of each iterate, but a last NON_FINITE one, from one call on their stack
     recs = trace.iterates[:-1] if trace.status is Status.NON_FINITE else trace.iterates
-    if recs:
-        ts = TripletStack.of([rec.triplet for rec in recs])
-        errs = reference.errors(ts.mu, ts.lam, ts.x)
+    if reference is not None and recs:
+        errs = reference.errors(*map(np.array, zip(*(rec.triplet for rec in recs))))
         for rec, err_mu, err_lambda, err_x in zip(recs, *(e.tolist() for e in errs)):
             rec.err_mu, rec.err_lambda, rec.err_x = err_mu, err_lambda, err_x
+    return trace

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from twodevp import kernels, oracle, refpairs
-from twodevp.classify import Kind, classify, eigvec_set, fix_phase
+from twodevp.classify import Kind, Target, classify, eigvec_set, fix_phase
 from twodevp.curves import eig_at
 from twodevp.errors import TwoDevpError
-from twodevp.model import HermitianPair, residual
-from twodevp.harness import random_pair, random_pair_with_crossing
+from twodevp.model import HermitianPair, Triplet, residual
+from twodevp.harness import perturbed_starts, random_pair, random_pair_with_crossing
 from twodevp.oracle import HitKind, refine_critical, refine_crossing, scan
+from twodevp.rqi import solve
 
 from helpers import residual_scale
 
@@ -396,6 +397,28 @@ def test_scan_is_invariant_under_congruence_and_shifts(seed):
         assert [(h.kind, h.curves) for h in moved] == [(h.kind, h.curves) for h in hits]
         assert max(abs(g.triplet.mu - dmu - h.triplet.mu) for g, h in zip(moved, hits)) <= 1e-12
         assert max(abs(g.triplet.lam - dlam - h.triplet.lam) for g, h in zip(moved, hits)) <= 1e-12
+
+
+def test_solve_is_invariant_under_congruence_and_shifts():
+    # the twin of the scan's check: with x turned by Q^H, lambda moved by
+    # 0.75 or mu by 0.5, each run from 20 starts per desk pair keeps its
+    # status and step count and ends at the moved 2D-eigenvalue
+    for (pair, trip), regime in ((refpairs.simple_pair_desk(), "simple"),
+                                 (refpairs.multiple_pair_desk(), "multiple")):
+        starts = perturbed_starts(Target.at(pair, trip, regime), 1e-2, 0, range(20))
+        q = refpairs.haar_unitary(np.random.default_rng(100), pair.n)
+        cases = [
+            (HermitianPair(q.conj().T @ pair.a @ q, q.conj().T @ pair.c @ q), 0.0, 0.0, q.conj().T),
+            (HermitianPair(pair.a + 0.75 * np.eye(pair.n), pair.c), 0.0, 0.75, np.eye(pair.n)),
+            (HermitianPair(pair.a + 0.5 * pair.c, pair.c), 0.5, 0.0, np.eye(pair.n)),
+        ]
+        runs = [solve(pair, t) for t in starts]
+        for other, dmu, dlam, turn in cases:
+            for t, one in zip(starts, runs):
+                got = solve(other, Triplet(t.mu + dmu, t.lam + dlam, turn @ t.x))
+                assert got.status is one.status and len(got.iterates) == len(one.iterates), (regime, dmu, dlam)
+                assert abs(got.final.mu - dmu - one.final.mu) <= 1e-12, (regime, dmu, dlam)
+                assert abs(got.final.lam - dlam - one.final.lam) <= 1e-12, (regime, dmu, dlam)
 
 
 def test_scan_rejects_an_infinite_window():

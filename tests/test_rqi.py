@@ -15,7 +15,15 @@ from twodevp.harness import (
     scaling_study,
 )
 from twodevp.kernels import orthonormalize
-from twodevp.model import HermitianPair, Triplet, TripletStack, jacobian_hat, residual
+from twodevp.model import (
+    HermitianPair,
+    Triplet,
+    TripletStack,
+    jacobian_hat,
+    power_of_two_near,
+    residual,
+    residual_norm,
+)
 from twodevp.rqi import (
     Status,
     form_rq,
@@ -201,12 +209,22 @@ def test_step_makes_one_solve_and_no_large_svd(count_linalg):
     target = eigvec_set(pair, 0.4, -0.3)
     t0 = perturbed_start(target, 1e-3, 5)
     starts = perturbed_starts(target, 1e-3, 5, range(5))
+    desk = Target.at(*refpairs.simple_pair_desk(), "simple")
+    desk_start = perturbed_start(desk, 0.05, 11, trial=3)
     calls = count_linalg()
     for k, run in ((1, lambda: step(pair, TripletStack.of([t0]))), (5, lambda: step(pair, starts))):
         del calls[:]
         out = run()
         assert out.failures == (None,) * k
         assert calls == [("solve", (k, 66, 66))]
+    # and of a whole run: a solve that takes k steps makes k LU solves of a
+    # stack of one and no other numpy.linalg call, its residual norms included
+    for run_pair, start in ((pair, t0), (desk.pair, desk_start)):
+        del calls[:]
+        trace = solve(run_pair, start)
+        k, m = len(trace.iterates) - 1, run_pair.n + 2
+        assert trace.status is Status.CONVERGED and k >= 2
+        assert calls == [("solve", (1, m, m))] * k
 
 
 def _desk_starts_and_failures(s):
@@ -581,7 +599,9 @@ def test_solve_does_not_depend_on_the_scale_of_the_pair():
     # (sA, sC) has the 2D-eigenvalues (mu, s lam) of (A, C); with J balanced,
     # the rank test of projection_basis reads the same basis at every s, and
     # with lam's gap in units of floor_unit the step picks the candidate of
-    # s = 1.  Below s = 1 a run may take other steps, but ends at the same point
+    # s = 1.  The convergence test weighs F's last entry, (1 - x^H x)/2, by
+    # floor_unit too, as every other entry of F scales with s; unweighted,
+    # that entry's rounding kept runs below s = 1 going for more steps
     for (pair, trip), regime in ((refpairs.simple_pair_desk(), "simple"),
                                  (refpairs.multiple_pair_desk(), "multiple")):
         starts = perturbed_starts(Target.at(pair, trip, regime), 1e-2, 0, range(20))
@@ -596,8 +616,7 @@ def test_solve_does_not_depend_on_the_scale_of_the_pair():
                   1e10, 1e12, 1e14, 1e100, 1e160, 1e200, 1e300):
             for one, got in zip(base, runs(s)):
                 assert got.status is one.status, (regime, s)
-                if s > 1.0:
-                    assert len(got.iterates) == len(one.iterates), (regime, s)
+                assert len(got.iterates) == len(one.iterates), (regime, s)
                 assert abs(got.final.mu - one.final.mu) <= 1e-12, (regime, s)
                 assert abs(got.final.lam / s - one.final.lam) <= 1e-12, (regime, s)
         # the default tol_abs is in units of the pair, where an absolute
@@ -653,13 +672,15 @@ def test_solve_measures_err_x_to_the_eigenvector_set():
 
 
 def test_solve_calls_step_once_per_step(monkeypatch):
+    # solve calls rqi.step by its module name, with quiet=True as it holds
+    # the errstate for its whole run; the studies call it without
     target = Target.at(*refpairs.simple_pair_desk(), "simple")
     steps = []
     step_ = rqi.step
 
-    def counted_step(pair, starts):
+    def counted_step(pair, starts, **kwargs):
         steps.append(len(starts))
-        return step_(pair, starts)
+        return step_(pair, starts, **kwargs)
 
     monkeypatch.setattr(rqi, "step", counted_step)
     trace = solve(target.pair, perturbed_start(target, 0.05, 11, trial=3), tol_abs=1e-12)
@@ -697,20 +718,103 @@ def test_solve_records_each_iterates_errors_from_one_stacked_call(monkeypatch):
     target = targets[0]
     trace = solve(target.pair, perturbed_start(target, 1e-2, 3), max_iter=0, reference=target)
     assert len(trace.iterates) == 1 and trace.iterates[0].err_mu is not None
-    # a run that ends NON_FINITE keeps None on its last record, and only there
-    res_norm = rqi.residual_norm
+    # a run that ends NON_FINITE keeps None on its last record, and only
+    # there; solve takes each iterate's norm from model's private body
+    res_norm = rqi._residual_norm
     norms = []
 
-    def third_is_nan(pair, t):
+    def third_is_nan(pair, mu, lam, x, weight):
         norms.append(1)
-        return np.nan if len(norms) == 3 else res_norm(pair, t)
+        return np.nan if len(norms) == 3 else res_norm(pair, mu, lam, x, weight)
 
-    monkeypatch.setattr(rqi, "residual_norm", third_is_nan)
+    monkeypatch.setattr(rqi, "_residual_norm", third_is_nan)
     trace = solve(target.pair, perturbed_start(target, 1e-2, 3), tol_abs=0.0, reference=target)
     assert trace.status is Status.NON_FINITE and len(trace.iterates) == 3
     last = trace.iterates[-1]
     assert last.err_mu is last.err_lambda is last.err_x is None
     assert all(rec.err_x is not None for rec in trace.iterates[:-1])
+
+
+def _loop_solve(pair, t0):
+    """solve as a loop of public step and residual_norm calls on a stack and Triplets rebuilt each step.
+
+    The norm weighs F's last entry by floor_unit(pair), as solve does:
+    residual_norm where that is 1, else its arithmetic by numpy's norm.
+    """
+    weight = floor_unit(pair)
+
+    def norm(t):
+        if weight == 1.0:
+            return residual_norm(pair, t)
+        f = residual(pair, t)
+        f[-1] *= weight
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm = float(np.linalg.norm(f))
+            if not np.isfinite(nrm) or nrm < 1e-150 and f.any():
+                big = float(np.abs(f).max())
+                if np.isfinite(big):
+                    unit = power_of_two_near(big)
+                    nrm = float(np.linalg.norm(f / unit)) * unit
+        return nrm
+
+    res_norm = norm(t0)
+    trace = rqi.RqiTrace()
+    t, stack = t0, TripletStack.of([t0])
+    for k in range(rqi.DEFAULT_OPTS["max_iter"] + 1):
+        rec = rqi.IterateRecord(k, t, res_norm)
+        trace.iterates.append(rec)
+        tol = rqi.DEFAULT_OPTS["tol_abs"] * weight + rqi.DEFAULT_OPTS["tol_rel"] * (
+            pair.norm_a + abs(t.mu) * pair.norm_c + abs(t.lam))
+        if not (np.isfinite(res_norm) and np.isfinite(tol)):
+            trace.status = Status.NON_FINITE
+            break
+        if res_norm <= tol:
+            trace.status = Status.CONVERGED
+            break
+        if k == rqi.DEFAULT_OPTS["max_iter"]:
+            break
+        out = step(pair, stack)
+        if out.failures[0] is not None:
+            trace.status = out.failures[0]
+            break
+        stack = out.triplets
+        t = stack[0]
+        rec.c1, rec.c2, rec.abs_a12 = float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0])
+        res_norm = norm(t)
+    return trace
+
+
+def test_solve_is_bitwise_a_loop_of_public_steps_and_residual_norms():
+    # solve holds one errstate per run, carries its iterate as floats and a
+    # row, and takes each norm from model's private body; none of it may move
+    # a bit of the run that public calls give
+    def bits(v):
+        return None if v is None else "nan" if np.isnan(v) else np.float64(v).tobytes()
+
+    crossing = random_pair_with_crossing(12, (6, 6), 0.4, -0.3, 11)
+    targets = (Target.at(*refpairs.simple_pair_desk(), "simple"),
+               Target.at(*refpairs.multiple_pair_desk(), "multiple"), eigvec_set(crossing, 0.4, -0.3))
+    statuses = set()
+    for target in targets:
+        base = perturbed_starts(target, 1e-2, 3, range(5))
+        _, q = np.linalg.eigh(target.pair.c)
+        for s in (1.0, 1e300, 1e-300):
+            pair = HermitianPair(s * target.pair.a, s * target.pair.c)
+            starts = [Triplet(t.mu, s * t.lam, t.x) for t in base]
+            starts += [Triplet(0.3, 0.1, np.zeros(pair.n)), Triplet(0.3, 0.1, q[:, 0]),
+                       Triplet(1e308, 0.0, target.x), Triplet(np.nan, s * target.lam, target.x)]
+            for t0 in starts:
+                got, want = solve(pair, t0), _loop_solve(pair, t0)
+                assert got.status is want.status and len(got.iterates) == len(want.iterates), s
+                statuses.add(got.status)
+                for g, w in zip(got.iterates, want.iterates):
+                    assert type(g.triplet) is Triplet and not g.triplet.x.flags.writeable
+                    assert type(g.triplet.mu) is type(g.triplet.lam) is float
+                    assert bits(g.triplet.mu) == bits(w.triplet.mu) and bits(g.triplet.lam) == bits(w.triplet.lam)
+                    assert g.triplet.x.tobytes() == w.triplet.x.tobytes(), s
+                    for name in ("res_norm", "c1", "c2", "abs_a12"):
+                        assert bits(getattr(g, name)) == bits(getattr(w, name)), (name, s)
+    assert statuses == {Status.CONVERGED, Status.JACOBIAN_NEAR_SINGULAR, Status.NON_FINITE}
 
 
 def test_ten_solves_against_one_target_make_no_n_by_n_eigh(count_linalg):
