@@ -80,8 +80,7 @@ def _auto_x0(pair, mu0, lam0):
     if n is None:
         return point.vectors[:, p]
     pos, neg = (p, n) if forms[p] > 0 else (n, p)
-    # one-element arrays, on which ** 0.5 is the correctly rounded sqrt
-    t, s = isotropic_weights(forms[pos:pos + 1], forms[neg:neg + 1])
+    t, s = isotropic_weights(forms[pos], forms[neg])
     return t * point.vectors[:, pos] + s * point.vectors[:, neg]
 
 

@@ -7,6 +7,7 @@ input validation and the convention the rest of the package relies on
 runs independent decompositions on a thread pool (numpy releases the GIL).
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -99,19 +100,23 @@ def diagonalize_form(c, basis):
     return basis @ s, e
 
 
+def _sqrt(x):
+    """The correctly rounded square root of a Python number or of an array."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
 def isotropic_weights(c1, c2):
     """Weights (t, s) with t^2 + s^2 = 1 and c1 t^2 + c2 s^2 = 0.
 
     t v1 + s v2 is then an isotropic unit vector for orthonormal v1, v2
     with v1^H C v1 = c1, v2^H C v2 = c2 and v1^H C v2 = 0.  Works
-    elementwise on arrays, and on Python floats.  Precondition, not checked
-    here: c1 > 0 > c2 throughout; callers that can meet a definite form
-    test it first.  On arrays, ** 0.5 is numpy's correctly rounded sqrt;
-    on Python floats it is C's pow, which rounds about one result in
-    1,000 to the other neighbour.
+    elementwise on arrays, and on Python floats bitwise alike, as `_sqrt`
+    is correctly rounded on both.  Precondition, not checked here:
+    c1 > 0 > c2 throughout; callers that can meet a definite form test it
+    first.
     """
     d = c1 - c2
-    return (-c2 / d) ** 0.5, (c1 / d) ** 0.5
+    return _sqrt(-c2 / d), _sqrt(c1 / d)
 
 
 def isotropic_set(c, basis):
@@ -123,9 +128,8 @@ def isotropic_set(c, basis):
     v, e = diagonalize_form(c, basis)
     if not e[0] > 0.0 > e[-1]:
         return None, None, e
-    # a view of columns 0 and k - 1: at k = 2, v in its own layout, which sets the bits of v @ w;
-    # the weights of one-element arrays, for the correctly rounded sqrt
-    return v[:, :: e.size - 1], np.concatenate(isotropic_weights(e[:1], e[-1:])), e
+    # a view of columns 0 and k - 1: at k = 2, v in its own layout, which sets the bits of v @ w
+    return v[:, :: e.size - 1], np.array(isotropic_weights(e[0], e[-1])), e
 
 
 def orthonormalize(m):

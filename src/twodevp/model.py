@@ -132,14 +132,10 @@ def _residual(pair, mu, lam, x, weight=1.0):
 
 
 def power_of_two_near(x):
-    """The power of two nearest a positive x, kept where it and its reciprocal are normal floats.
+    """The power of two nearest a positive float x, kept where it and its reciprocal are normal floats.
 
     Dividing by it, and multiplying back, is exact in the normal range.
-    On an array, that of each entry, where 0 gives 2^-1021, inf 2^1021
-    and NaN NaN.
     """
-    if isinstance(x, np.ndarray):
-        return np.exp2(np.clip(np.rint(np.log2(x)), -1021, 1021))
     return 2.0 ** min(max(round(math.log2(x)), -1021), 1021)
 
 

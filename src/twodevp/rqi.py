@@ -4,12 +4,13 @@ One step from the iterate (mu_k, lam_k, x_k):
 
   1. take the nullspace of the n x (n+2) leading block Jhat = J[:n] of the
      bordered Jacobian J as the last two columns of J^-1, from one LU
-     solve J N = [0; I_2], J balanced as `projection_basis` says.  J is
-     nonsingular at a nonsingular
-     2D-eigentriplet, so the solve stays defined where H = A - mu C - lam I
-     is singular: for z = (y, a, b) with J z = 0, a simple triplet forces
-     a lam'' = 0 and a crossing (cluster form of C diag(c1, c2), isotropic
-     weights (t, s)) forces a t s (c1 - c2) = 0, and a = 0 then gives z = 0;
+     solve J N = [0; diag(q, p)], J balanced and q and p the powers of two
+     nearest |C| and |A| + |C|, as `projection_basis` says, so that N is
+     of order 1 at every scale.  J is nonsingular at a nonsingular 2D-eigentriplet, so
+     the solve stays defined where H = A - mu C - lam I is singular: for
+     z = (y, a, b) with J z = 0, a simple triplet forces a lam'' = 0 and a
+     crossing (cluster form of C diag(c1, c2), isotropic weights (t, s))
+     forces a t s (c1 - c2) = 0, and a = 0 then gives z = 0;
   2. with P = N[:n], form the 2 x 2 Grams P^H P and P^H C P in one matrix
      product, and from them, in closed form, the 2 x 2 X that makes
      V = P X orthonormal with V^H C V = diag(c1, c2), c1 >= c2: X is the
@@ -48,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import floor_unit
-from .kernels import conj_t, isotropic_weights
+from .kernels import _sqrt, conj_t, isotropic_weights
 from .model import (Triplet, TripletStack, _check_length, _residual_norm, jacobian, jacobian_hat,
                     power_of_two_near)
 
@@ -102,7 +103,9 @@ class StepStack(NamedTuple):
 
     failures[i] is None, or the Status that stopped member i
     (JACOBIAN_NEAR_SINGULAR or INDEFINITENESS_LOST); the next triplet,
-    c1, c2 and abs_a12 of such a member are placeholders.
+    c1, c2 and abs_a12 of such a member are placeholders.  A member whose
+    failures[i] is None has taken its step: its basis passed the rank
+    test and its projected C is indefinite.
     """
 
     triplets: TripletStack
@@ -139,11 +142,6 @@ class RqiTrace:
         return self.iterates[-1].triplet
 
 
-def _sqrt(x):
-    """The correctly rounded square root of a Python number or of an array."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
 def gram_rotation(gk, z):
     """The 2 x 2 X that makes a basis P orthonormal and C-diagonal, in closed form from Grams.
 
@@ -161,7 +159,9 @@ def gram_rotation(gk, z):
     With T = Z R^-1, sigma^2 = 1 / (1 + |T|_2^2), so the test is
     1 + |T|_2^2 >= 1e20; NaN fails it, and so does a diagonal of G
     outside [2^-400, 2^400], whose rounding near over- or underflow is not
-    to be trusted.  G resolves the angle of P's columns only to its
+    to be trusted; `projection_basis` forms Grams of order 1, which leave
+    that range only where J^-1 is past 2^200 in units of the pair, or its
+    solve overflows.  G resolves the angle of P's columns only to its
     rounding, so where their squared sine r22^2 / g22 is below 1/2, ok is
     False, X is R^-1 alone, and `again` is True: the columns of N X are
     then orthogonal to rounding, and their Grams decide.
@@ -244,27 +244,18 @@ def _rotate(c, null, n, one):
     return [np.ascontiguousarray(np.array(xs).T).reshape(-1, 2, 4).view(complex)] + out
 
 
-def _rotation(c, null, n, one):
-    """(null, x, c1, c2, ok): `_rotate` of null, and again of null X for each member that asks."""
-    x, c1, c2, ok, again = _rotate(c, null, n, one)
-    if again if one else again.any():
-        null = np.where(np.reshape(again, (-1, 1, 1)), null @ x, null)
-        x, c1, c2, ok, _ = _rotate(c, null, n, one)
-    return null, x, c1, c2, ok
-
-
 def projection_basis(pair, starts):
     """Projection bases from the nullspaces of the leading Jacobian blocks.
 
     Each member of the TripletStack `starts` has its bordered Jacobian J
     from `model.jacobian`, and the nullspace of its leading block is
-    spanned by P, the leading n rows of N = J^-1 [0; I_2], the last two
-    columns of J^-1.  J is built balanced: `model.jacobian` scales its -x
-    border row and column by |A| + |C|, which scales the second column
-    of N by 1/(|A| + |C|) and keeps the span, so that the rank test reads
-    the same basis for (sA, sC) as for (A, C).  One matrix product then forms
-    the Grams P^H [P, CP], and `gram_rotation` the 2 x 2 X that makes
-    V = P X orthonormal with V^H C V diagonal.  Returns (v, c, failures):
+    spanned by P, the leading n rows of N = J^-1 [0; diag(q, p)], the
+    last two columns of J^-1 times q and p.  J is built balanced:
+    `model.jacobian` scales its -x border row and column by |A| + |C|,
+    which scales the second column of N by 1/(|A| + |C|) and keeps the
+    span, so that the rank test reads the same basis for (sA, sC) as for
+    (A, C).  One matrix product then forms the Grams P^H [P, CP], and
+    `gram_rotation` the 2 x 2 X that makes V = P X orthonormal with V^H C V diagonal.  Returns (v, c, failures):
     the (k, n, 2) bases v, the (k, 2) entries (c1, c2), c1 >= c2, of
     their V^H C V, and a list that holds, per member, None or
     JACOBIAN_NEAR_SINGULAR where the leading rows of an orthonormal basis
@@ -276,21 +267,29 @@ def projection_basis(pair, starts):
     finite.  The values of a failed member are placeholders.
 
     A stack of one runs `gram_rotation` on Python numbers, a stack on
-    arrays.  Where a member fails, the stack is taken again with each
-    column of N divided by the power of two nearest its largest entry,
-    which is exact and keeps the span and the test, so that Grams near
-    over- or underflow are formed of entries near 1.  J and C are divided
-    by the power of two nearest |A| + |C| where that lies outside
-    [2^-400, 2^400], which keeps the span and N finite where J's entries
-    are near over- or underflow, and (c1, c2) multiplied back.
+    arrays.  The right-hand side carries the scale of the pair: column 1
+    of N solves -x^H C y = q and column 2 -(|A| + |C|) x^H y = p, so with
+    q and p the powers of two nearest |C| and |A| + |C| both columns are
+    of order 1 at every scale and at any ratio |A| / |C|, and the closed
+    form is taken once per stack, and once more for the members that ask
+    `again`.  A power of two in a column of the right-hand side scales
+    that column of N, and so the Grams and X, exactly, and cancels in
+    V = P X and in (c1, c2).  Where |A| + |C| lies outside
+    [2^-400, 2^400], J, C and the right-hand side are divided by p, which
+    keeps N finite where J's entries are near over- or underflow; (c1, c2)
+    are multiplied back.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v, c1, c2, failures = _basis(pair, starts, len(starts) == 1)
+        v, c1, c2, failures, _ = _basis(pair, starts, len(starts) == 1)
     return v, np.array((c1, c2)).T.reshape(-1, 2), failures
 
 
 def _basis(pair, starts, one):
-    """`projection_basis` under the caller's errstate, as (v, c1, c2, failures), c1 and c2 floats where one."""
+    """`projection_basis` under the caller's errstate, as (v, c1, c2, failures, unit).
+
+    c1 and c2 are floats where one, and unit is the power of two that J
+    and C were divided by, 1 inside [2^-400, 2^400].
+    """
     n = pair.n
     sigma = pair.norm_a + pair.norm_c
     j = jacobian(pair, starts, sigma)
@@ -300,7 +299,8 @@ def _basis(pair, starts, one):
         c = c / unit
         j /= unit
     e = np.zeros((n + 2, 2), dtype=complex)
-    e[n, 0] = e[n + 1, 1] = 1.0
+    e[n, 0] = power_of_two_near(pair.norm_c) / unit
+    e[n + 1, 1] = power_of_two_near(sigma) / unit
     try:
         # e as a stack of one matrix, which numpy < 2 would otherwise read
         # as a stack of vectors
@@ -308,21 +308,19 @@ def _basis(pair, starts, one):
     except np.linalg.LinAlgError:
         # one singular J fails the whole stack's solve, and so does one
         # whose entries overflow, so redo it member by member; a failed
-        # member keeps [0; I_2], whose leading rows have rank 0
+        # member keeps e, whose leading rows have rank 0
         null = np.empty(j.shape[:1] + e.shape, dtype=complex)
         for i, ji in enumerate(j):
             try:
                 null[i] = np.linalg.solve(ji, e)
             except np.linalg.LinAlgError:
                 null[i] = e
-    # Grams past overflow, or of a basis that is not finite, fail the test
-    out = _rotation(c, null, n, one)
-    if not (out[-1] if one else out[-1].all()):
-        null = null / power_of_two_near(np.abs(null).max(axis=-2))[:, None, :]
-        out = _rotation(c, null, n, one)
-    null, x, c1, c2, ok = out
+    x, c1, c2, ok, again = _rotate(c, null, n, one)
+    if again if one else again.any():
+        null = np.where(np.reshape(again, (-1, 1, 1)), null @ x, null)
+        x, c1, c2, ok, _ = _rotate(c, null, n, one)
     failures = [None if good else Status.JACOBIAN_NEAR_SINGULAR for good in np.array(ok, ndmin=1).tolist()]
-    return null[:, :n] @ x, c1 * unit, c2 * unit, failures
+    return null[:, :n] @ x, c1 * unit, c2 * unit, failures, unit
 
 
 def sigma_n_jhat(pair, t):
@@ -349,25 +347,31 @@ def solve_2x2(a11, a12, a22, c1, c2):
     g = sqrt(-c1 c2) = t s d, their Rayleigh quotients are
     theta = (c1 a22 - c2 a11 +- 2 g |a12|) / d and
     nu = (a11 - a22 +- (c1 + c2) |a12| / g) / d.  A problem needs
-    c1 > 0 > c2; where it fails, `indefinite` is False.
+    c1 > 0 > c2; where it fails, `indefinite` is False.  g is the one
+    divisor that can be 0, and only where t or s underflows: such a
+    problem is not indefinite either, and 1 stands in for g.
 
     Operators and builtins only: the same lines take arrays of k problems
     and, at the speed of Python arithmetic, one problem given as Python
-    numbers.  Python numbers raise where numpy gives inf or nan, as a
-    ZeroDivisionError where t or s underflows.
+    numbers, which then raise nothing but the OverflowError of abs(a12)
+    where |a12| overflows from finite parts.
     """
     indefinite = (c1 > 0) & (c2 < 0)
     # (1, -1) where not indefinite: placeholders, nan only where c1 or c2 is
     c1 = indefinite * c1 + (1.0 - indefinite)
     c2 = indefinite * c2 - (1.0 - indefinite)
     t, s = isotropic_weights(c1, c2)
+    d = c1 - c2
+    g = t * s * d
+    # g = 0 only where t or s underflows: such a problem is not indefinite
+    # either, and 1 stands in for g
+    indefinite = indefinite & (g != 0.0)
+    g = g + (g == 0.0)
     r = abs(a12)
     zero = r == 0
     # 1 where a12 == 0; times the reciprocal, as numpy divides a complex by a real, so
     # that Python numbers round here as arrays do
     alpha = (a12.conjugate() + zero) * (1.0 / (r + zero))
-    d = c1 - c2
-    g = t * s * d
     rd = r / d
     return RitzCandidates((a11 - a22) / d, (c1 + c2) / g * rd, (c1 * a22 - c2 * a11) / d, 2.0 * g * rd,
                           t, alpha * s, indefinite)
@@ -393,18 +397,17 @@ def select_ritz(mu, lam, candidates, v, lam_unit):
                         (v @ z)[..., 0])
 
 
-def _tail(pair, mu, lam, v, a11, a12, a22, c1, c2):
+def _tail(pair, unit, mu, lam, v, a11, a12, a22, c1, c2):
     """Stages 3 and 4 of a step: the indefinite flags and the chosen triplets.
 
-    Where |A| + |C| lies outside [2^-400, 2^400], the projected pairs are
-    divided by the power of two nearest it before their closed form, whose
-    products would over- or underflow, and theta is multiplied back.
+    unit is that of `_basis`: where it is not 1, |A| + |C| lies outside
+    [2^-400, 2^400], and the projected pairs are divided by it before
+    their closed form, whose products would over- or underflow, and theta
+    is multiplied back.
     """
-    sigma = pair.norm_a + pair.norm_c
-    if 2.0 ** -400 <= sigma <= 2.0 ** 400:
+    if unit == 1.0:
         cands = solve_2x2(a11, a12, a22, c1, c2)
     else:
-        unit = power_of_two_near(sigma)
         cands = solve_2x2(a11 / unit, a12 / unit, a22 / unit, c1 / unit, c2 / unit)
         cands = cands._replace(theta0=cands.theta0 * unit, dtheta=cands.dtheta * unit)
     return cands.indefinite, select_ritz(mu, lam, cands, v, floor_unit(pair))
@@ -416,8 +419,7 @@ def step(pair, starts, quiet=False):
     Each stage runs once on the whole stack.  A stack of one takes the
     closed form of its basis (`gram_rotation`) and the projected 2 x 2
     tail (`solve_2x2`, `select_ritz`) on Python numbers, where a numpy
-    call on arrays of length one would cost more than its arithmetic, and
-    the tail on arrays only where Python arithmetic raises.  A
+    call on arrays of length one would cost more than its arithmetic.  A
     member whose step fails gets its Status in `failures`; nothing
     raises, and a start past overflow warns nothing: its basis fails the
     rank test.  A caller that holds an np.errstate ignoring over, invalid
@@ -426,21 +428,17 @@ def step(pair, starts, quiet=False):
     """
     with contextlib.nullcontext() if quiet else np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         one = len(starts) == 1
-        v, c1, c2, failures = _basis(pair, starts, one)
+        v, c1, c2, failures, unit = _basis(pair, starts, one)
         a11, a12, a22 = form_rq(pair, v)
-        tail = None
         if one:
-            try:
-                tail = _tail(pair, starts.mu.item(), starts.lam.item(), v, a11.item(), a12.item(), a22.item(),
-                             c1, c2)
-            except (ArithmeticError, ValueError):
-                pass  # where numpy gives inf or nan: the arrays below do
-        c1, c2 = np.array(c1, ndmin=1), np.array(c2, ndmin=1)
-        indefinite, triplets = tail or _tail(pair, starts.mu, starts.lam, v, a11, a12, a22, c1, c2)
+            indefinite, triplets = _tail(pair, unit, starts.mu.item(), starts.lam.item(), v, a11.item(),
+                                         a12.item(), a22.item(), c1, c2)
+        else:
+            indefinite, triplets = _tail(pair, unit, starts.mu, starts.lam, v, a11, a12, a22, c1, c2)
         for i, ok in enumerate(np.array(indefinite, ndmin=1).tolist()):
             if not ok and failures[i] is None:
                 failures[i] = Status.INDEFINITENESS_LOST
-        return StepStack(triplets, c1, c2, np.abs(a12), tuple(failures))
+        return StepStack(triplets, np.array(c1, ndmin=1), np.array(c2, ndmin=1), np.abs(a12), tuple(failures))
 
 
 def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):

@@ -99,6 +99,19 @@ def test_isotropic_weights_give_unit_isotropic_mixes():
     assert np.max(np.abs(c1 * t**2 + c2 * s**2)) <= 1e-15
 
 
+def test_isotropic_weights_on_python_floats_are_bitwise_those_on_arrays():
+    # a step from one start takes its weights on Python floats, a stack of
+    # starts on arrays; each takes correctly rounded square roots, and
+    # numpy's division and sqrt round each entry alone, so a long array
+    # gives what arrays of length one give
+    rng = np.random.default_rng(37)
+    c1 = 10.0 ** rng.uniform(-8.0, 8.0, 100_000)
+    c2 = -(10.0 ** rng.uniform(-8.0, 8.0, 100_000))
+    t, s = isotropic_weights(c1, c2)
+    got = np.array([isotropic_weights(a, b) for a, b in zip(c1.tolist(), c2.tolist())])
+    assert np.array_equal(got, np.stack((t, s), axis=-1))
+
+
 def test_isotropic_set_mixes_the_extreme_directions_of_an_indefinite_form():
     c = np.diag([2.0, 0.5, -1.0, 3.0])
     basis = np.eye(4)[:, :3]

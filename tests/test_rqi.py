@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import svd_projection_basis
@@ -147,6 +149,37 @@ def test_projection_basis_matches_svd_nullspace():
         assert by_scale[1e300] == by_scale[1.0] == by_scale[1e-300], n
 
 
+def test_projection_basis_of_a_pair_whose_a_dwarfs_its_c():
+    # a desk pair in a block beside a 1 x 1 block pair of norm 1e70 or
+    # 1e100: |A| / |C| is past 2^200, while the desk block's 2D-eigentriplets
+    # keep their meaning.  Column 1 of N solves -x^H C y = e1, so an e1 in
+    # units of |A| + |C| would put the Grams past 2^400; in units of |C|,
+    # the basis is the reference's, and steps go to the desk's target
+    for (desk, trip), regime in ((refpairs.simple_pair_desk(), "simple"),
+                                 (refpairs.multiple_pair_desk(), "multiple")):
+        n = desk.n
+        starts = [Triplet(t.mu, t.lam, np.concatenate((t.x, [0.0, 0.0])))
+                  for t in perturbed_starts(Target.at(desk, trip, regime), 1e-2, 0, range(10))]
+        for big in (1e70, 1e100):
+            a = np.zeros((n + 2, n + 2), dtype=complex)
+            c = np.zeros((n + 2, n + 2), dtype=complex)
+            a[:n, :n], c[:n, :n] = desk.a, desk.c
+            a[n, n], a[n + 1, n + 1], c[n, n], c[n + 1, n + 1] = big, -big, 1.0, -1.0
+            pair = HermitianPair(a, c)
+            assert pair.norm_a / pair.norm_c >= big / 2.0
+            stack = TripletStack.of(starts)
+            _, c_ref, failures_ref = svd_projection_basis(pair, stack)
+            assert failures_ref == [None] * len(starts)
+            _, got, failures = projection_basis(pair, stack)
+            assert failures == failures_ref, (regime, big)
+            assert np.allclose(got, c_ref, rtol=1e-13, atol=0.0), (regime, big)
+            for t, c_one in zip(starts, got):
+                assert np.allclose(basis_at(pair, t)[1][0], c_one, rtol=1e-13, atol=0.0), (regime, big)
+                for _ in range(6):
+                    t = step_one(pair, t).triplets[0]
+                assert abs(t.mu - trip.mu) <= 1e-14 and abs(t.lam - trip.lam) <= 1e-14, (regime, big)
+
+
 def _gram_rotation_cases():
     """(name, G and K as the 2 x 4 P^H [P, CP], Z) for `gram_rotation`."""
     rng = np.random.default_rng(34)
@@ -199,6 +232,42 @@ def test_gram_rotation_on_python_numbers_is_gram_rotation_on_arrays_of_length_on
         names.add((name, ok, again))
     assert ("parallel", False, True) in names and ("rank", False, False) in names
     assert ("zero", False, False) in names and ("definite", True, False) in names
+
+
+def test_projection_basis_takes_its_closed_form_once_and_again_only_where_asked(monkeypatch):
+    # the solve's right-hand side carries the scale of the pair, so the
+    # Grams are of order 1 at every scale: one gram_rotation per stack,
+    # and one more where a member sets `again`, as starts near an
+    # eigenvector of C do
+    calls = []
+    gram_rotation = rqi.gram_rotation
+
+    def counted(gk, z):
+        out = gram_rotation(gk, z)
+        calls.append(int(np.sum(out[-1])))  # the members that set again
+        return out
+
+    monkeypatch.setattr(rqi, "gram_rotation", counted)
+    crossing = random_pair_with_crossing(12, (6, 6), 0.4, -0.3, 11)
+    seen = set()
+    for target in (Target.at(*refpairs.simple_pair_desk(), "simple"),
+                   Target.at(*refpairs.multiple_pair_desk(), "multiple"), eigvec_set(crossing, 0.4, -0.3)):
+        n = target.pair.n
+        base = list(perturbed_starts(target, 1e-2, 3, range(10)))
+        _, q = np.linalg.eigh(target.pair.c)
+        rng = np.random.default_rng(n)
+        for e in (2, 6, 10):
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            base.append(Triplet.normalized(target.mu + 0.01, target.lam - 0.01, q[:, 0] + 10.0 ** -e * w))
+        for s in (1.0, 1e100, 1e-100, 1e300, 1e-300):
+            pair = HermitianPair(s * target.pair.a, s * target.pair.c)
+            starts = [Triplet(t.mu, s * t.lam, t.x) for t in base]
+            for stack in [TripletStack.of(starts)] + [TripletStack.of([t]) for t in starts]:
+                del calls[:]
+                projection_basis(pair, stack)
+                assert len(calls) == 1 + (calls[0] > 0), (target.regime, s, calls)
+                seen.add(len(calls))
+    assert seen == {1, 2}
 
 
 def test_step_makes_one_solve_and_no_large_svd(count_linalg):
@@ -265,29 +334,24 @@ def test_step_stack_matches_single_steps():
 
 
 @pytest.mark.parametrize("s", [1.0, 1e300, 1e-300])
-def test_one_start_tail_on_python_numbers_matches_the_tail_on_arrays(monkeypatch, s):
-    # step retakes a stack of one's tail on arrays of length one where
-    # Python arithmetic raises; a solve_2x2 that raises on Python numbers
-    # sends every step there, so the two tails meet the same basis.  They
-    # differ only where Python's abs and ** 0.5 round otherwise than numpy's
-    cases = list(_desk_starts_and_failures(s))
-    on_numbers = [[step(pair, TripletStack.of([t])) for t in starts] for _, pair, starts in cases]
-
-    def arrays_only(a11, a12, a22, c1, c2):
-        if not isinstance(a11, np.ndarray):
-            raise ZeroDivisionError("as where t or s underflows")
-        return solve_2x2(a11, a12, a22, c1, c2)
-
-    monkeypatch.setattr(rqi, "solve_2x2", arrays_only)
+def test_one_start_tail_on_python_numbers_matches_the_tail_on_arrays(s):
+    # a stack of one takes its 2 x 2 tail on Python numbers, a stack on
+    # arrays; from the same basis, the two may differ only where Python's
+    # abs rounds otherwise than numpy's
     eps = np.finfo(float).eps
-    for (regime, pair, starts), outs in zip(cases, on_numbers):
-        for t, a in zip(starts, outs):
-            b = step(pair, TripletStack.of([t]))
-            assert a.failures == b.failures, regime
-            for got, want in ((a.c1, b.c1), (a.c2, b.c2), (a.abs_a12, b.abs_a12)):
-                assert np.array_equal(got, want, equal_nan=True)
-            if a.failures[0] is None:
-                ta, tb = a.triplets[0], b.triplets[0]
+    for regime, pair, starts in _desk_starts_and_failures(s):
+        for t in starts:
+            stack = TripletStack.of([t])
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                v, c1, c2, failures, unit = rqi._basis(pair, stack, True)
+                a11, a12, a22 = form_rq(pair, v)
+                ok, one = rqi._tail(pair, unit, stack.mu.item(), stack.lam.item(), v, a11.item(), a12.item(),
+                                    a22.item(), c1, c2)
+                oks, arrays = rqi._tail(pair, unit, stack.mu, stack.lam, v, a11, a12, a22, np.array([c1]),
+                                        np.array([c2]))
+            assert type(ok) is bool and oks.tolist() == [ok], regime
+            if ok and failures == [None]:
+                ta, tb = one[0], arrays[0]
                 assert abs(ta.mu - tb.mu) <= 4 * eps * max(1.0, abs(tb.mu))
                 assert abs(ta.lam - tb.lam) <= 4 * eps * max(s, abs(tb.lam))
                 assert np.linalg.norm(ta.x - tb.x) <= 4 * eps
@@ -319,14 +383,16 @@ def test_solve_2x2_on_python_numbers_is_solve_2x2_on_arrays_of_length_one(form):
         assert np.array_equal(got, want[0], equal_nan=True)
 
 
-def test_solve_2x2_on_python_numbers_raises_where_numpy_gives_inf():
-    # -c2 / (c1 - c2) underflows, so t = 0, g = t s d = 0 and nu's offset is (c1 + c2) / 0
+def test_solve_2x2_is_not_indefinite_where_an_isotropic_weight_underflows():
+    # -c2 / (c1 - c2) underflows, so t = 0 and g = t s d = 0, by which nu's
+    # offset divides: the problem is not indefinite, on Python numbers as on
+    # arrays, and neither raises nor warns
     form = (0.0, 1.0 + 0j, 0.0, 1e120, -1e-210)
-    with pytest.raises(ZeroDivisionError):
-        solve_2x2(*form)
-    with np.errstate(divide="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = solve_2x2(*form)
         stack = solve_2x2(*(np.array([e]) for e in form))
-    assert stack.indefinite.all() and not np.isfinite(stack.nu).all()
+    assert one.indefinite is False and stack.indefinite.tolist() == [False]
 
 
 def test_step_stack_keeps_each_failure_to_its_member():
