@@ -49,8 +49,8 @@ def check_hermitian(m):
     """Validate a finite Hermitian matrix and return it symmetrized.
 
     The symmetry tolerance scales with the largest entry.  Symmetrizing
-    as (M + M^H)/2 removes representation noise once the tolerance check
-    has passed.
+    as M/2 + M^H/2, which halves exactly and cannot overflow, removes
+    representation noise once the tolerance check has passed.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
@@ -63,7 +63,7 @@ def check_hermitian(m):
     tol = 1e-12 * (1.0 + np.max(np.abs(m), initial=0.0))
     if dev > tol:
         raise TwoDevpError("asymmetry %.3e exceeds tolerance %.3e" % (dev, tol))
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * m + 0.5 * m.conj().T
 
 
 def hermitian_eig(m):

@@ -45,7 +45,10 @@ class HermitianPair:
             wa, wc = np.linalg.eigvalsh(a), np.linalg.eigvalsh(c)  # ascending
         except np.linalg.LinAlgError as exc:
             raise TwoDevpError(str(exc))
-        norm_a, norm_c = max(-wa[0], wa[-1]), max(-wc[0], wc[-1])
+        # Python floats, which overflow with no warning
+        norm_a, norm_c = float(max(-wa[0], wa[-1])), float(max(-wc[0], wc[-1]))
+        if not math.isfinite(norm_a + norm_c):
+            raise TwoDevpError("|A| + |C| = %r + %r is past the float range" % (norm_a, norm_c))
         thr = 1e-12 * max(norm_c, 1e-300)
         if not (wc[-1] > thr and wc[0] < -thr):
             raise TwoDevpError("C must have both positive and negative eigenvalues")
@@ -54,8 +57,8 @@ class HermitianPair:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "n", a.shape[0])
-        object.__setattr__(self, "norm_a", float(norm_a))
-        object.__setattr__(self, "norm_c", float(norm_c))
+        object.__setattr__(self, "norm_a", norm_a)
+        object.__setattr__(self, "norm_c", norm_c)
 
 
 class _TripletFields(NamedTuple):

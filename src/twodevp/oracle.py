@@ -113,12 +113,13 @@ def refine_critical(pair, left, right, i):
     the same two tests; when both are refused, the bracket is bisected.
     Each point's slope, lam'' and lam''' come from one branch_derivatives
     call, with lam'' and lam''' NaN on a cluster at values[i]; the bracket
-    ends keep scan's slopes.  Without lam'' at both ends, the first iterate
-    is a plain step.  Each new point narrows the bracket by the sign of its
-    slope.  A point is accepted once its Newton or kink step is within
-    1e-13 * (|mu| + min(1, |A|/|C|)), or 1e-13 * (|mu| + 1) when A = 0;
-    bisection stops once the bracket is that narrow or its midpoint is no
-    longer strictly inside it.
+    ends' slopes are taken again from column i alone, and agree with
+    scan's to rounding, not bitwise.  Without lam'' at both ends, the first
+    iterate is a plain step.  Each new point narrows the bracket by the
+    sign of its slope.  A point is accepted once its Newton or kink step
+    is within 1e-13 * (|mu| + min(1, |A|/|C|)), or 1e-13 * (|mu| + 1) when
+    A = 0; bisection stops once the bracket is that narrow or its midpoint
+    is no longer strictly inside it.
 
     refined_to is the distance estimate to the zero: the length of the
     Newton or kink step at the point accepted, the final bracket width when

@@ -19,12 +19,17 @@ One step from the iterate (mu_k, lam_k, x_k):
      Z R^-1, Z = N[n:].  Where P's columns lie within 45 degrees of each
      other, whose angle the Grams resolve only to their rounding, this
      is taken once more from N R^-1;
-  3. solve the projected 2 x 2 problem (V^H A V, V^H C V) in closed form,
-     which yields two candidate triplets; they coincide when the
-     off-diagonal entry a12 of V^H A V is zero;
-  4. pick the candidate closest to (mu_k, lam_k) in |d mu| + |d lam| / u,
-     u = curves.floor_unit(pair), as lam scales with the pair and mu does
-     not, and lift its 2-vector through V.
+  3. solve the projected 2 x 2 problem (V^H A V / p, V^H C V / q) in
+     closed form, which yields two candidate triplets; they coincide when
+     the off-diagonal entry a12 of V^H A V is zero;
+  4. pick the candidate closest to (mu_k q / p, lam_k / p) in
+     |d mu| + |d lam|, lift its 2-vector through V, and multiply its
+     (mu, lam) back by (p / q, p).
+
+So each matrix has one unit for the whole step, p for A and q for C.
+(sA, sC) has the triplets of (A, C) with lam times s, and moves A / p and
+C / q by at most a factor of 2: stages 3 and 4 are of order 1 at every
+scale, and a power of two scales exactly.
 
 `step` takes this step from each of a stack of k iterates at once:
 every stage is one numpy call on the stack, or a few, and a member whose
@@ -275,32 +280,32 @@ def projection_basis(pair, starts):
     `again`.  A power of two in a column of the right-hand side scales
     that column of N, and so the Grams and X, exactly, and cancels in
     V = P X and in (c1, c2).  Where |A| + |C| lies outside
-    [2^-400, 2^400], J, C and the right-hand side are divided by p, which
-    keeps N finite where J's entries are near over- or underflow; (c1, c2)
-    are multiplied back.
+    [2^-400, 2^400], J and the right-hand side are divided by p, which
+    keeps N finite where J's entries are near over- or underflow, and
+    where |C| does, C by q, which keeps P^H C P's squares finite.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v, c1, c2, failures, _ = _basis(pair, starts, len(starts) == 1)
-    return v, np.array((c1, c2)).T.reshape(-1, 2), failures
+        v, c1, c2, failures, _, q = _basis(pair, starts, len(starts) == 1)
+    return v, np.array((c1, c2)).T.reshape(-1, 2) * q, failures
 
 
 def _basis(pair, starts, one):
-    """`projection_basis` under the caller's errstate, as (v, c1, c2, failures, unit).
+    """`projection_basis` under the caller's errstate, as (v, c1, c2, failures, p, q).
 
-    c1 and c2 are floats where one, and unit is the power of two that J
-    and C were divided by, 1 inside [2^-400, 2^400].
+    p and q, the powers of two nearest |A| + |C| and |C|, are the step's
+    units of A and C; c1 and c2 are in units of q, floats where one.
     """
     n = pair.n
     sigma = pair.norm_a + pair.norm_c
+    p, q = power_of_two_near(sigma), power_of_two_near(pair.norm_c)
     j = jacobian(pair, starts, sigma)
-    c, unit = pair.c, 1.0
-    if not 2.0 ** -400 <= sigma <= 2.0 ** 400:
-        unit = power_of_two_near(sigma)
-        c = c / unit
-        j /= unit
     e = np.zeros((n + 2, 2), dtype=complex)
-    e[n, 0] = power_of_two_near(pair.norm_c) / unit
-    e[n + 1, 1] = power_of_two_near(sigma) / unit
+    e[n, 0], e[n + 1, 1] = q, p
+    if not 2.0 ** -400 <= sigma <= 2.0 ** 400:
+        j /= p
+        e /= p
+    scaled_c = not 2.0 ** -400 <= pair.norm_c <= 2.0 ** 400
+    c = pair.c / q if scaled_c else pair.c
     try:
         # e as a stack of one matrix, which numpy < 2 would otherwise read
         # as a stack of vectors
@@ -320,7 +325,9 @@ def _basis(pair, starts, one):
         null = np.where(np.reshape(again, (-1, 1, 1)), null @ x, null)
         x, c1, c2, ok, _ = _rotate(c, null, n, one)
     failures = [None if good else Status.JACOBIAN_NEAR_SINGULAR for good in np.array(ok, ndmin=1).tolist()]
-    return null[:, :n] @ x, c1 * unit, c2 * unit, failures, unit
+    if not scaled_c:
+        c1, c2 = c1 / q, c2 / q
+    return null[:, :n] @ x, c1, c2, failures, p, q
 
 
 def sigma_n_jhat(pair, t):
@@ -377,68 +384,56 @@ def solve_2x2(a11, a12, a22, c1, c2):
                           t, alpha * s, indefinite)
 
 
-def select_ritz(mu, lam, candidates, v, lam_unit):
+def select_ritz(mu, lam, candidates, v, units):
     """Per member, lift the candidate nearest the previous (mu, lam) through its basis in v.
 
-    Nearest in |d mu| + |d lam| / lam_unit, the first candidate on a tie:
-    lam scales with the pair and mu does not, so `step` passes
-    curves.floor_unit(pair).  mu and lam are the (k,) arrays of the
-    previous iterates, or Python floats where the candidates are Python
-    numbers.  Returns the chosen triplets as a TripletStack.
+    The candidates are those of projected pairs (V^H A V / p, V^H C V / q),
+    units = (p, q), whose (nu, theta) are (mu q / p, lam / p): nearest in
+    |d mu| + |d lam| in those units, the first candidate on a tie.  mu and
+    lam are the (k,) arrays of the previous iterates, or Python floats
+    where the candidates are Python numbers.  Returns the chosen triplets,
+    their (mu, lam) multiplied back by (p / q, p), as a TripletStack.
     """
+    p, q = units
+    mu, lam = mu * q / p, lam / p
     nu0, dnu, theta0, dtheta = candidates.nu0, candidates.dnu, candidates.theta0, candidates.dtheta
-    gap0 = abs(mu - (nu0 + dnu)) + abs(lam - (theta0 + dtheta)) / lam_unit
-    gap1 = abs(mu - (nu0 - dnu)) + abs(lam - (theta0 - dtheta)) / lam_unit
+    gap0 = abs(mu - (nu0 + dnu)) + abs(lam - (theta0 + dtheta))
+    gap1 = abs(mu - (nu0 - dnu)) + abs(lam - (theta0 - dtheta))
     sign = 1.0 - 2.0 * (gap1 < gap0)  # -1 picks candidate 1
     z = np.empty(v.shape[:-2] + (2, 1), dtype=complex)
     z[..., 0, 0] = candidates.t
     z[..., 1, 0] = sign * candidates.w
-    return TripletStack(np.array(nu0 + sign * dnu, ndmin=1), np.array(theta0 + sign * dtheta, ndmin=1),
-                        (v @ z)[..., 0])
-
-
-def _tail(pair, unit, mu, lam, v, a11, a12, a22, c1, c2):
-    """Stages 3 and 4 of a step: the indefinite flags and the chosen triplets.
-
-    unit is that of `_basis`: where it is not 1, |A| + |C| lies outside
-    [2^-400, 2^400], and the projected pairs are divided by it before
-    their closed form, whose products would over- or underflow, and theta
-    is multiplied back.
-    """
-    if unit == 1.0:
-        cands = solve_2x2(a11, a12, a22, c1, c2)
-    else:
-        cands = solve_2x2(a11 / unit, a12 / unit, a22 / unit, c1 / unit, c2 / unit)
-        cands = cands._replace(theta0=cands.theta0 * unit, dtheta=cands.dtheta * unit)
-    return cands.indefinite, select_ritz(mu, lam, cands, v, floor_unit(pair))
+    return TripletStack(np.array((nu0 + sign * dnu) * p / q, ndmin=1),
+                        np.array((theta0 + sign * dtheta) * p, ndmin=1), (v @ z)[..., 0])
 
 
 def step(pair, starts, quiet=False):
     """One iteration of the 2DRQI from each triplet of the TripletStack `starts`.
 
-    Each stage runs once on the whole stack.  A stack of one takes the
-    closed form of its basis (`gram_rotation`) and the projected 2 x 2
-    tail (`solve_2x2`, `select_ritz`) on Python numbers, where a numpy
-    call on arrays of length one would cost more than its arithmetic.  A
-    member whose step fails gets its Status in `failures`; nothing
-    raises, and a start past overflow warns nothing: its basis fails the
-    rank test.  A caller that holds an np.errstate ignoring over, invalid
-    and divide, as `solve` does for its whole run, passes quiet=True, and
-    the step enters none.
+    Each stage runs once on the whole stack.  The projected 2 x 2 tail
+    (`solve_2x2`, `select_ritz`) takes A in units of p and C in units of
+    q, the powers of two of `_basis`.  A stack of one takes the closed
+    form of its basis (`gram_rotation`) and the tail on Python numbers,
+    where a numpy call on arrays of length one would cost more than its
+    arithmetic.  A member whose step fails gets its Status in `failures`;
+    nothing raises, and a start past overflow warns nothing: its basis
+    fails the rank test.  A caller that holds an np.errstate ignoring
+    over, invalid and divide, as `solve` does for its whole run, passes
+    quiet=True, and the step enters none.
     """
     with contextlib.nullcontext() if quiet else np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         one = len(starts) == 1
-        v, c1, c2, failures, unit = _basis(pair, starts, one)
+        v, c1, c2, failures, p, q = _basis(pair, starts, one)
         a11, a12, a22 = form_rq(pair, v)
+        abs_a12, mu, lam = np.abs(a12), starts.mu, starts.lam
         if one:
-            indefinite, triplets = _tail(pair, unit, starts.mu.item(), starts.lam.item(), v, a11.item(),
-                                         a12.item(), a22.item(), c1, c2)
-        else:
-            indefinite, triplets = _tail(pair, unit, starts.mu, starts.lam, v, a11, a12, a22, c1, c2)
-        for i, ok in enumerate(np.array(indefinite, ndmin=1).tolist()):
+            mu, lam, a11, a12, a22 = mu.item(), lam.item(), a11.item(), a12.item(), a22.item()
+        cands = solve_2x2(a11 / p, a12 / p, a22 / p, c1, c2)
+        triplets = select_ritz(mu, lam, cands, v, (p, q))
+        for i, ok in enumerate(np.array(cands.indefinite, ndmin=1).tolist()):
             if not ok and failures[i] is None:
                 failures[i] = Status.INDEFINITENESS_LOST
-        return StepStack(triplets, np.array(c1, ndmin=1), np.array(c2, ndmin=1), np.abs(a12), tuple(failures))
+        return StepStack(triplets, np.array(c1 * q, ndmin=1), np.array(c2 * q, ndmin=1), abs_a12, tuple(failures))
 
 
 def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):

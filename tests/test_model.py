@@ -45,6 +45,17 @@ def test_empty_pair_is_rejected():
         HermitianPair(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
+def test_pair_past_the_float_range_fails_where_it_enters():
+    # symmetrized as M/2 + M^H/2, entries near 1e308 do not overflow; a
+    # pair whose |A| + |C| does is rejected, and one at 1e307 builds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TwoDevpError, match="past the float range"):
+            HermitianPair(np.diag([1e308, -1e308, 1e308]), np.diag([1e308, -1e308, 1.0]))
+        pair = HermitianPair(np.diag([1e307, -1e307, 1e307]), np.diag([1e307, -1e307, 1.0]))
+    assert np.isfinite(pair.norm_a + pair.norm_c)
+
+
 def test_pair_requires_matching_shapes():
     with pytest.raises(TwoDevpError, match="A is 3x3 but C is 2x2"):
         HermitianPair(np.eye(3), np.diag([1.0, -1.0]))

@@ -150,17 +150,19 @@ def test_projection_basis_matches_svd_nullspace():
 
 
 def test_projection_basis_of_a_pair_whose_a_dwarfs_its_c():
-    # a desk pair in a block beside a 1 x 1 block pair of norm 1e70 or
-    # 1e100: |A| / |C| is past 2^200, while the desk block's 2D-eigentriplets
+    # a desk pair in a block beside a 1 x 1 block pair of norm 1e70 to
+    # 1e250: |A| / |C| is past 2^200, while the desk block's 2D-eigentriplets
     # keep their meaning.  Column 1 of N solves -x^H C y = e1, so an e1 in
     # units of |A| + |C| would put the Grams past 2^400; in units of |C|,
-    # the basis is the reference's, and steps go to the desk's target
+    # the basis is the reference's.  Past 2^400, C in units of |A| + |C|
+    # would underflow the Grams P^H C P; in its own, steps go to the desk's
+    # target
     for (desk, trip), regime in ((refpairs.simple_pair_desk(), "simple"),
                                  (refpairs.multiple_pair_desk(), "multiple")):
         n = desk.n
         starts = [Triplet(t.mu, t.lam, np.concatenate((t.x, [0.0, 0.0])))
                   for t in perturbed_starts(Target.at(desk, trip, regime), 1e-2, 0, range(10))]
-        for big in (1e70, 1e100):
+        for big in (1e70, 1e100, 1e200, 1e250):
             a = np.zeros((n + 2, n + 2), dtype=complex)
             c = np.zeros((n + 2, n + 2), dtype=complex)
             a[:n, :n], c[:n, :n] = desk.a, desk.c
@@ -335,20 +337,21 @@ def test_step_stack_matches_single_steps():
 
 @pytest.mark.parametrize("s", [1.0, 1e300, 1e-300])
 def test_one_start_tail_on_python_numbers_matches_the_tail_on_arrays(s):
-    # a stack of one takes its 2 x 2 tail on Python numbers, a stack on
-    # arrays; from the same basis, the two may differ only where Python's
-    # abs rounds otherwise than numpy's
+    # a stack of one takes its 2 x 2 tail, solve_2x2 and select_ritz in the
+    # step's units, on Python numbers, a stack on arrays; from the same
+    # basis, the two may differ only where Python's abs rounds otherwise
+    # than numpy's
     eps = np.finfo(float).eps
     for regime, pair, starts in _desk_starts_and_failures(s):
         for t in starts:
             stack = TripletStack.of([t])
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                v, c1, c2, failures, unit = rqi._basis(pair, stack, True)
+                v, c1, c2, failures, p, q = rqi._basis(pair, stack, True)
                 a11, a12, a22 = form_rq(pair, v)
-                ok, one = rqi._tail(pair, unit, stack.mu.item(), stack.lam.item(), v, a11.item(), a12.item(),
-                                    a22.item(), c1, c2)
-                oks, arrays = rqi._tail(pair, unit, stack.mu, stack.lam, v, a11, a12, a22, np.array([c1]),
-                                        np.array([c2]))
+                cands = solve_2x2(a11.item() / p, a12.item() / p, a22.item() / p, c1, c2)
+                ok, one = cands.indefinite, select_ritz(t.mu, t.lam, cands, v, (p, q))
+                cands = solve_2x2(a11 / p, a12 / p, a22 / p, np.array([c1]), np.array([c2]))
+                oks, arrays = cands.indefinite, select_ritz(stack.mu, stack.lam, cands, v, (p, q))
             assert type(ok) is bool and oks.tolist() == [ok], regime
             if ok and failures == [None]:
                 ta, tb = one[0], arrays[0]
@@ -533,7 +536,7 @@ def test_select_ritz_picks_nearest():
     t_prev = Triplet.normalized(0.1, 0.9, np.array([1.0, 0.8]))
     v, c = basis_at(pair, t_prev)
     cands = solve_2x2(*form_rq(pair, v), c[:, 0], c[:, 1])
-    chosen = select_ritz(np.array([t_prev.mu]), np.array([t_prev.lam]), cands, v, floor_unit(pair))[0]
+    chosen = select_ritz(np.array([t_prev.mu]), np.array([t_prev.lam]), cands, v, (1.0, 1.0))[0]
     assert abs(chosen.mu - 0.0) + abs(chosen.lam - 1.0) < 1e-12
     assert abs(np.vdot(chosen.x, pair.c @ chosen.x)) < 1e-10
     assert abs(np.linalg.norm(chosen.x) - 1.0) < 1e-12
@@ -664,9 +667,9 @@ def test_step_from_an_overflowing_start_is_near_singular():
 def test_solve_does_not_depend_on_the_scale_of_the_pair():
     # (sA, sC) has the 2D-eigenvalues (mu, s lam) of (A, C); with J balanced,
     # the rank test of projection_basis reads the same basis at every s, and
-    # with lam's gap in units of floor_unit the step picks the candidate of
-    # s = 1.  The convergence test weighs F's last entry, (1 - x^H x)/2, by
-    # floor_unit too, as every other entry of F scales with s; unweighted,
+    # with A and C in units of |A| + |C| and |C| the step picks the candidate
+    # of s = 1.  The convergence test weighs F's last entry, (1 - x^H x)/2, by
+    # floor_unit, as every other entry of F scales with s; unweighted,
     # that entry's rounding kept runs below s = 1 going for more steps
     for (pair, trip), regime in ((refpairs.simple_pair_desk(), "simple"),
                                  (refpairs.multiple_pair_desk(), "multiple")):
