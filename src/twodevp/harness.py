@@ -2,10 +2,11 @@
 
 Every study is a pure function of (problem, flags, seed): per-trial RNGs
 are derived from (seed, trial index), so reports are reproducible
-byte-for-byte and trials could run in any order.  The two are the
-entropy words of the trial's SeedSequence, as default_rng([seed, trial])
-reads them; where both are ints in [0, 2^32) they are passed as a
-uint32 array, which gives the same words and draws at less cost.
+byte-for-byte and trials could run in any order.  A trial draws what
+default_rng([seed, trial]) draws.  The trials of one eps of a study are
+seeded as one block, with SeedSequence's hash of all their words in one
+numpy pass and one PCG64 set to each trial's state in turn; a block with
+a word outside [0, 2^32), and a single start, get a default_rng each.
 """
 
 from typing import NamedTuple
@@ -112,6 +113,75 @@ def _trial_rng(seed, trial):
     return np.random.default_rng([seed, trial])
 
 
+def _hash_constants(init, mult, count):
+    """The (xor, multiplier) words of count hashmix calls along one hash-constant chain, as uint32 columns."""
+    words, h = [], init
+    for _ in range(count):
+        words.append((h, h * mult & 0xFFFFFFFF))
+        h = words[-1][1]
+    return np.array(words, dtype=np.uint32).T[..., None]
+
+
+# SeedSequence's hash (numpy/random/bit_generator.pyx) of a pool of 4
+# words: 4 hashmix calls that take in the entropy, then 12 that mix each
+# word into the other three, on the chain from INIT_A; generate_state's 8
+# output words on the chain from INIT_B.  PCG64's 128-bit LCG multiplier.
+_HASH_IN = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_ENTROPY, _HASH_MIX = _HASH_IN[:, :4], _HASH_IN[:, 4:].reshape(2, 4, 3, 1)
+_HASH_OUT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(v, c):
+    """SeedSequence's hashmix of the uint32 words v with the (xor, multiplier) words c."""
+    v = (v ^ c[0]) * c[1]
+    return v ^ (v >> 16)
+
+
+def _block_states(seed, trials):
+    """The (state, inc) that default_rng([seed, trial]) gives PCG64, for each trial of a uint32 array.
+
+    SeedSequence hashes the entropy words (seed, trial, 0, 0) of all
+    trials at once, in uint32 arithmetic, where arrays wrap without a
+    warning; PCG64 seeds each hashed state on Python ints.
+    """
+    pool = np.zeros((4, len(trials)), dtype=np.uint32)
+    pool[0], pool[1] = seed, trials
+    pool = _hashmix(pool, _HASH_ENTROPY)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _HASH_MIX[:, src])
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_OUT).T.copy().view("<u8")
+    states, low128 = [], (1 << 128) - 1
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & low128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & low128, inc))
+    return states
+
+
+def _trial_rngs(seed, trials):
+    """The RNG of each trial of a block, in order, drawing as _trial_rng(seed, trial) does.
+
+    Where seed and every trial of a non-empty block are ints in
+    [0, 2^32), one generator serves the block: it is set to each trial's
+    state in turn, from _block_states, so a trial must finish drawing
+    before the next is taken.  Elsewhere each trial gets its _trial_rng.
+    """
+    words = np.asarray(trials)
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 32 and words.ndim == 1 and words.size
+            and words.dtype.kind in "iu" and words.min() >= 0 and words.max() < 2 ** 32):
+        yield from (_trial_rng(seed, trial) for trial in trials)
+        return
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for state, inc in _block_states(seed, words):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def perturbed_starts(target, eps, seed, trials):
     """Seeded starts at controlled distance eps from a classify.Target, one per trial index.
 
@@ -125,17 +195,16 @@ def perturbed_starts(target, eps, seed, trials):
     n = target.pair.n
     u = np.empty((len(trials), 2))
     g = np.empty((len(trials), 2, n))
-    for row, trial in enumerate(trials):
-        rng = _trial_rng(seed, trial)
-        u[row] = rng.uniform(-1.0, 1.0, size=2)
+    for row, rng in enumerate(_trial_rngs(seed, trials)):
+        rng.random(out=u[row])  # uniform(-1, 1) is -1 + 2 u, bitwise
         rng.standard_normal(out=g[row])  # the real parts, then the imaginary ones
-    return TripletStack(*_perturb(target, eps, u, g[:, 0] + 1j * g[:, 1]))
+    return TripletStack(*_perturb(target, eps, 2.0 * u - 1.0, g[:, 0] + 1j * g[:, 1]))
 
 
 def perturbed_start(target, eps, seed, trial=0):
     """The start of perturbed_starts for one trial index, as a Triplet, drawn and perturbed without a stack."""
     rng = _trial_rng(seed, trial)
-    u, g = rng.uniform(-1.0, 1.0, size=2), rng.standard_normal((2, target.pair.n))
+    u, g = 2.0 * rng.random(2) - 1.0, rng.standard_normal((2, target.pair.n))
     return Triplet(*_perturb(target, eps, u, g[0] + 1j * g[1]))
 
 
@@ -246,8 +315,8 @@ def ritz_approx_study(target, eps_list, trials, seed):
 
     def errors_at(eps, trials):
         h = np.empty((len(trials), 2, pair.n, 2))
-        for row, trial in enumerate(trials):
-            _trial_rng(seed, trial).standard_normal(out=h[row])  # the real parts, then the imaginary ones
+        for row, rng in enumerate(_trial_rngs(seed, trials)):
+            rng.standard_normal(out=h[row])  # the real parts, then the imaginary ones
         g = h[:, 0] + 1j * h[:, 1]
         g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
         v, ce = diagonalize_form(pair.c, orthonormalize(ideal + eps * g))

@@ -12,6 +12,7 @@ from twodevp.harness import (
     SIMPLE_WINDOWS,
     ConditioningReport,
     _trial_rng,
+    _trial_rngs,
     conditioning_study,
     convergence_order,
     fit_slope,
@@ -147,15 +148,18 @@ def test_studies_read_the_eps_list_in_either_order():
 
 
 def test_perturbed_starts_are_the_single_starts_stacked():
+    # mu and lambda are bitwise; x rounds apart by up to a unit, as the
+    # projection coefficient w x^H is a dot product for one start and a
+    # matrix-vector product for a stack
     for tgt in (simple_target(), multiple_target()):
         for eps in (0.0, 1e-3, 0.3):
             trials = [4, 0, 17, 3]
             stack = perturbed_starts(tgt, eps, 3, trials)
             assert len(stack) == len(trials) and stack.x.shape == (4, tgt.pair.n)
-            for i, trial in enumerate(trials):
-                one = perturbed_start(tgt, eps, 3, trial=trial)
-                assert abs(stack.mu[i] - one.mu) <= 1e-15 and abs(stack.lam[i] - one.lam) <= 1e-15
-                assert np.max(np.abs(stack.x[i] - one.x)) <= 1e-15
+            ones = [perturbed_start(tgt, eps, 3, trial=trial) for trial in trials]
+            assert stack.mu.tobytes() == np.array([one.mu for one in ones]).tobytes()
+            assert stack.lam.tobytes() == np.array([one.lam for one in ones]).tobytes()
+            assert np.max(np.abs(stack.x - [one.x for one in ones])) <= 1e-15
 
 
 def test_trial_rngs_draw_as_the_list_of_seed_and_trial_seeds_them():
@@ -166,6 +170,19 @@ def test_trial_rngs_draw_as_the_list_of_seed_and_trial_seeds_them():
         for trial in words:
             got = _trial_rng(seed, trial).standard_normal(16)
             assert got.tobytes() == np.random.default_rng([seed, trial]).standard_normal(16).tobytes()
+    # a block hashed at once draws as each trial's own RNG, in both of the
+    # harness's draw patterns; a block with a word past 2^32 falls back to
+    # those RNGs, where hashing it as uint32 would wrap it
+    n = 5
+    patterns = (lambda rng: rng.random(2).tobytes() + rng.standard_normal(2 * n).tobytes(),
+                lambda rng: rng.standard_normal((2, n, 2)).tobytes())
+    blocks = (range(60), [7, 0, 2 ** 32 - 1, 3, 3], np.arange(90, 40, -1), np.array([5, 2 ** 31], dtype=np.uint32),
+              [], [5, 2 ** 32, 0, 2 ** 40, 9])
+    for seed in (0, 11, 2 ** 31, 2 ** 32 - 1, 2 ** 32):
+        for trials in blocks:
+            for draw in patterns:
+                got = [draw(rng) for rng in _trial_rngs(seed, trials)]
+                assert got == [draw(np.random.default_rng([seed, trial])) for trial in trials], (seed, trials)
 
 
 def test_perturbed_starts_are_bitwise_a_loop_of_per_trial_draws():
