@@ -343,9 +343,9 @@ def conditioning_study(target, eps_list, trials, seed):
     """
     pair = target.pair
     blocks = _trial_blocks(eps_list, trials)
-    _, c, _ = rqi.projection_basis(pair, TripletStack.of([target]))
+    _, c, _ = rqi.projection_basis(pair, target)
     sigma_star = rqi.sigma_n_jhat(pair, target)
-    c1s, c2s = float(c[0, 0]), float(c[0, 1])
+    c1s, c2s = c.tolist()
     sigma_viol, c_viol = [], []
     for eps, block in blocks:
         starts = perturbed_starts(target, eps, seed, block)

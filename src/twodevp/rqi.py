@@ -31,14 +31,16 @@ So each matrix has one unit for the whole step, p for A and q for C.
 C / q by at most a factor of 2: stages 3 and 4 are of order 1 at every
 scale, and a power of two scales exactly.
 
-`step` takes this step from each of a stack of k iterates at once:
-every stage is one numpy call on the stack, or a few, and a member whose
-step fails gets the Status that stopped it.  `solve` steps stacks of one,
-whose 2 x 2 closed forms of stages 2 to 4 run on Python numbers: they
-and the choice are written with operators and builtins only, so the
-same lines serve a stack and one start.  A run pays once for its
-np.errstate, the check of x's length and the weight of its residual,
-and carries its iterate from step to step as two floats and a row x.
+`step` takes this step from a Triplet, or from each of a TripletStack of
+k iterates at once, where every stage is one numpy call on the stack, or
+a few, and a member whose step fails gets the Status that stopped it.
+From a Triplet, as `solve` steps, J is one (n+2, n+2) matrix and the
+2 x 2 closed forms of stages 2 to 4 run on Python numbers: they and the
+choice are written with operators and builtins only, so the same lines
+serve a stack and one start.  A run pays once for its np.errstate, the
+check of x's length, the weight of its residual and its `_Run`: the
+units p and q, C in units of q where needed and the right-hand side.
+It passes the Triplet that a step returns straight to the next step.
 
 A step's results, RitzCandidates and StepStack, are values, immutable
 NamedTuples.  The records of a run, RqiTrace and its IterateRecords, are
@@ -104,19 +106,21 @@ class RitzCandidates(NamedTuple):
 
 
 class StepStack(NamedTuple):
-    """One 2DRQI step from each of k iterates.
+    """One 2DRQI step from each of k iterates, or from one Triplet.
 
     failures[i] is None, or the Status that stopped member i
     (JACOBIAN_NEAR_SINGULAR or INDEFINITENESS_LOST); the next triplet,
     c1, c2 and abs_a12 of such a member are placeholders.  A member whose
     failures[i] is None has taken its step: its basis passed the rank
-    test and its projected C is indefinite.
+    test and its projected C is indefinite.  A step from a Triplet holds
+    the next Triplet in triplets, floats in c1, c2 and abs_a12, and a
+    tuple of one in failures.
     """
 
-    triplets: TripletStack
-    c1: np.ndarray
-    c2: np.ndarray
-    abs_a12: np.ndarray
+    triplets: "TripletStack | Triplet"
+    c1: "np.ndarray | float"
+    c2: "np.ndarray | float"
+    abs_a12: "np.ndarray | float"
     failures: tuple
 
 
@@ -237,16 +241,19 @@ def gram_rotation(gk, z):
     return xs, mean + rad, mean - rad, ok, again
 
 
-def _rotate(c, null, n, one):
-    """`gram_rotation` of the bases null, with its X as a (k, 2, 2) stack: on Python numbers where one."""
-    p = null[:, :n]
+def _rotate(c, null, n):
+    """`gram_rotation` of the basis null, or of each basis of a stack, with X as a (2, 2) or (k, 2, 2) array.
+
+    An (n+2, 2) basis, a Triplet's, takes the closed form on Python numbers.
+    """
+    p = null[..., :n, :]
     gk = conj_t(p) @ np.concatenate((p, c @ p), axis=-1)
-    if one:
-        xs, *out = gram_rotation(gk[0].tolist(), null[0, n:].tolist())
-    else:
-        xs, *out = gram_rotation(np.moveaxis(gk, 0, -1), np.moveaxis(null[:, n:], 0, -1))
-    # (8,) or (8, k) real and imaginary parts as a (k, 2, 2) complex stack
-    return [np.ascontiguousarray(np.array(xs).T).reshape(-1, 2, 4).view(complex)] + out
+    if null.ndim == 2:
+        xs, *out = gram_rotation(gk.tolist(), null[n:].tolist())
+        return (np.array(xs).view(complex).reshape(2, 2), *out)
+    xs, *out = gram_rotation(np.moveaxis(gk, 0, -1), np.moveaxis(null[:, n:], 0, -1))
+    # (8, k) real and imaginary parts as a (k, 2, 2) complex stack
+    return (np.ascontiguousarray(np.array(xs).T).view(complex).reshape(-1, 2, 2), *out)
 
 
 def projection_basis(pair, starts):
@@ -269,10 +276,11 @@ def projection_basis(pair, starts):
     `gram_rotation`): as at an x that is an eigenvector of C, where the
     two border rows of J are parallel, and for an exactly singular J, as
     at a zero x, or one whose entries overflow, so that its solve is not
-    finite.  The values of a failed member are placeholders.
+    finite.  The values of a failed member are placeholders.  `starts` may
+    also be one triplet, a Triplet or a Target: v is then its (n, 2)
+    basis, c its (2,) entries, and failures a list of one.
 
-    A stack of one runs `gram_rotation` on Python numbers, a stack on
-    arrays.  The right-hand side carries the scale of the pair: column 1
+    The right-hand side carries the scale of the pair: column 1
     of N solves -x^H C y = q and column 2 -(|A| + |C|) x^H y = p, so with
     q and p the powers of two nearest |C| and |A| + |C| both columns are
     of order 1 at every scale and at any ratio |A| / |C|, and the closed
@@ -285,49 +293,69 @@ def projection_basis(pair, starts):
     where |C| does, C by q, which keeps P^H C P's squares finite.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v, c1, c2, failures, _, q = _basis(pair, starts, len(starts) == 1)
-    return v, np.array((c1, c2)).T.reshape(-1, 2) * q, failures
+        run = _Run(pair)
+        v, c1, c2, ok = _basis(pair, starts, run)
+    oks = [ok] if v.ndim == 2 else ok.tolist()
+    return v, np.array((c1, c2)).T * run.q, [None if good else Status.JACOBIAN_NEAR_SINGULAR for good in oks]
 
 
-def _basis(pair, starts, one):
-    """`projection_basis` under the caller's errstate, as (v, c1, c2, failures, p, q).
+class _Run:
+    """What the steps of one run on a pair share: its units, its scaled C and E.
 
-    p and q, the powers of two nearest |A| + |C| and |C|, are the step's
-    units of A and C; c1 and c2 are in units of q, floats where one.
+    p and q are the powers of two nearest |A| + |C| and |C|, the step's
+    units of A and C; big is True where |A| + |C| lies outside
+    [2^-400, 2^400], so that J and E are divided by p, and scaled_c where
+    |C| does, so that c is C / q.  e is the right-hand side
+    [0; diag(q, p)].  The steps only read it.
     """
-    n = pair.n
-    sigma = pair.norm_a + pair.norm_c
-    p, q = power_of_two_near(sigma), power_of_two_near(pair.norm_c)
-    j = jacobian(pair, starts, sigma)
-    e = np.zeros((n + 2, 2), dtype=complex)
-    e[n, 0], e[n + 1, 1] = q, p
-    if not 2.0 ** -400 <= sigma <= 2.0 ** 400:
-        j /= p
-        e /= p
-    scaled_c = not 2.0 ** -400 <= pair.norm_c <= 2.0 ** 400
-    c = pair.c / q if scaled_c else pair.c
+
+    __slots__ = ("sigma", "p", "q", "big", "scaled_c", "c", "e")
+
+    def __init__(self, pair):
+        n = pair.n
+        self.sigma = pair.norm_a + pair.norm_c
+        self.p, self.q = power_of_two_near(self.sigma), power_of_two_near(pair.norm_c)
+        self.big = not 2.0 ** -400 <= self.sigma <= 2.0 ** 400
+        self.scaled_c = not 2.0 ** -400 <= pair.norm_c <= 2.0 ** 400
+        self.c = pair.c / self.q if self.scaled_c else pair.c
+        self.e = np.zeros((n + 2, 2), dtype=complex)
+        self.e[n, 0], self.e[n + 1, 1] = self.q, self.p
+        if self.big:
+            self.e /= self.p
+
+
+def _basis(pair, starts, run):
+    """`projection_basis` under the caller's errstate, as (v, c1, c2, ok) of a Triplet or a TripletStack.
+
+    v is the (n, 2) basis of a Triplet, or the (k, n, 2) bases of a stack;
+    c1 and c2, in units of run.q, and ok, the rank test, are two floats
+    and a bool for a Triplet and (k,) arrays for a stack.
+    """
+    n, m, e = pair.n, pair.n + 2, run.e
+    j = jacobian(pair, starts, run.sigma)
+    if run.big:
+        j /= run.p
     try:
-        # e as a stack of one matrix, which numpy < 2 would otherwise read
-        # as a stack of vectors
-        null = np.linalg.solve(j, e[None])
+        # e as a stack of one matrix for a stack of J, which numpy < 2
+        # would otherwise read as a stack of vectors
+        null = np.linalg.solve(j, e if j.ndim == 2 else e[None])
     except np.linalg.LinAlgError:
-        # one singular J fails the whole stack's solve, and so does one
-        # whose entries overflow, so redo it member by member; a failed
-        # member keeps e, whose leading rows have rank 0
-        null = np.empty(j.shape[:1] + e.shape, dtype=complex)
-        for i, ji in enumerate(j):
+        # a J that is singular, or whose entries overflow, fails the solve,
+        # and one such member fails a whole stack's, so redo it member by
+        # member; a failed member keeps e, whose leading rows have rank 0
+        null = np.empty(j.shape[:-1] + (2,), dtype=complex)
+        for ji, ni in zip(j.reshape(-1, m, m), null.reshape(-1, m, 2)):
             try:
-                null[i] = np.linalg.solve(ji, e)
+                ni[...] = np.linalg.solve(ji, e)
             except np.linalg.LinAlgError:
-                null[i] = e
-    x, c1, c2, ok, again = _rotate(c, null, n, one)
-    if again if one else again.any():
-        null = np.where(np.reshape(again, (-1, 1, 1)), null @ x, null)
-        x, c1, c2, ok, _ = _rotate(c, null, n, one)
-    failures = [None if good else Status.JACOBIAN_NEAR_SINGULAR for good in np.array(ok, ndmin=1).tolist()]
-    if not scaled_c:
-        c1, c2 = c1 / q, c2 / q
-    return null[:, :n] @ x, c1, c2, failures, p, q
+                ni[...] = e
+    x, c1, c2, ok, again = _rotate(run.c, null, n)
+    if again if null.ndim == 2 else again.any():
+        null = np.where(np.reshape(again, np.shape(again) + (1, 1)), null @ x, null)
+        x, c1, c2, ok, _ = _rotate(run.c, null, n)
+    if not run.scaled_c:
+        c1, c2 = c1 / run.q, c2 / run.q
+    return null[..., :n, :] @ x, c1, c2, ok
 
 
 def sigma_n_jhat(pair, t):
@@ -340,9 +368,9 @@ def sigma_n_jhat(pair, t):
 
 
 def form_rq(pair, v):
-    """Entries (a11, a12, a22) of the projected matrices V^H A V of a (k, n, 2) stack of bases."""
+    """Entries (a11, a12, a22) of the projected V^H A V of an (n, 2) basis, or of a (k, n, 2) stack's."""
     ak = conj_t(v) @ pair.a @ v
-    return ak[:, 0, 0].real, ak[:, 0, 1], ak[:, 1, 1].real
+    return ak[..., 0, 0].real, ak[..., 0, 1], ak[..., 1, 1].real
 
 
 def solve_2x2(a11, a12, a22, c1, c2):
@@ -389,10 +417,11 @@ def select_ritz(mu, lam, candidates, v, units):
 
     The candidates are those of projected pairs (V^H A V / p, V^H C V / q),
     units = (p, q), whose (nu, theta) are (mu q / p, lam / p): nearest in
-    |d mu| + |d lam| in those units, the first candidate on a tie.  mu and
-    lam are the (k,) arrays of the previous iterates, or Python floats
-    where the candidates are Python numbers.  Returns the chosen triplets,
-    their (mu, lam) multiplied back by (p / q, p), as a TripletStack.
+    |d mu| + |d lam| in those units, the first candidate on a tie.  For a
+    (k, n, 2) stack of bases, mu and lam are the (k,) arrays of the
+    previous iterates, and the chosen triplets, their (mu, lam) multiplied
+    back by (p / q, p), a TripletStack; for one (n, 2) basis, they and
+    the candidates are Python numbers, and the chosen triplet a Triplet.
     """
     p, q = units
     mu, lam = mu * q / p, lam / p
@@ -403,37 +432,56 @@ def select_ritz(mu, lam, candidates, v, units):
     z = np.empty(v.shape[:-2] + (2, 1), dtype=complex)
     z[..., 0, 0] = candidates.t
     z[..., 1, 0] = sign * candidates.w
-    return TripletStack(np.array((nu0 + sign * dnu) * p / q, ndmin=1),
-                        np.array((theta0 + sign * dtheta) * p, ndmin=1), (v @ z)[..., 0])
+    mu, lam, x = (nu0 + sign * dnu) * p / q, (theta0 + sign * dtheta) * p, (v @ z)[..., 0]
+    if v.ndim > 2:
+        return TripletStack(mu, lam, x)
+    x.setflags(write=False)
+    return Triplet._make((mu, lam, x))
 
 
-def step(pair, starts, quiet=False):
-    """One iteration of the 2DRQI from each triplet of the TripletStack `starts`.
+def step(pair, starts, _run=None):
+    """One iteration of the 2DRQI from a Triplet, or from each triplet of a TripletStack.
 
-    Each stage runs once on the whole stack.  The projected 2 x 2 tail
-    (`solve_2x2`, `select_ritz`) takes A in units of p and C in units of
-    q, the powers of two of `_basis`.  A stack of one takes the closed
-    form of its basis (`gram_rotation`) and the tail on Python numbers,
-    where a numpy call on arrays of length one would cost more than its
-    arithmetic.  A member whose step fails gets its Status in `failures`;
-    nothing raises, and a start past overflow warns nothing: its basis
-    fails the rank test.  A caller that holds an np.errstate ignoring
-    over, invalid and divide, as `solve` does for its whole run, passes
-    quiet=True, and the step enters none.
+    `starts` is told apart by the shape of its x, never by its length (a
+    Triplet's is 3): one n-vector, as a Triplet's or a Target's, or a
+    (k, n) stack.  From one triplet, every stage runs on one (n+2, n+2)
+    J and 2-D arrays, and the closed form of the basis (`gram_rotation`)
+    and the projected 2 x 2 tail (`solve_2x2`, `select_ritz`) on Python
+    numbers, where a numpy call on arrays of length one would cost more
+    than its arithmetic; the StepStack holds the next Triplet, floats c1,
+    c2 and abs_a12, and one entry in failures.  From a stack, each stage
+    runs once on the whole stack.  The tail takes A in units of p and C
+    in units of q, the powers of two of `_Run`.  A member whose step
+    fails gets its Status in `failures`; nothing raises, and a start past
+    overflow warns nothing: its basis fails the rank test.  `solve`
+    passes the `_Run` of its whole run, inside an np.errstate that
+    ignores over, invalid and divide, and the step then enters none;
+    other callers pass nothing.
     """
-    with contextlib.nullcontext() if quiet else np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        one = len(starts) == 1
-        v, c1, c2, failures, p, q = _basis(pair, starts, one)
+    with (np.errstate(over="ignore", invalid="ignore", divide="ignore") if _run is None
+          else contextlib.nullcontext()):
+        run = _Run(pair) if _run is None else _run
+        p, q = run.p, run.q
+        v, c1, c2, ok = _basis(pair, starts, run)
         a11, a12, a22 = form_rq(pair, v)
-        abs_a12, mu, lam = np.abs(a12), starts.mu, starts.lam
+        abs_a12, one = np.abs(a12), v.ndim == 2
         if one:
-            mu, lam, a11, a12, a22 = mu.item(), lam.item(), a11.item(), a12.item(), a22.item()
+            # numpy scalars to Python numbers; |a12| keeps numpy's rounding
+            abs_a12, a11, a12, a22 = abs_a12.item(), a11.item(), a12.item(), a22.item()
         cands = solve_2x2(a11 / p, a12 / p, a22 / p, c1, c2)
-        triplets = select_ritz(mu, lam, cands, v, (p, q))
-        for i, ok in enumerate(np.array(cands.indefinite, ndmin=1).tolist()):
-            if not ok and failures[i] is None:
-                failures[i] = Status.INDEFINITENESS_LOST
-        return StepStack(triplets, np.array(c1 * q, ndmin=1), np.array(c2 * q, ndmin=1), abs_a12, tuple(failures))
+        triplets = select_ritz(starts.mu, starts.lam, cands, v, (p, q))
+        if one:
+            failures = (_failure(ok, cands.indefinite),)
+        else:
+            failures = tuple(map(_failure, ok.tolist(), cands.indefinite.tolist()))
+        return StepStack(triplets, c1 * q, c2 * q, abs_a12, failures)
+
+
+def _failure(good, indefinite):
+    """The Status of a member from its rank test and its projected C: None where both pass."""
+    if not good:
+        return Status.JACOBIAN_NEAR_SINGULAR
+    return None if indefinite else Status.INDEFINITENESS_LOST
 
 
 def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
@@ -444,8 +492,8 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
     tol_abs + DEFAULT_OPTS["tol_rel"] * (|A| + |mu| |C| + |lam|).  A
     tol_abs given is absolute; the default is DEFAULT_OPTS["tol_abs"] in
     units of curves.floor_unit(pair), so that a pair of norm below 1 is
-    not converged at once.  Each step is a `step` on a stack of one, which
-    takes its 2 x 2 tail on Python numbers.  Given a reference,
+    not converged at once.  Each step is a `step` from the run's Triplet,
+    which takes its 2 x 2 closed forms on Python numbers.  Given a reference,
     a `classify.Target` of this pair as `eigvec_set` returns it, each
     iterate records its distances to the target's (mu, lam) and, as err_x,
     to its 2D-eigenvector set: the target's `errors`, taken when the run
@@ -469,8 +517,8 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
         raise ValueError("the reference must be a Target of this pair, as eigvec_set returns")
     _check_length(pair, t0.x)
     weight, trace, t = floor_unit(pair), RqiTrace(), t0
-    stack = TripletStack(np.array((t.mu,)), np.array((t.lam,)), t.x[None])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        run = _Run(pair)
         res_norm = _residual_norm(pair, t.mu, t.lam, t.x, weight)
         for k in range(max_iter + 1):
             rec = IterateRecord(k, t, res_norm)
@@ -485,16 +533,13 @@ def solve(pair, t0, tol_abs=None, max_iter=None, reference=None):
                 break
             if k == max_iter:
                 break  # the trace's status is MAX_ITERATIONS until set
-            out = step(pair, stack, quiet=True)
+            out = step(pair, t, run)
             if out.failures[0] is not None:
                 trace.status = out.failures[0]
                 break
-            stack = out.triplets
-            x = stack.x[0]  # a new row of the step's, read-only as a Triplet's x
-            x.setflags(write=False)
-            t = Triplet._make((stack.mu.item(), stack.lam.item(), x))
-            rec.c1, rec.c2, rec.abs_a12 = out.c1.item(), out.c2.item(), out.abs_a12.item()
-            res_norm = _residual_norm(pair, t.mu, t.lam, x, weight)
+            t = out.triplets
+            rec.c1, rec.c2, rec.abs_a12 = out.c1, out.c2, out.abs_a12
+            res_norm = _residual_norm(pair, t.mu, t.lam, t.x, weight)
     # the reference errors of each iterate, but a last NON_FINITE one, from one call on their stack
     recs = trace.iterates[:-1] if trace.status is Status.NON_FINITE else trace.iterates
     if reference is not None and recs:

@@ -273,9 +273,10 @@ def test_projection_basis_takes_its_closed_form_once_and_again_only_where_asked(
 
 
 def test_step_makes_one_solve_and_no_large_svd(count_linalg):
-    # the LAPACK budget of one step: one LU solve per stack of starts (a
-    # stack of one as solve steps, of five as the studies do) and no other
-    # numpy.linalg call; the basis comes from its 2 x 2 Grams in closed form
+    # the LAPACK budget of one step: one LU solve of the start's J (a
+    # Triplet, as solve steps, or a stack of five, as the studies do) and
+    # no other numpy.linalg call; the basis comes from its 2 x 2 Grams in
+    # closed form
     pair = random_pair_with_crossing(64, (32, 32), 0.4, -0.3, 11)
     target = eigvec_set(pair, 0.4, -0.3)
     t0 = perturbed_start(target, 1e-3, 5)
@@ -283,19 +284,20 @@ def test_step_makes_one_solve_and_no_large_svd(count_linalg):
     desk = Target.at(*refpairs.simple_pair_desk(), "simple")
     desk_start = perturbed_start(desk, 0.05, 11, trial=3)
     calls = count_linalg()
-    for k, run in ((1, lambda: step(pair, TripletStack.of([t0]))), (5, lambda: step(pair, starts))):
+    for start, k, shape in ((t0, 1, (66, 66)), (starts, 5, (5, 66, 66))):
         del calls[:]
-        out = run()
+        out = step(pair, start)
         assert out.failures == (None,) * k
-        assert calls == [("solve", (k, 66, 66))]
-    # and of a whole run: a solve that takes k steps makes k LU solves of a
-    # stack of one and no other numpy.linalg call, its residual norms included
+        assert calls == [("solve", shape)]
+    # and of a whole run: a solve that takes k steps makes k LU solves of
+    # an (n+2, n+2) J and no other numpy.linalg call, its residual norms
+    # included
     for run_pair, start in ((pair, t0), (desk.pair, desk_start)):
         del calls[:]
         trace = solve(run_pair, start)
         k, m = len(trace.iterates) - 1, run_pair.n + 2
         assert trace.status is Status.CONVERGED and k >= 2
-        assert calls == [("solve", (1, m, m))] * k
+        assert calls == [("solve", (m, m))] * k
 
 
 def _desk_starts_and_failures(s):
@@ -313,10 +315,10 @@ def _desk_starts_and_failures(s):
 
 
 def test_step_stack_matches_single_steps():
-    # a stack of one takes its 2 x 2 tail on Python numbers, the stack of 53
-    # on arrays; at s = 1e+-300 both run it on the pair divided by a power of
-    # two.  The bases of a stack and of one start round differently, so the
-    # triplets agree to 1e-12, not bitwise
+    # a Triplet takes its closed forms and 2 x 2 tail on Python numbers,
+    # the stack of 53 on arrays; at s = 1e+-300 both run it on the pair
+    # divided by a power of two.  The bases of a stack and of one start
+    # round differently, so the triplets agree to 1e-12, not bitwise
     for s in (1.0, 1e300, 1e-300):
         for regime, pair, starts in _desk_starts_and_failures(s):
             out = step(pair, TripletStack.of(starts))
@@ -324,40 +326,47 @@ def test_step_stack_matches_single_steps():
             assert out.failures[50:52] == (Status.JACOBIAN_NEAR_SINGULAR,) * 2
             assert out.failures.count(None) >= 50, regime
             for i, t in enumerate(starts):
-                one = step(pair, TripletStack.of([t]))
-                assert out.failures[i] is one.failures[0], (regime, s, i)
+                one = step(pair, t)
+                assert len(one.failures) == 1 and out.failures[i] is one.failures[0], (regime, s, i)
                 if one.failures[0] is not None:
                     continue
-                got, t1 = out.triplets[i], one.triplets[0]
+                got, t1 = out.triplets[i], one.triplets
+                assert type(t1) is Triplet and not t1.x.flags.writeable
                 assert abs(got.mu - t1.mu) <= 1e-12 and abs(got.lam - t1.lam) <= 1e-12 * s
                 assert np.linalg.norm(got.x - t1.x) <= 1e-10
+                assert [type(v) for v in (one.c1, one.c2, one.abs_a12)] == [float] * 3
                 assert np.allclose([out.c1[i], out.c2[i], out.abs_a12[i]],
-                                   [one.c1[0], one.c2[0], one.abs_a12[0]], rtol=1e-12, atol=1e-14 * s)
+                                   [one.c1, one.c2, one.abs_a12], rtol=1e-12, atol=1e-14 * s)
 
 
 @pytest.mark.parametrize("s", [1.0, 1e300, 1e-300])
 def test_one_start_tail_on_python_numbers_matches_the_tail_on_arrays(s):
-    # a stack of one takes its 2 x 2 tail, solve_2x2 and select_ritz in the
-    # step's units, on Python numbers, a stack on arrays; from the same
-    # basis, the two may differ only where Python's abs rounds otherwise
-    # than numpy's
+    # a Triplet takes its basis from J's solve on 2-D arrays and its 2 x 2
+    # tail, solve_2x2 and select_ritz in the step's units, on Python
+    # numbers, a stack of one on (1, ...) arrays throughout; they may
+    # differ only where Python's abs in solve_2x2 rounds otherwise than
+    # numpy's, and the basis and its (c1, c2) not at all
     eps = np.finfo(float).eps
+    statuses = set()
     for regime, pair, starts in _desk_starts_and_failures(s):
         for t in starts:
-            stack = TripletStack.of([t])
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                v, c1, c2, failures, p, q = rqi._basis(pair, stack, True)
-                a11, a12, a22 = form_rq(pair, v)
-                cands = solve_2x2(a11.item() / p, a12.item() / p, a22.item() / p, c1, c2)
-                ok, one = cands.indefinite, select_ritz(t.mu, t.lam, cands, v, (p, q))
-                cands = solve_2x2(a11 / p, a12 / p, a22 / p, np.array([c1]), np.array([c2]))
-                oks, arrays = cands.indefinite, select_ritz(stack.mu, stack.lam, cands, v, (p, q))
-            assert type(ok) is bool and oks.tolist() == [ok], regime
-            if ok and failures == [None]:
-                ta, tb = one[0], arrays[0]
+            v, c, failures = projection_basis(pair, t)
+            vs, cs, failures_s = projection_basis(pair, TripletStack.of([t]))
+            assert v.shape == (pair.n, 2) and c.shape == (2,) and len(failures) == 1
+            assert failures == failures_s and c.tobytes() == cs[0].tobytes()
+            if failures == [None]:
+                assert v.tobytes() == vs[0].tobytes()
+            one, arrays = step(pair, t), step(pair, TripletStack.of([t]))
+            assert one.failures == arrays.failures, regime
+            statuses.add(one.failures[0])
+            assert np.float64(one.c1).tobytes() == arrays.c1[0].tobytes()
+            assert np.float64(one.c2).tobytes() == arrays.c2[0].tobytes()
+            if one.failures[0] is None:
+                ta, tb = one.triplets, arrays.triplets[0]
                 assert abs(ta.mu - tb.mu) <= 4 * eps * max(1.0, abs(tb.mu))
                 assert abs(ta.lam - tb.lam) <= 4 * eps * max(s, abs(tb.lam))
                 assert np.linalg.norm(ta.x - tb.x) <= 4 * eps
+    assert None in statuses and Status.JACOBIAN_NEAR_SINGULAR in statuses
 
 
 _NAN = float("nan")
@@ -760,24 +769,25 @@ def test_solve_measures_err_x_to_the_eigenvector_set():
 
 
 def test_solve_calls_step_once_per_step(monkeypatch):
-    # solve calls rqi.step by its module name, with quiet=True as it holds
-    # the errstate for its whole run; the studies call it without
+    # solve calls rqi.step by its module name, once per step, with its
+    # iterate as a Triplet (whose len is 3, its fields) and the workspace
+    # of its run; the studies call it on a stack
     target = Target.at(*refpairs.simple_pair_desk(), "simple")
     steps = []
     step_ = rqi.step
 
-    def counted_step(pair, starts, **kwargs):
-        steps.append(len(starts))
-        return step_(pair, starts, **kwargs)
+    def counted_step(pair, starts, *args):
+        steps.append(type(starts))
+        return step_(pair, starts, *args)
 
     monkeypatch.setattr(rqi, "step", counted_step)
     trace = solve(target.pair, perturbed_start(target, 0.05, 11, trial=3), tol_abs=1e-12)
     assert trace.status is Status.CONVERGED
-    assert steps == [1] * (len(trace.iterates) - 1) and len(steps) >= 2
+    assert steps == [Triplet] * (len(trace.iterates) - 1) and len(steps) >= 2
     # the studies step all trials of one eps as one stack
     del steps[:]
     scaling_study(target, [1e-2, 1e-3, 1e-4], 7, 0)
-    assert steps == [7, 7, 7]
+    assert steps == [TripletStack] * 3
 
 
 def test_solve_records_each_iterates_errors_from_one_stacked_call(monkeypatch):
@@ -824,7 +834,7 @@ def test_solve_records_each_iterates_errors_from_one_stacked_call(monkeypatch):
 
 
 def _loop_solve(pair, t0):
-    """solve as a loop of public step and residual_norm calls on a stack and Triplets rebuilt each step.
+    """solve as a loop of public step and residual_norm calls on Triplets.
 
     The norm weighs F's last entry by floor_unit(pair), as solve does:
     residual_norm where that is 1, else its arithmetic by numpy's norm.
@@ -847,7 +857,7 @@ def _loop_solve(pair, t0):
 
     res_norm = norm(t0)
     trace = rqi.RqiTrace()
-    t, stack = t0, TripletStack.of([t0])
+    t = t0
     for k in range(rqi.DEFAULT_OPTS["max_iter"] + 1):
         rec = rqi.IterateRecord(k, t, res_norm)
         trace.iterates.append(rec)
@@ -861,21 +871,21 @@ def _loop_solve(pair, t0):
             break
         if k == rqi.DEFAULT_OPTS["max_iter"]:
             break
-        out = step(pair, stack)
+        out = step(pair, t)
         if out.failures[0] is not None:
             trace.status = out.failures[0]
             break
-        stack = out.triplets
-        t = stack[0]
-        rec.c1, rec.c2, rec.abs_a12 = float(out.c1[0]), float(out.c2[0]), float(out.abs_a12[0])
+        t = out.triplets
+        rec.c1, rec.c2, rec.abs_a12 = out.c1, out.c2, out.abs_a12
         res_norm = norm(t)
     return trace
 
 
 def test_solve_is_bitwise_a_loop_of_public_steps_and_residual_norms():
-    # solve holds one errstate per run, carries its iterate as floats and a
-    # row, and takes each norm from model's private body; none of it may move
-    # a bit of the run that public calls give
+    # solve holds one errstate and one workspace per run, passes its
+    # iterate straight from step to step, and takes each norm from model's
+    # private body; none of it may move a bit of the run that public calls
+    # on Triplets give
     def bits(v):
         return None if v is None else "nan" if np.isnan(v) else np.float64(v).tobytes()
 
